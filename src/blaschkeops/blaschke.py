@@ -9,15 +9,20 @@ times around; the increasing argument lift theta with b(e^{it}) = e^{i theta(t)}
 and its N monotone inverse branches are what every downstream operator
 (transfer operator, composition matrices) is built from.
 
-theta is obtained by integrating its derivative N*j0, where j0 is the strictly
-positive boundary symbol; the integration is spectral (FFT antiderivative), so
-the lift is smooth, strictly increasing and cheap to evaluate off the table.
+On the circle each factor is b_w(e^{it}) = -(|w|/w) e^{it} conj(q) / q with
+q = 1 - conj(w) e^{it}, and Re q > 0, so the lift is the closed form
+
+    theta(t) = theta0 + N t - 2 sum_j [Arg(1 - conj(a_j) e^{it}) - Arg(1 - conj(a_j))],
+
+an O(N) sum of Moebius arguments whose derivative is N*j0, the strictly
+positive boundary symbol.  Zeros at the origin contribute only their share of
+N t.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +58,10 @@ class BlaschkeProduct:
     def __post_init__(self):
         if len(self.zeros) == 0:
             raise ValueError("degree-0 Blaschke products (constants) are not supported")
-        mods = np.abs(np.asarray(self.zeros, dtype=complex))
+        zs = np.asarray(self.zeros, dtype=complex)
+        if not np.all(np.isfinite(zs)):
+            raise ValueError("zeros must be finite, got %s" % zs)
+        mods = np.abs(zs)
         if np.any(mods >= 1.0):
             raise ValueError("all zeros must satisfy |alpha| < 1, got moduli %s" % mods)
 
@@ -156,15 +164,6 @@ def j0(b: BlaschkeProduct, t):
     return acc.reshape(tt.shape)
 
 
-def _lift_eval(theta0, c0, dcoef, p1, t):
-    """theta(t) = theta0 + c0*t + Im(P(e^{it})) - p1 with Horner-evaluated P."""
-    e = np.exp(1j * t)
-    p = np.zeros_like(e)
-    for d in dcoef[::-1]:
-        p = (p + d) * e
-    return theta0 + c0 * t + (p.imag - p1)
-
-
 @dataclass(frozen=True)
 class BranchSystem:
     """The argument lift theta on [0, 2pi] and its N monotone inverse branches.
@@ -178,9 +177,6 @@ class BranchSystem:
     theta0: float
     theta_table: np.ndarray  # theta at table_size+1 uniform nodes on [0, 2pi]
     arc_endpoints: np.ndarray  # t_0 = 0 < t_1 < ... < t_N = 2pi
-    _c0: float = field(repr=False)
-    _dcoef: np.ndarray = field(repr=False)
-    _p1: float = field(repr=False)
 
     def __post_init__(self):
         # idempotent memo for per-grid fibres/symbols; concurrent recompute is
@@ -194,9 +190,14 @@ class BranchSystem:
     # -- the lift ----------------------------------------------------------
 
     def theta(self, t):
-        """theta(t) for scalar or array t."""
+        """theta(t) for scalar or array t: the Moebius-argument sum, exact at t = 0."""
         tt = np.asarray(t, dtype=float)
-        val = _lift_eval(self.theta0, self._c0, self._dcoef, self._p1, tt)
+        e = np.exp(1j * tt)
+        val = self.theta0 + self.branch_count * tt
+        for w in self.owner.zeros:
+            if w != 0:
+                cw = np.conj(w)
+                val = val - 2.0 * (np.angle(1.0 - cw * e) - np.angle(1.0 - cw))
         return float(val) if tt.ndim == 0 else val
 
     def theta_prime(self, t):
@@ -269,38 +270,16 @@ class BranchSystem:
 
 
 def build_branches(b: BlaschkeProduct, table_size: int = 4096) -> BranchSystem:
-    """Construct the branch system; theta comes from spectral quadrature of N*j0."""
+    """Construct the branch system: the closed-form lift, its table and the arc endpoints."""
     n = b.degree
     if table_size < 64 * n:
         raise ValueError(f"table_size must be >= 64*N = {64 * n}")
     theta0 = float(np.angle(evaluate(b, 1.0)))
-
-    # FFT antiderivative of g = N*j0: Theta(t) = c0*t + sum_{m>=1} (2/m) Im(c_m (e^{imt}-1))
-    fft_size = 1 << max(11, int(np.ceil(np.log2(table_size))))
-    s_nodes = TWO_PI * np.arange(fft_size) / fft_size
-    g = n * j0(b, s_nodes)
-    c = np.fft.fft(g) / fft_size
-    c0 = float(c[0].real)
-    pos = c[1 : fft_size // 2]
-    big = np.nonzero(np.abs(pos) > 1e-17 * max(1.0, n))[0]
-    keep = int(big[-1]) + 1 if big.size else 1
-    dcoef = 2.0 * pos[:keep] / np.arange(1, keep + 1)
-    p1 = float(np.sum(dcoef).imag)
-
-    t_nodes = np.linspace(0.0, TWO_PI, table_size + 1)
-    table = _lift_eval(theta0, c0, dcoef, p1, t_nodes)
+    bs = BranchSystem(owner=b, theta0=theta0, theta_table=np.empty(0), arc_endpoints=np.empty(0))
+    table = bs.theta(np.linspace(0.0, TWO_PI, table_size + 1))
     if np.any(np.diff(table) <= 0):
-        raise RuntimeError("theta table is not strictly increasing; quadrature of j0 failed")
-
-    bs = BranchSystem(
-        owner=b,
-        theta0=theta0,
-        theta_table=table,
-        arc_endpoints=np.empty(0),
-        _c0=c0,
-        _dcoef=dcoef,
-        _p1=p1,
-    )
+        raise RuntimeError("theta table is not strictly increasing; the lift lost monotonicity")
+    object.__setattr__(bs, "theta_table", table)
     endpoints = bs.theta_inv(theta0 + TWO_PI * np.arange(n + 1.0))
     endpoints[0] = 0.0
     endpoints[-1] = TWO_PI

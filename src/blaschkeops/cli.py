@@ -16,10 +16,10 @@ import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
-    blaschke_from_json,
     build_branches,
     evaluate,
     j0,
+    make_blaschke,
     preimages,
 )
 from .circlefun import CircleGrid, fourier_coeffs, series_from_json
@@ -63,11 +63,11 @@ class UsageError(Exception):
 def _load_blaschke(path: str) -> BlaschkeProduct:
     text = _read(path)
     try:
-        data = json.loads(text)
-        zeros = data["zeros"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        zeros = [complex(re, im) for re, im in json.loads(text)["zeros"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed Blaschke JSON in {path}: {exc}")
-    return blaschke_from_json(json.dumps({"zeros": zeros}))
+    # range errors (|a| >= 1, NaN) are math errors, raised outside the parse guard
+    return make_blaschke(zeros)
 
 
 def _load_series(path: str):
@@ -92,8 +92,6 @@ def _config(args) -> RunConfig:
         mode_window=args.modes,
         tol_operator=args.tol,
         seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
     )
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Grid, window, tolerance and output policy for a run.
+    """Grid, window and tolerances for a run.
 
     tol_operator governs identities of truncated matrices on interior blocks;
     tol_function governs pointwise/boundary-function identities.
@@ -20,8 +20,6 @@ class RunConfig:
     tol_function: float = 1e-8
     eps_tail: float = 1e-10
     seed: int = 0
-    output_format: str = "json"
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.grid_size < 2 or self.grid_size & (self.grid_size - 1):
@@ -30,8 +28,6 @@ class RunConfig:
             raise ValueError("mode window exceeds grid capacity")
         if not 0.0 < self.interior_fraction <= 1.0:
             raise ValueError("interior fraction must lie in (0, 1]")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output format must be json or csv")
 
     @property
     def interior(self) -> int:

@@ -22,6 +22,7 @@ from .errors import GramCheckError
 from .transfer import (
     ModuleVector,
     _nudged_angles,
+    grid_fibre,
     module_gram_deviation,
     outer_symbol,
 )
@@ -190,7 +191,7 @@ def linking_unitary(
         dev = module_gram_deviation(bs, fam, grid)
         if dev > gram_tol:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
-    fib = np.exp(1j * bs.preimage_angles(grid.angles))
+    fib = grid_fibre(bs, grid)
     avals = np.stack([a.evaluate(fib) for a in family_a])
     bvals = np.stack([b.evaluate(fib) for b in family_b])
     u = np.einsum("iNK,jNK->ijK", np.conj(avals), bvals) / bs.branch_count

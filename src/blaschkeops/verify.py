@@ -496,15 +496,6 @@ def verify_relation(
 # -- solutions of the covariance equation -------------------------------------
 
 
-def _toeplitz_matrix(sym: FourierSeries, window: int) -> np.ndarray:
-    modes = np.arange(-window, window + 1)
-    diff = modes[:, None] - modes[None, :]
-    out = np.zeros(diff.shape, dtype=complex)
-    inside = np.abs(diff) <= sym.window
-    out[inside] = sym.coeffs[diff[inside] + sym.window]
-    return out
-
-
 def verify_solution1(
     bs,
     family: list,
@@ -542,7 +533,8 @@ def verify_solution1(
                 transfer_apply(bs, product_vector(conj_vector(family[i]), family[j]), grid),
                 2 * inner,
             )
-            consistency = max(consistency, float(np.max(np.abs(g.matrix - _toeplitz_matrix(sym, inner)))))
+            toeplitz = block(mult_operator(sym, 2 * inner), (-inner, inner), (-inner, inner)).matrix
+            consistency = max(consistency, float(np.max(np.abs(g.matrix - toeplitz))))
 
     # completeness through the action on band-limited test vectors
     rng = np.random.default_rng(config.seed)

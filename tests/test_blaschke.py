@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blaschkeops import (
@@ -26,7 +26,7 @@ def test_rejects_empty_zero_list():
         make_blaschke([])
 
 
-@pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, 0.3 + 1.1j])
+@pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, 0.3 + 1.1j, np.nan])
 def test_rejects_zeros_outside_disc(bad):
     with pytest.raises(ValueError):
         make_blaschke([0.2, bad])
@@ -214,6 +214,9 @@ def test_branch_point_exclusion(half):
 
 
 @given(blaschke_zeros(max_degree=4), circle_angles())
+@example([0.995, -0.5j], 0.3)
+@example([0.999], 0.3)
+@example([0.99, 0.99j, -0.99, 0.5], 2.0)
 def test_preimage_defining_residual(zeros, t):
     b = make_blaschke(zeros)
     bs = build_branches(b, 512)
@@ -230,6 +233,9 @@ def test_preimage_defining_residual(zeros, t):
 
 
 @given(blaschke_zeros(max_degree=4), circle_angles())
+@example([0.995, -0.5j], 0.3)
+@example([0.999], 0.3)
+@example([0.99, 0.99j, -0.99, 0.5], 2.0)
 def test_preimage_completeness_against_polyroot_oracle(zeros, t):
     b = make_blaschke(zeros)
     bs = build_branches(b, 512)

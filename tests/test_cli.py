@@ -52,9 +52,14 @@ def test_rejects_zeros_on_or_outside_circle(tmp_path, capsys):
     assert code == 2
 
 
-def test_malformed_json_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    ["definitely not json", '{"zeros": [["NaN", 0]]}', '{"zeros": [[1]]}'],
+    ids=["not-json", "string-entry", "short-entry"],
+)
+def test_malformed_json_is_usage_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("definitely not json")
+    bad.write_text(text)
     code, _ = _run(["describe", bad], capsys)
     assert code == 1
 
