@@ -24,7 +24,7 @@ from .blaschke import (
 )
 from .circlefun import CircleGrid, fourier_coeffs, series_from_json
 from .config import RunConfig
-from .errors import BlaschkeOpsError
+from .errors import MATH_ERRORS
 from .model_space import basis_series, canonical_basis
 from .operators import (
     cuntz_family_matrices,
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
-    except (BlaschkeOpsError, ValueError, RuntimeError) as exc:
+    except MATH_ERRORS as exc:
         sys.stderr.write(f"math error: {exc}\n")
         return MATH_EXIT
 

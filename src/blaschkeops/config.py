@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,6 @@ class RunConfig:
 
     grid_size: int = 4096
     mode_window: int = 64
-    interior_fraction: float = 0.5
     tol_operator: float = 1e-6
     tol_function: float = 1e-8
     eps_tail: float = 1e-10
@@ -26,12 +25,7 @@ class RunConfig:
             raise ValueError("grid_size must be a power of two")
         if 2 * self.mode_window + 1 > self.grid_size:
             raise ValueError("mode window exceeds grid capacity")
-        if not 0.0 < self.interior_fraction <= 1.0:
-            raise ValueError("interior fraction must lie in (0, 1]")
 
     @property
     def interior(self) -> int:
-        return max(1, int(self.mode_window * self.interior_fraction))
-
-    def with_window(self, window: int) -> "RunConfig":
-        return replace(self, mode_window=window)
+        return max(1, self.mode_window // 2)

@@ -23,3 +23,8 @@ class AnalyticExtensionError(BlaschkeOpsError):
 
 class GramCheckError(BlaschkeOpsError):
     """A family that must be orthonormal (Hilbert space or module sense) is not."""
+
+
+#: what a numerical failure may raise: the classes above plus the plain
+#: ValueError/RuntimeError of precondition and convergence failures
+MATH_ERRORS = (BlaschkeOpsError, ValueError, RuntimeError)

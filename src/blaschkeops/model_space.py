@@ -220,12 +220,13 @@ def linking_reconstruction_deviation(
     bz = evaluate(bs.owner, z)
     fib = np.exp(1j * bs.preimage_angles(np.angle(bz)))  # one fibre serves all pairs
     a_fib = [a.evaluate(fib) for a in family_a]
+    a_z = [a.evaluate(z) for a in family_a]
     worst = 0.0
     for b_vec in family_b:
         b_fib = b_vec.evaluate(fib)
         acc = np.zeros(grid.size, dtype=complex)
-        for a_vec, af in zip(family_a, a_fib):
+        for az, af in zip(a_z, a_fib):
             u_at_bz = (np.conj(af) * b_fib).mean(axis=0)
-            acc += a_vec.evaluate(z) * u_at_bz
+            acc += az * u_at_bz
         worst = max(worst, float(np.max(np.abs(acc - b_vec.evaluate(z)))))
     return worst

@@ -353,23 +353,24 @@ def interior_residual(
 
 def pair_power_gram(
     bs: BranchSystem,
-    xi: ModuleVector,
-    eta: ModuleVector,
+    family: list[ModuleVector],
     window: int,
     *,
     panel_points: int = 16,
     oversample: float = 4.0,
-) -> TruncatedOperator:
-    """Exact Gram matrix [(xi b^n, eta b^m)]_{m,n} by piecewise Gauss-Legendre.
+) -> np.ndarray:
+    """Power-Gram moments of a family by piecewise Gauss-Legendre, shape (n, n, 4*window+1).
 
-    Integrates conj(eta) xi e^{i(n-m) theta(t)} between the declared exception
-    angles of the symbols, so it stays spectrally accurate for indicator-type
-    symbols where grid quadrature and truncated matrix products lose O(1/M).
-    Used to certify Cuntz orthogonality for arbitrary module bases.
+    mu[i, j, k + 2*window] = int conj(f_i) f_j e^{ik theta(t)} dt/2pi for
+    |k| <= 2*window.  Since b = e^{i theta} on the circle, the Gram entry
+    (f_j b^n, f_i b^m) is mu[i, j, n - m + 2*window]: the matrix is Toeplitz in
+    n - m.  The panels break at the union of the family's exception angles, so
+    the quadrature stays spectrally accurate for indicator-type members where
+    grid quadrature and truncated matrix products lose O(1/M).  Used to certify
+    Cuntz orthogonality for arbitrary module bases.
     """
     two_pi = 2.0 * np.pi
-    breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for e in xi.exceptions}
-                    | {float(np.mod(e, two_pi)) for e in eta.exceptions})
+    breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for f in family for e in f.exceptions})
     nodes_x, weights_x = np.polynomial.legendre.leggauss(panel_points)
     max_slope = bs.branch_count * float(np.max(j0(bs.owner, np.linspace(0, two_pi, 1024))))
     ts, ws = [], []
@@ -386,14 +387,11 @@ def pair_power_gram(
         ws.append((half[:, None] * weights_x[None, :]).reshape(-1))
     t = np.concatenate(ts)
     w = np.concatenate(ws) / two_pi
-    z = np.exp(1j * t)
-    amp = w * xi.evaluate(z) * np.conj(eta.evaluate(z))
-    phases = np.exp(1j * np.outer(np.arange(-window, window + 1), bs.theta(t)))
-    gram = (phases * amp[None, :]) @ phases.conj().T  # [n, m] -> transpose below
-    return TruncatedOperator(
-        matrix=gram.T,
-        row_modes=(-window, window),
-        col_modes=(-window, window),
-        space="L2",
-        column_tail=np.zeros(2 * window + 1),
-    )
+    vals = np.stack([f.evaluate(np.exp(1j * t)) for f in family])  # (n, Q)
+    phases = np.exp(1j * np.outer(bs.theta(t), np.arange(2 * window + 1)))  # (Q, 2*window+1)
+    mu = np.empty((len(family), len(family), 4 * window + 1), dtype=complex)
+    for i, fi in enumerate(vals):  # one row at a time keeps memory O(n Q), not O(n^2 Q)
+        mu[i, :, 2 * window:] = (w * np.conj(fi) * vals) @ phases
+    # mu[i, j, -k] = conj(mu[j, i, k])
+    mu[:, :, :2 * window] = np.conj(mu[:, :, :2 * window:-1]).transpose(1, 0, 2)
+    return mu

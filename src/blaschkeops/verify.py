@@ -13,7 +13,7 @@ family): a verifier that cannot fail certifies nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .circlefun import (
     synthesize,
 )
 from .config import RunConfig
+from .errors import MATH_ERRORS
 from .model_space import (
     canonical_basis,
     induced_module_basis,
@@ -59,8 +60,8 @@ from .transfer import (
     ModuleVector,
     _nudged_angles,
     arcs_basis,
-    conj_vector,
     from_series,
+    gram_functions,
     grid_fibre,
     module_gram_deviation,
     outer_symbol,
@@ -470,7 +471,7 @@ def verify_all(b: BlaschkeProduct, config: RunConfig | None = None) -> list:
             residual, params = _RELATION_FUNCS[name](ctx)
             params = {**ctx.base_params(), **params}
             reports.append(_report(name, residual, _tolerance_for(name, config), params))
-        except Exception as exc:  # collected, not fatal
+        except MATH_ERRORS as exc:  # collected, not fatal; a programming bug propagates
             reports.append(
                 VerificationReport(
                     relation=name,
@@ -515,26 +516,23 @@ def verify_solution1(
     inner = config.interior if interior is None else interior
     n = len(family)
 
-    gram_dev = module_gram_deviation(bs, family, grid)
+    gram = gram_functions(bs, family, grid)  # <m_i, m_j> on the grid
+    gram_dev = float(np.max(np.abs(gram - np.eye(n)[:, :, None])))
     onb = bool(gram_dev < config.tol_operator)
 
     j_half = outer_symbol(bs, grid, 0.5)
     j_half_vec = ModuleVector(label="J^1/2", func=lambda z: j_half.eval(np.asarray(z, dtype=complex)))
-    columns = [product_vector(m, j_half_vec) for m in family]
-
-    orth = 0.0
+    # (S_j e_n, S_i e_m) = mu[i, j, n - m + 2*inner]: S_i* S_j is Toeplitz in n - m
+    mu = pair_power_gram(bs, [product_vector(m, j_half_vec) for m in family], inner)
+    target = np.zeros(mu.shape)
+    target[np.arange(n), np.arange(n), 2 * inner] = 1.0
+    orth = float(np.max(np.abs(mu - target)))
+    # S_i* S_j = pi(<m_i, m_j>): the moments reversed are the symbol's coefficients
     consistency = 0.0
     for i in range(n):
         for j in range(n):
-            g = pair_power_gram(bs, columns[j], columns[i], inner)
-            target = np.eye(2 * inner + 1) if i == j else np.zeros((2 * inner + 1, 2 * inner + 1))
-            orth = max(orth, float(np.max(np.abs(g.matrix - target))))
-            sym = fourier_coeffs(
-                transfer_apply(bs, product_vector(conj_vector(family[i]), family[j]), grid),
-                2 * inner,
-            )
-            toeplitz = block(mult_operator(sym, 2 * inner), (-inner, inner), (-inner, inner)).matrix
-            consistency = max(consistency, float(np.max(np.abs(g.matrix - toeplitz))))
+            sym = fourier_coeffs(BoundaryFunction(grid, gram[i, j]), 2 * inner)
+            consistency = max(consistency, float(np.max(np.abs(mu[i, j, ::-1] - sym.coeffs))))
 
     # completeness through the action on band-limited test vectors
     rng = np.random.default_rng(config.seed)
@@ -586,12 +584,10 @@ def convergence_study(
     raw truncation error decrease, which exclusion would mask.  The interior
     block scales as M/4 so the certified fraction stays fixed across windows.
     """
-    import dataclasses
-
     config = config or RunConfig()
     rows = []
     for m in m_list:
-        cfg = dataclasses.replace(config.with_window(int(m)), eps_tail=float("inf"))
+        cfg = replace(config, mode_window=int(m), eps_tail=float("inf"))
         rep = verify_relation(b, relation, cfg, interior=max(1, int(m) // 4))
         rows.append((int(m), rep.residual))
     return rows

@@ -326,6 +326,12 @@ def test_operator_json_round_trip(z2):
 # -- quadrature Gram ----------------------------------------------------------------
 
 
+def _power_gram(mu, i, j, window):
+    """The matrix [(f_j b^n, f_i b^m)]_{m,n} read off the moments."""
+    modes = np.arange(2 * window + 1)
+    return mu[i, j, modes[None, :] - modes[:, None] + 2 * window]
+
+
 def test_pair_power_gram_matches_fft_for_smooth(mixed):
     # cross-validate the Gauss-Legendre path against the dense product deep in
     # the interior, where the dense side's k-truncation is negligible
@@ -333,11 +339,11 @@ def test_pair_power_gram_matches_fft_for_smooth(mixed):
     g = CircleGrid(4096)
     jh = outer_symbol(bs, g, 0.5)
     xi = product_vector(constant(1.0), _jvec(jh))
-    gram = pair_power_gram(bs, xi, xi, 4)
+    gram = _power_gram(pair_power_gram(bs, [xi], 4), 0, 0, 4)
     cb = master_isometry_matrix_direct(bs, 32, g)
     dense = compose(adjoint(cb), cb)
     sub = dense.matrix[28:37, 28:37]
-    assert np.max(np.abs(gram.matrix - sub)) < 1e-8
+    assert np.max(np.abs(gram - sub)) < 1e-8
 
 
 def _jvec(jh):
@@ -353,11 +359,27 @@ def test_pair_power_gram_arcs_orthonormal(mixed):
     jh = outer_symbol(bs, g, 0.5)
     arcs = arcs_basis(bs)
     cols = [product_vector(a, _jvec(jh)) for a in arcs]
+    mu = pair_power_gram(bs, cols, 8)
     for i in range(2):
         for j in range(2):
-            gram = pair_power_gram(bs, cols[j], cols[i], 8)
             target = np.eye(17) if i == j else np.zeros((17, 17))
-            assert np.max(np.abs(gram.matrix - target)) < 1e-10
+            assert np.max(np.abs(_power_gram(mu, i, j, 8) - target)) < 1e-10
+
+
+@pytest.mark.parametrize("zeros", [[0.5, -0.3j], [0.5, -0.3j, 0.2 + 0.4j]])
+def test_pair_power_gram_mixed_exception_family(zeros):
+    # {J^1/2, sqrt(N) 1_A1 J^1/2}: only the second member breaks at the arc
+    # endpoints, so the quadrature must break at the union of the family's
+    # exception angles.  theta maps A_1 onto one full turn and J = theta'/N, so
+    # mu[0,0] = mu[1,1] = delta_k0 and mu[0,1] = mu[1,0] = delta_k0 / sqrt(N)
+    bs = build_branches(make_blaschke(zeros))
+    n = bs.branch_count
+    jh = _jvec(outer_symbol(bs, CircleGrid(4096), 0.5))
+    family = [product_vector(constant(1.0), jh), product_vector(arcs_basis(bs)[0], jh)]
+    mu = pair_power_gram(bs, family, 8)
+    expected = np.zeros(mu.shape)
+    expected[:, :, 16] = [[1.0, 1 / np.sqrt(n)], [1 / np.sqrt(n), 1.0]]
+    assert np.max(np.abs(mu - expected)) < 1e-10
 
 
 # -- the isometry criterion -----------------------------------------------------------

@@ -84,6 +84,26 @@ def test_determinism_byte_identical():
     assert a == b
 
 
+def test_verify_all_collects_math_errors_and_propagates_bugs(monkeypatch):
+    from blaschkeops import verify
+
+    def math_error(ctx):
+        raise ValueError("no certified column remains")
+
+    def bug(ctx):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(verify._RELATION_FUNCS, "module_onb", math_error)
+    reports = verify_all(make_blaschke([0, 0]), FAST)
+    rep = reports[RELATIONS.index("module_onb")]
+    assert not rep.passed
+    assert rep.params["error"] == "ValueError: no certified column remains"
+
+    monkeypatch.setitem(verify._RELATION_FUNCS, "cuntz_orthogonality", bug)
+    with pytest.raises(TypeError):
+        verify_all(make_blaschke([0, 0]), FAST)
+
+
 def test_unknown_relation_rejected():
     with pytest.raises(ValueError):
         verify_relation(make_blaschke([0.5]), "nonsense", FAST)
