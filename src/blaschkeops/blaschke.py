@@ -179,8 +179,11 @@ class BranchSystem:
     arc_endpoints: np.ndarray  # t_0 = 0 < t_1 < ... < t_N = 2pi
 
     def __post_init__(self):
-        # idempotent memo for per-grid fibres/symbols; concurrent recompute is
-        # harmless, so shared read-mostly use from many threads is safe
+        # idempotent memo of per-grid inputs shared by every builder: the
+        # preimage fibre, J^p, and one read-only b^n table per grid, grown to
+        # the widest window asked for (16.8 MB at window 128, grid 4096);
+        # concurrent recompute is harmless, so shared read-mostly use from
+        # many threads is safe
         object.__setattr__(self, "_grid_cache", {})
 
     @property

@@ -22,8 +22,9 @@ from .errors import GramCheckError
 from .transfer import (
     ModuleVector,
     _nudged_angles,
+    fibre_gram,
+    gram_deviation,
     grid_fibre,
-    module_gram_deviation,
     outer_symbol,
 )
 
@@ -187,14 +188,15 @@ def linking_unitary(
     Both families must pass the module Gram check.  Pointwise on the grid the
     matrix (u_ij(z)) is unitary, and B_j = sum_i A_i * beta(u_ij).
     """
+    fib = grid_fibre(bs, grid)
+    vals = []  # each family evaluated once on the fibre serves its Gram check and u
     for fam, name in ((family_a, "A"), (family_b, "B")):
-        dev = module_gram_deviation(bs, fam, grid)
+        v = np.stack([m.evaluate(fib) for m in fam])  # (n, N, K)
+        dev = gram_deviation(fibre_gram(bs, v, v))
         if dev > gram_tol:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
-    fib = grid_fibre(bs, grid)
-    avals = np.stack([a.evaluate(fib) for a in family_a])
-    bvals = np.stack([b.evaluate(fib) for b in family_b])
-    u = np.einsum("iNK,jNK->ijK", np.conj(avals), bvals) / bs.branch_count
+        vals.append(v)
+    u = fibre_gram(bs, *vals)
     return [[BoundaryFunction(grid, u[i, j]) for j in range(len(family_b))] for i in range(len(family_a))]
 
 

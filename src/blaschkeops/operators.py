@@ -141,25 +141,47 @@ def toeplitz_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
 def _columns_from_samples(
     samples: np.ndarray, grid: CircleGrid, window: int, col_modes: tuple
 ) -> TruncatedOperator:
-    """Operator whose column j is the Fourier window of samples[j] (length-K rows)."""
+    """Operator whose column j is the Fourier window of samples[j] (length-K rows).
+
+    `samples` is overwritten by its transform, so callers pass a fresh array.
+    """
     K = grid.size
     if 2 * window + 1 > K:
         raise ValueError("row window exceeds grid capacity")
-    coef = np.fft.fft(samples, axis=1) / K
+    # scaled by 1/K inside the transform: exact for the power-of-two grid sizes,
+    # so the same bits as dividing afterwards, and in place, so no second K-wide array
+    coef = np.fft.fft(samples, axis=1, norm="forward", out=samples)
     idx = np.mod(np.arange(-window, window + 1), K)
     mat = coef[:, idx].T
-    # measured mass of the discarded modes (no cancellation against the total)
-    outside = np.ones(K, dtype=bool)
-    outside[idx] = False
-    tails = np.sqrt(np.sum(np.abs(coef[:, outside]) ** 2, axis=1))
+    # measured mass of the discarded modes (no cancellation against the total):
+    # in FFT order they are the one contiguous range window+1 .. K-window-1;
+    # column-major storage sums each row left to right, as a masked copy would
+    outside = coef[:, window + 1 : K - window]
+    mass = np.empty(outside.shape, order="F")
+    np.abs(outside, out=mass)
+    np.square(mass, out=mass)
+    tails = np.sqrt(np.sum(mass, axis=1))
     return TruncatedOperator(mat, (-window, window), col_modes, "L2", tails)
 
 
 def _power_samples(bs: BranchSystem, grid: CircleGrid, window: int) -> np.ndarray:
-    """b^n on the grid for n = -window..window, shape (2*window+1, K)."""
-    bvals = evaluate(bs.owner, grid.points)
-    ns = np.arange(-window, window + 1)
-    return bvals[None, :] ** ns[:, None]
+    """b^n on the grid for n = -window..window, shape (2*window+1, K), read-only.
+
+    One table per grid is kept on the branch system and grown to the widest
+    window asked for; a narrower window gets a view of its central rows.
+    """
+    key = ("powers", grid.size)
+    table = bs._grid_cache.get(key)
+    if table is None or table.shape[0] < 2 * window + 1:
+        table = None  # drop both references to a narrower table before building
+        bs._grid_cache.pop(key, None)
+        bvals = evaluate(bs.owner, grid.points)
+        ns = np.arange(-window, window + 1)
+        table = bvals[None, :] ** ns[:, None]
+        table.flags.writeable = False
+        bs._grid_cache[key] = table
+    mid = table.shape[0] // 2
+    return table[mid - window : mid + window + 1]
 
 
 def weighted_composition_matrix(
@@ -180,7 +202,7 @@ def weighted_composition_matrix(
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
     """Composition operator: column n is the Fourier window of b^n."""
-    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+    return _columns_from_samples(_power_samples(bs, grid, window).copy(), grid, window, (-window, window))
 
 
 def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:

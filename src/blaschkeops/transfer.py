@@ -228,18 +228,31 @@ def arcs_basis(bs: BranchSystem) -> list[ModuleVector]:
     ]
 
 
+def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
+    """Pointwise module Gram <A_i, B_j>(z) from values on a fibre, shape (n_a, n_b, K).
+
+    `a_vals` and `b_vals` hold each family member on the preimage fibre, shape
+    (n, N, K); the Gram is the branch average of conj(A_i) B_j.
+    """
+    return np.einsum("aNK,bNK->abK", np.conj(a_vals), b_vals) / bs.branch_count
+
+
 def gram_functions(bs: BranchSystem, family: list[ModuleVector], grid: CircleGrid) -> np.ndarray:
     """Pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K)."""
     fib = grid_fibre(bs, grid)
     vals = np.stack([m.evaluate(fib) for m in family])  # (n, N, K)
-    return np.einsum("aNK,bNK->abK", np.conj(vals), vals) / bs.branch_count
+    return fibre_gram(bs, vals, vals)
+
+
+def gram_deviation(g: np.ndarray) -> float:
+    """sup over the grid of |g_ij - delta_ij| for a pointwise Gram of shape (n, n, K)."""
+    eye = np.eye(g.shape[0])[:, :, None]
+    return float(np.max(np.abs(g - eye)))
 
 
 def module_gram_deviation(bs: BranchSystem, family: list[ModuleVector], grid: CircleGrid) -> float:
     """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs."""
-    g = gram_functions(bs, family, grid)
-    eye = np.eye(len(family))[:, :, None]
-    return float(np.max(np.abs(g - eye)))
+    return gram_deviation(gram_functions(bs, family, grid))
 
 
 def module_expand(

@@ -61,6 +61,7 @@ from .transfer import (
     _nudged_angles,
     arcs_basis,
     from_series,
+    gram_deviation,
     gram_functions,
     grid_fibre,
     module_gram_deviation,
@@ -161,6 +162,19 @@ class _Context:
         )
 
     @property
+    def cuntz_shifted(self):
+        """Direct samplings of the columns v_i b^{n+1}: the sharp tails of the covariance checks."""
+
+        def build():
+            bvals = evaluate(self.b, self.grid.points)
+            return [
+                weighted_composition_matrix(self.bs, v.evaluate(self.grid.points) * bvals, self.window, self.grid)
+                for v in self.basis.elements
+            ]
+
+        return self.get("cuntz_shifted", build)
+
+    @property
     def c_matrix(self):
         return self.get("c", lambda: master_isometry_matrix(self.bs, self.window, self.grid))
 
@@ -236,11 +250,9 @@ def _rel_cuntz_completeness(ctx: _Context):
 def _rel_covariance_l2(ctx: _Context):
     pe1 = ctx.mult_symbol(exponential(1, ctx.window))
     pb = ctx.mult_symbol(ctx.b_series)
-    bvals = evaluate(ctx.b, ctx.grid.points)
     worst, excluded = 0.0, []
-    for v, si in zip(ctx.basis.elements, ctx.cuntz):
+    for si, shifted in zip(ctx.cuntz, ctx.cuntz_shifted):
         # both sides equal the direct sampling of columns v b^{n+1}; its tails certify
-        shifted = weighted_composition_matrix(ctx.bs, v.evaluate(ctx.grid.points) * bvals, ctx.window, ctx.grid)
         r, excl = interior_residual(
             compose(si, pe1), compose(pb, si), ctx.interior,
             eps_tail=ctx.config.eps_tail, tail_sources=[si, shifted],
@@ -253,16 +265,12 @@ def _rel_covariance_l2(ctx: _Context):
 def _rel_covariance_h2(ctx: _Context):
     te1 = toeplitz_operator(exponential(1, ctx.window), ctx.window)
     tb = toeplitz_operator(ctx.b_series, ctx.window)
-    bvals = evaluate(ctx.b, ctx.grid.points)
     worst, excluded = 0.0, []
-    for v, si in zip(ctx.basis.elements, ctx.cuntz):
+    for si, shifted in zip(ctx.cuntz, ctx.cuntz_shifted):
         ri = restrict_to_h2(si)
-        shifted = restrict_to_h2(
-            weighted_composition_matrix(ctx.bs, v.evaluate(ctx.grid.points) * bvals, ctx.window, ctx.grid)
-        )
         r, excl = interior_residual(
             compose(ri, te1), compose(tb, ri), ctx.interior,
-            eps_tail=ctx.config.eps_tail, tail_sources=[ri, shifted],
+            eps_tail=ctx.config.eps_tail, tail_sources=[ri, restrict_to_h2(shifted)],
         )
         worst = max(worst, r)
         excluded = sorted(set(excluded) | set(excl))
@@ -517,7 +525,7 @@ def verify_solution1(
     n = len(family)
 
     gram = gram_functions(bs, family, grid)  # <m_i, m_j> on the grid
-    gram_dev = float(np.max(np.abs(gram - np.eye(n)[:, :, None])))
+    gram_dev = gram_deviation(gram)
     onb = bool(gram_dev < config.tol_operator)
 
     j_half = outer_symbol(bs, grid, 0.5)

@@ -12,6 +12,8 @@ from blaschkeops.circlefun import (
 from blaschkeops.model_space import canonical_basis
 from blaschkeops.operators import (
     TruncatedOperator,
+    _columns_from_samples,
+    _power_samples,
     adjoint,
     block,
     compose,
@@ -108,6 +110,52 @@ def test_gamma_gram_entry_is_b0(half):
     gam = gamma_b_matrix(bs, 32, CircleGrid(2048))
     gram = compose(adjoint(gam), gam)
     assert abs(gram.entry(0, 1) - 0.5) < 1e-10
+
+
+def test_power_table_is_read_only():
+    bs = build_branches(make_blaschke([0.5, -0.3j]))
+    grid = CircleGrid(512)
+    gamma_b_matrix(bs, 16, grid)
+    table = bs._grid_cache[("powers", 512)]
+    assert table.shape == (33, 512)
+    for arr in (table, _power_samples(bs, grid, 8)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def test_power_table_grown_once_serves_narrower_windows_exactly():
+    # window 128 takes numpy's exp/log path for the high powers; the views of
+    # the grown table must still equal what a fresh branch system builds
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    grid = CircleGrid(1024)
+    weight = canonical_basis(b).elements[1].evaluate(grid.points)
+    bs = build_branches(b)
+    gamma_b_matrix(bs, 128, grid)
+    assert bs._grid_cache[("powers", 1024)].shape == (257, 1024)
+    for build in (
+        lambda s: gamma_b_matrix(s, 32, grid),
+        lambda s: weighted_composition_matrix(s, weight, 64, grid),
+    ):
+        got, want = build(bs), build(build_branches(b))
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.column_tail, want.column_tail)
+    assert bs._grid_cache[("powers", 1024)].shape == (257, 1024)  # not rebuilt narrower
+
+
+@pytest.mark.parametrize("size, window", [(64, 5), (64, 31), (128, 0), (1024, 128)])
+def test_columns_from_samples_tails_match_mask_formula(size, window):
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
+    op = _columns_from_samples(samples.copy(), CircleGrid(size), window, (-4, 4))
+    # reference: the discarded modes picked out by a boolean mask
+    coef = np.fft.fft(samples, axis=1) / size
+    idx = np.mod(np.arange(-window, window + 1), size)
+    outside = np.ones(size, dtype=bool)
+    outside[idx] = False
+    tails = np.sqrt(np.sum(np.abs(coef[:, outside]) ** 2, axis=1))
+    assert np.array_equal(op.column_tail, tails)
+    assert np.array_equal(op.matrix, coef[:, idx].T)
 
 
 # -- master isometry --------------------------------------------------------------
