@@ -139,15 +139,17 @@ def toeplitz_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
 
 
 def _columns_from_samples(
-    samples: np.ndarray, grid: CircleGrid, window: int, col_modes: tuple
+    rows: np.ndarray, grid: CircleGrid, window: int, col_modes: tuple, weight: np.ndarray | None = None
 ) -> TruncatedOperator:
-    """Operator whose column j is the Fourier window of samples[j] (length-K rows).
+    """Operator whose column j is the Fourier window of weight * rows[j] (length-K rows).
 
-    `samples` is overwritten by its transform, so callers pass a fresh array.
+    `rows` is only read: the samples are formed in one fresh buffer, which the
+    transform then overwrites.
     """
     K = grid.size
     if 2 * window + 1 > K:
         raise ValueError("row window exceeds grid capacity")
+    samples = np.array(rows, dtype=complex) if weight is None else weight[None, :] * rows
     # scaled by 1/K inside the transform: exact for the power-of-two grid sizes,
     # so the same bits as dividing afterwards, and in place, so no second K-wide array
     coef = np.fft.fft(samples, axis=1, norm="forward", out=samples)
@@ -195,14 +197,12 @@ def weighted_composition_matrix(
     w = np.asarray(weight, dtype=complex)
     if w.shape != (grid.size,):
         raise ValueError("weight must be sampled on the grid")
-    return _columns_from_samples(
-        w[None, :] * _power_samples(bs, grid, window), grid, window, (-window, window)
-    )
+    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window), w)
 
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
     """Composition operator: column n is the Fourier window of b^n."""
-    return _columns_from_samples(_power_samples(bs, grid, window).copy(), grid, window, (-window, window))
+    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
 
 
 def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:

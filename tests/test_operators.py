@@ -146,16 +146,20 @@ def test_power_table_grown_once_serves_narrower_windows_exactly():
 @pytest.mark.parametrize("size, window", [(64, 5), (64, 31), (128, 0), (1024, 128)])
 def test_columns_from_samples_tails_match_mask_formula(size, window):
     rng = np.random.default_rng(7)
-    samples = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
-    op = _columns_from_samples(samples.copy(), CircleGrid(size), window, (-4, 4))
-    # reference: the discarded modes picked out by a boolean mask
-    coef = np.fft.fft(samples, axis=1) / size
-    idx = np.mod(np.arange(-window, window + 1), size)
-    outside = np.ones(size, dtype=bool)
-    outside[idx] = False
-    tails = np.sqrt(np.sum(np.abs(coef[:, outside]) ** 2, axis=1))
-    assert np.array_equal(op.column_tail, tails)
-    assert np.array_equal(op.matrix, coef[:, idx].T)
+    rows = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
+    weight = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for w, samples in ((None, rows), (weight, weight[None, :] * rows)):
+        before = rows.copy()
+        op = _columns_from_samples(rows, CircleGrid(size), window, (-4, 4), w)
+        assert np.array_equal(rows, before)  # the caller's rows are only read
+        # reference: the discarded modes picked out by a boolean mask
+        coef = np.fft.fft(samples, axis=1) / size
+        idx = np.mod(np.arange(-window, window + 1), size)
+        outside = np.ones(size, dtype=bool)
+        outside[idx] = False
+        tails = np.sqrt(np.sum(np.abs(coef[:, outside]) ** 2, axis=1))
+        assert np.array_equal(op.column_tail, tails)
+        assert np.array_equal(op.matrix, coef[:, idx].T)
 
 
 # -- master isometry --------------------------------------------------------------
