@@ -223,6 +223,8 @@ class OuterFunction:
 
     `boundary` holds the grid samples; `eval` extends analytically to the
     closed disc through the truncated log-series exp(c0 + sum_{n>=1} g_n z^n).
+    The series ends at the last g_n above the float64 rounding floor,
+    |g_n| > eps * max(1, max|g_n|); what lies below is FFT noise.
     `log_tail` bounds the dropped log-coefficient mass (sup-norm of the error
     of log O, hence a relative error bound on O itself).
     """
@@ -255,9 +257,11 @@ def outer_function(h: BoundaryFunction, power: float = 1.0, *, tail_tol: float =
     """Outer function with boundary modulus h^power, positive at the origin.
 
     h must be strictly positive (real part taken; imaginary part must be
-    negligible).  Spectral accuracy requires smooth h; the dropped tail of the
-    log-coefficient window is reported on the result and a warning is attached
-    to the boundary meta when it exceeds `tail_tol`.
+    negligible).  Spectral accuracy requires smooth h.  The boundary samples
+    use every log coefficient; the series kept for `eval` is cut after the last
+    |g_n| > eps * max(1, max|g_n|) (eps the float64 machine epsilon).  The
+    dropped mass, plus the Nyquist coefficient, is reported as `log_tail`,
+    and a warning is attached to the boundary meta when it exceeds `tail_tol`.
     """
     vals = h.values
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
@@ -281,9 +285,9 @@ def outer_function(h: BoundaryFunction, power: float = 1.0, *, tail_tol: float =
 
     coeffs = doubled[1:half]
     mags = np.abs(coeffs)
-    big = np.nonzero(mags > 1e-17 * max(1.0, float(np.max(mags))))[0]
+    big = np.nonzero(mags > np.finfo(float).eps * max(1.0, float(np.max(mags))))[0]
     keep = int(big[-1]) + 1 if big.size else 1
-    tail = float(np.sum(mags[keep:])) + float(abs(c[half])) if half < K else float(np.sum(mags[keep:]))
+    tail = float(np.sum(mags[keep:])) + float(abs(c[half]))
     if tail > tail_tol:
         boundary.meta["accuracy_warning"] = f"log-coefficient tail {tail:.3e} exceeds {tail_tol:.1e}"
     return OuterFunction(

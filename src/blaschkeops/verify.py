@@ -390,7 +390,8 @@ def _rel_norm_formula(ctx: _Context, m_list=(32, 64, 128)):
     norms = []
     for m in m_list:
         sym = fourier_coeffs(jm_half.boundary, m)
-        t = compose(mult_operator(sym, m), master_isometry_matrix(ctx.bs, m, ctx.grid))
+        c = ctx.c_matrix if m == ctx.window else master_isometry_matrix(ctx.bs, m, ctx.grid)
+        t = compose(mult_operator(sym, m), c)
         norms.append(operator_norm(t))
     drops = max(0.0, float(np.max(-np.diff(norms)))) if len(norms) > 1 else 0.0
     rel_err = abs(norms[-1] - target) / target

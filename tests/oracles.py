@@ -2,18 +2,15 @@
 
 Everything here avoids the library's own branch machinery: preimages come from
 polynomial root finding on the numerator of b(w) - z*den(w), derivatives from
-central differences, means from plain quadrature at two resolutions.
+central differences, means from plain quadrature at two resolutions, and J^p
+from the critical points of b, found as polynomial roots.
 """
 
 import numpy as np
 
 
-def preimage_roots(zeros, z):
-    """All circle solutions of b(w) = z via the degree-N polynomial companion matrix.
-
-    b(w) - z = 0  <=>  num(w) - z * den(w) = 0 with num, den built factor by
-    factor; coefficients are in ascending order (numpy polynomial convention).
-    """
+def _numerator_denominator(zeros):
+    """b = num / den, built factor by factor; ascending coefficients."""
     num = np.array([1.0 + 0.0j])
     den = np.array([1.0 + 0.0j])
     for w in zeros:
@@ -26,6 +23,16 @@ def preimage_roots(zeros, z):
             df = np.array([1.0, -np.conj(w)], dtype=complex)  # 1 - conj(w) x
         num = np.polynomial.polynomial.polymul(num, nf)
         den = np.polynomial.polynomial.polymul(den, df)
+    return num, den
+
+
+def preimage_roots(zeros, z):
+    """All circle solutions of b(w) = z via the degree-N polynomial companion matrix.
+
+    b(w) - z = 0  <=>  num(w) - z * den(w) = 0 with num, den built factor by
+    factor; coefficients are in ascending order (numpy polynomial convention).
+    """
+    num, den = _numerator_denominator(zeros)
     den_full = np.zeros_like(num)
     den_full[: den.size] = den
     poly = num - z * den_full
@@ -74,6 +81,42 @@ def two_resolution_mean(f, size=4096):
     return m2
 
 
-def closed_form_outer_half(z):
-    """The outer function of the boundary symbol of b = [0.5]: 0.75 / (1 - 0.5 z)^2."""
-    return 0.75 / (1.0 - 0.5 * np.asarray(z, dtype=complex)) ** 2
+def critical_points(zeros):
+    """The N-1 critical points of b in the disc: roots of num' den - num den' inside.
+
+    The other roots are their reflections 1/conj(c); leading coefficients that
+    cancel in exact arithmetic (a root at infinity) are trimmed first.
+    """
+    P = np.polynomial.polynomial
+    num, den = _numerator_denominator(zeros)
+    wr = P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den)))
+    scale = np.max(np.abs(wr))
+    while wr.size > 1 and abs(wr[-1]) <= 1e-13 * scale:
+        wr = wr[:-1]
+    roots = P.polyroots(wr) if wr.size > 1 else np.zeros(0, dtype=complex)
+    inside = roots[np.abs(roots) < 1.0]
+    assert inside.size == len(zeros) - 1, "oracle critical points are not N-1 in the disc"
+    return inside
+
+
+def closed_form_outer_symbol(zeros, power, z):
+    """J^power, J the outer function with |J| = j0 = |b'|/N on the circle, J(0) > 0.
+
+    On the circle |num' den - num den'| = const * prod_c |1 - conj(c) z|^2 over the
+    critical points c in the disc, and |b'| = that over |den|^2, so
+    J^p = C^p prod_c (1 - conj(c) z)^{2p} / prod_j (1 - conj(a_j) z)^{2p} with
+    principal powers (every base has positive real part in the closed disc).
+    C > 0 is fixed by j0(1) = (1/N) sum_j (1 - |a_j|^2) / |1 - a_j|^2.
+    """
+    z = np.asarray(z, dtype=complex)
+    zeros = [complex(a) for a in zeros]
+    crit = critical_points(zeros)
+    j0_at_one = np.mean([(1.0 - abs(a) ** 2) / abs(1.0 - a) ** 2 for a in zeros])
+    c_const = j0_at_one * np.prod([abs(1.0 - np.conj(a)) ** 2 for a in zeros])
+    c_const /= np.prod([abs(1.0 - np.conj(c)) ** 2 for c in crit])
+    out = np.full(z.shape, c_const**power, dtype=complex)
+    for c in crit:
+        out *= (1.0 - np.conj(c) * z) ** (2.0 * power)
+    for a in zeros:
+        out /= (1.0 - np.conj(a) * z) ** (2.0 * power)
+    return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blaschkeops import evaluate, j0, make_blaschke
+from blaschkeops import build_branches, evaluate, j0, make_blaschke
 from blaschkeops.circlefun import (
     BoundaryFunction,
     CircleGrid,
@@ -23,8 +23,9 @@ from blaschkeops.circlefun import (
     trim_series,
 )
 from blaschkeops.errors import AnalyticExtensionError, GridMismatchError
+from blaschkeops.transfer import grid_fibre, outer_symbol
 
-from oracles import closed_form_outer_half, grid_mean
+from oracles import closed_form_outer_symbol, grid_mean
 
 
 def test_grid_must_be_power_of_two():
@@ -169,7 +170,7 @@ def test_outer_closed_form_for_half(grid4096):
     b = make_blaschke([0.5])
     h = BoundaryFunction(grid4096, j0(b, grid4096.angles).astype(complex))
     o = outer_function(h, 1.0)
-    target = closed_form_outer_half(grid4096.points)
+    target = closed_form_outer_symbol([0.5], 1.0, grid4096.points)
     assert np.max(np.abs(o.boundary.values - target)) < 1e-8
     assert abs(o.at_zero() - 0.75) < 1e-8
     # geometric mean at two resolutions
@@ -211,6 +212,36 @@ def test_outer_accuracy_warning_for_rough_input():
     o = outer_function(h, 1.0, tail_tol=1e-12)
     assert o.log_tail > 1e-12
     assert "accuracy_warning" in o.boundary.meta
+
+
+#: the certification zoo of scripts/run_verify.py, {0.8} and the six zeros
+OUTER_PRODUCTS = {
+    "z^2": [0, 0],
+    "z^3": [0, 0, 0],
+    "single 0.5": [0.5],
+    "zero at origin": [0, 0.5],
+    "two mixed": [0.5, -0.3j],
+    "three mixed": [0.5, -0.3j, 0.2 + 0.4j],
+    "single 0.8": [0.8],
+    "six zeros": [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j],
+}
+
+
+@pytest.mark.parametrize("size", [4096, 8192])
+@pytest.mark.parametrize("name", list(OUTER_PRODUCTS))
+def test_outer_symbol_eval_matches_closed_form(name, size):
+    # the log series kept for eval ends at the rounding floor: short, with a
+    # negligible dropped tail, and still exact on the preimage fibre
+    zeros = OUTER_PRODUCTS[name]
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(size)
+    fib = grid_fibre(bs, grid)
+    for power in (0.5, -0.5, 1.0):
+        o = outer_symbol(bs, grid, power)
+        target = closed_form_outer_symbol(zeros, power, fib)
+        assert np.max(np.abs(o.eval(fib) - target) / np.abs(target)) < 1e-13
+        assert len(o.log_coeffs) <= 256
+        assert o.log_tail < 1e-12
 
 
 def test_outer_rejects_bad_input():
