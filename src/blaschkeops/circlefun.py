@@ -23,13 +23,14 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform grid of K = 2^k nodes t_j = 2*pi*j/K on [0, 2*pi)."""
+    """Uniform grid of K = 2^k >= 4 nodes t_j = 2*pi*j/K on [0, 2*pi); fewer
+    leave an outer function no analytic log modes (1 .. K/2 - 1)."""
 
     size: int
 
     def __post_init__(self):
-        if self.size < 2 or self.size & (self.size - 1):
-            raise ValueError(f"grid size must be a power of two, got {self.size}")
+        if self.size < 4 or self.size & (self.size - 1):
+            raise ValueError(f"grid size must be a power of two >= 4, got {self.size}")
 
     @property
     def angles(self) -> np.ndarray:

@@ -207,7 +207,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--grid", type=int, default=4096, help="circle grid size (power of two)")
+        sp.add_argument("--grid", type=int, default=4096, help="circle grid size (power of two, at least 4)")
         sp.add_argument("--modes", type=int, default=64, help="Fourier mode window")
         sp.add_argument("--tol", type=float, default=1e-6, help="operator-identity tolerance")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")

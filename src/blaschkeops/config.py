@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .circlefun import CircleGrid
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -21,8 +23,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_size < 2 or self.grid_size & (self.grid_size - 1):
-            raise ValueError("grid_size must be a power of two")
+        CircleGrid(self.grid_size)  # raises on a size it does not accept
         if 2 * self.mode_window + 1 > self.grid_size:
             raise ValueError("mode window exceeds grid capacity")
 

@@ -3,10 +3,12 @@
 Multiplication pi(phi) is Toeplitz; composition Gamma_b has column n equal to
 the Fourier window of b^n; the master isometry C_b = pi(J^{1/2}) Gamma_b; the
 Cuntz isometries S_i have columns v_i b^n; the transfer matrix has columns
-L(e_n).  All matrices carry per-column discarded-mass certificates, and every
-identity is certified on an interior mode block where those tails are small:
-the identities are exact only in the infinite limit, so honest pass/fail needs
-the tail bookkeeping.
+L(e_n).  The identities are exact only in the infinite limit, so each is
+certified on an interior mode block, from column tails.  Sampled constructions
+(the column builders, mult_operator, block) measure the discarded mass of each
+column; derived ones (compose, adjoint) carry inf, "not certified", so a check
+names the sampled operators it certifies from.  master_isometry_matrix, whose
+tails the CLI publishes, bounds them itself.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import json
 class TruncatedOperator:
     """Dense complex matrix indexed by Fourier modes, with accuracy certificates.
 
-    `column_tail[j]` bounds the l2 mass of column j discarded by the row
-    window (for sampled constructions) or accumulated through composition.
-    `space` is "L2" (modes [-M, M]) or "H2" (modes [0, M]).
+    `column_tail[j]` is the measured l2 mass of column j discarded by the row
+    window for sampled constructions, and inf ("not certified") for derived
+    operators.  `space` is "L2" (modes [-M, M]) or "H2" (modes [0, M]).
     """
 
     matrix: np.ndarray
@@ -206,9 +208,13 @@ def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> Truncated
 
 
 def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """C_b = pi(J^{1/2}) Gamma_b as a product of truncated matrices."""
+    """C_b = pi(J^{1/2}) Gamma_b as a product of truncated matrices, with the
+    composition bound ||pi|| tail_Gamma[n] + sum_k tail_pi[k] |Gamma[k, n]| as tails."""
     j_half = fourier_coeffs(outer_symbol(bs, grid, 0.5).boundary, window)
-    return compose(mult_operator(j_half, window), gamma_b_matrix(bs, window, grid))
+    pj = mult_operator(j_half, window)
+    gam = gamma_b_matrix(bs, window, grid)
+    tails = operator_norm(pj) * gam.column_tail + pj.column_tail @ np.abs(gam.matrix)
+    return TruncatedOperator(pj.matrix @ gam.matrix, pj.row_modes, gam.col_modes, "L2", tails)
 
 
 def master_isometry_matrix_direct(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
@@ -218,23 +224,16 @@ def master_isometry_matrix_direct(bs: BranchSystem, window: int, grid: CircleGri
 
 
 def cuntz_family_matrices(
-    bs: BranchSystem,
-    basis: ModelBasis,
-    window: int,
-    grid: CircleGrid,
-    *,
-    method: str = "direct",
-    check_basis: bool = True,
+    bs: BranchSystem, basis: ModelBasis, window: int, grid: CircleGrid, *, method: str = "direct"
 ) -> list[TruncatedOperator]:
     """The Cuntz isometries S_i determined by a model-space basis.
 
     method="direct" samples the defining columns S_i e_n = v_i b^n;
     method="module" forms pi(v_i J^{-1/2}) C_b.  The two agree on interior
-    blocks and are cross-checked in the verification suite.  The basis is
-    validated (Gram, H2 membership, orthogonality to b*H2) unless disabled.
+    blocks (tests/test_operators.py::test_cuntz_cross_construction_agreement).
+    The basis is validated first (Gram, H2 membership, orthogonality to b*H2).
     """
-    if check_basis:
-        validate_basis(basis, grid)
+    validate_basis(basis, grid)
     if method == "direct":
         return [
             weighted_composition_matrix(bs, v.evaluate(grid.points), window, grid)
@@ -264,27 +263,22 @@ def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> Truncate
 
 
 def adjoint(op: TruncatedOperator) -> TruncatedOperator:
-    """Conjugate transpose.  Column tails are not transported (row mass is not
-    tracked); downstream certification must rely on interior blocks."""
-    return TruncatedOperator(
-        matrix=op.matrix.conj().T,
-        row_modes=op.col_modes,
-        col_modes=op.row_modes,
-        space=op.space,
-        column_tail=np.zeros(op.matrix.shape[0]),
-    )
+    """Conjugate transpose, a derived operator: its tails are inf (row mass is
+    not tracked), so a check certifies from the sampled operator instead."""
+    tails = np.full(op.matrix.shape[0], np.inf)
+    return TruncatedOperator(op.matrix.conj().T, op.col_modes, op.row_modes, op.space, tails)
 
 
 def compose(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """Matrix product a @ b; mode intervals must chain; tails accumulate.
+    """Matrix product a @ b; mode intervals must chain.
 
-    tail_ab[n] <= ||a|| tail_b[n] + sum_k tail_a[k] |b[k, n]| is the bound used.
+    A derived operator: its tails are inf, "not certified".  A check on the
+    product certifies from the sampled operators it names in `tail_sources`.
     """
     if a.col_modes != b.row_modes:
         raise ValueError(f"mode mismatch: {a.col_modes} vs {b.row_modes}")
-    norm_a = operator_norm(a)
-    tails = norm_a * b.column_tail + a.column_tail @ np.abs(b.matrix)
     space = "H2" if a.space == b.space == "H2" else "L2"
+    tails = np.full(b.matrix.shape[1], np.inf)
     return TruncatedOperator(a.matrix @ b.matrix, a.row_modes, b.col_modes, space, tails)
 
 
@@ -343,24 +337,20 @@ def uncertified_modes(tail_sources: list, eps_tail: float = 1e-10) -> set:
 
 
 def interior_residual(
-    a: TruncatedOperator,
-    b: TruncatedOperator,
-    inner: int,
-    *,
-    eps_tail: float = 1e-10,
-    tail_sources: list | None = None,
+    a: TruncatedOperator, b: TruncatedOperator, inner: int, *, tail_sources: list, eps_tail: float = 1e-10
 ) -> tuple[float, list[int]]:
     """max |a - b| entrywise on the shared interior block.
 
-    Columns whose recorded tail exceeds eps_tail in any tail source (default:
-    the two operands) are excluded from the max and returned for reporting.
-    Raises if the exclusion leaves no column: a vacuous check is not a pass.
+    Columns whose recorded tail exceeds eps_tail in any tail source (the
+    sampled operators the identity is built from) are excluded from the max
+    and returned for reporting.  Raises if the exclusion leaves no column: a
+    vacuous check is not a pass.
     """
     ba = interior_block(a, inner)
     bb = interior_block(b, inner)
     if ba.row_modes != bb.row_modes or ba.col_modes != bb.col_modes:
         raise ValueError("operators do not share the interior block")
-    bad_modes = uncertified_modes(tail_sources if tail_sources is not None else [a, b], eps_tail)
+    bad_modes = uncertified_modes(tail_sources, eps_tail)
     cols = np.arange(ba.col_modes[0], ba.col_modes[1] + 1)
     mask = np.array([c in bad_modes for c in cols])
     if mask.all():
@@ -373,14 +363,11 @@ def interior_residual(
     return float(diff.max()), [int(c) for c in cols[mask]]
 
 
-def pair_power_gram(
-    bs: BranchSystem,
-    family: list[ModuleVector],
-    window: int,
-    *,
-    panel_points: int = 16,
-    oversample: float = 4.0,
-) -> np.ndarray:
+PANEL_POINTS = 16  # Gauss-Legendre nodes per panel of pair_power_gram
+OVERSAMPLE = 4.0  # its quadrature points per period of the fastest oscillation
+
+
+def pair_power_gram(bs: BranchSystem, family: list[ModuleVector], window: int) -> np.ndarray:
     """Power-Gram moments of a family by piecewise Gauss-Legendre, shape (n, n, 4*window+1).
 
     mu[i, j, k + 2*window] = int conj(f_i) f_j e^{ik theta(t)} dt/2pi for
@@ -393,15 +380,15 @@ def pair_power_gram(
     """
     two_pi = 2.0 * np.pi
     breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for f in family for e in f.exceptions})
-    nodes_x, weights_x = np.polynomial.legendre.leggauss(panel_points)
+    nodes_x, weights_x = np.polynomial.legendre.leggauss(PANEL_POINTS)
     max_slope = bs.branch_count * float(np.max(j0(bs.owner, np.linspace(0, two_pi, 1024))))
     ts, ws = [], []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         if hi - lo < 1e-14:
             continue
-        # resolve the fastest oscillation 2*window*theta' with `oversample` points per period
+        # resolve the fastest oscillation 2*window*theta' with OVERSAMPLE points per period
         periods = (hi - lo) * 2 * window * max_slope / two_pi
-        n_panels = max(4, int(np.ceil(periods * oversample / panel_points)))
+        n_panels = max(4, int(np.ceil(periods * OVERSAMPLE / PANEL_POINTS)))
         edges = np.linspace(lo, hi, n_panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])

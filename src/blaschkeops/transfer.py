@@ -63,10 +63,6 @@ def from_series(s: FourierSeries, label: str = "series") -> ModuleVector:
     return ModuleVector(label=label, series=s)
 
 
-def from_callable(f, label: str, exceptions: tuple = ()) -> ModuleVector:
-    return ModuleVector(label=label, func=f, exceptions=tuple(exceptions))
-
-
 def constant(c: complex, label: str | None = None) -> ModuleVector:
     cc = complex(c)
     return ModuleVector(label=label or f"const {cc}", func=lambda z: np.full(np.shape(z), cc))

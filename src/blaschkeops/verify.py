@@ -239,7 +239,7 @@ def _rel_cuntz_completeness(ctx: _Context):
     for si in s:
         p = compose(si, adjoint(si))
         total = p.matrix if total is None else total + p.matrix
-    op = TruncatedOperator(total, s[0].row_modes, s[0].col_modes, "L2", np.zeros(total.shape[1]))
+    op = TruncatedOperator(total, s[0].row_modes, s[0].col_modes, "L2", np.full(total.shape[1], np.inf))
     r, excl = interior_residual(
         op, identity_operator(ctx.window), ctx.interior,
         eps_tail=ctx.config.eps_tail, tail_sources=list(s),

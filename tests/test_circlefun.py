@@ -35,6 +35,14 @@ def test_grid_must_be_power_of_two():
     assert np.allclose(g.angles, 2 * np.pi * np.arange(8) / 8)
 
 
+def test_grid_floor_is_four_nodes():
+    with pytest.raises(ValueError, match="power of two >= 4"):
+        CircleGrid(2)
+    o = outer_function(BoundaryFunction(CircleGrid(4), np.full(4, 2.0, dtype=complex)))
+    assert np.allclose(o.boundary.values, 2.0)
+    assert o.at_zero() == pytest.approx(2.0)
+
+
 def test_sample_basics():
     g = CircleGrid(4)
     ones = sample(lambda z: np.ones_like(z), g)

@@ -69,6 +69,14 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("grid", [2, 100])
+def test_describe_rejects_grid_it_cannot_use(inputs, capsys, grid):
+    _, z2, _, _ = inputs
+    code = main(["describe", str(z2), "--grid", str(grid)])
+    assert code == 2
+    assert "power of two >= 4" in capsys.readouterr().err
+
+
 def test_preimages_command(inputs, capsys):
     _, z2, _, _ = inputs
     code, out = _run(["preimages", z2, "--angle", "0.0"], capsys)

@@ -184,6 +184,16 @@ def test_master_isometry_interior_identity(mixed):
     assert cross < 1e-8
 
 
+def test_master_isometry_tails_are_the_composition_bound(mixed):
+    # the tails `matrix --which cb` publishes: ||pi|| tail_Gamma + tail_pi @ |Gamma|
+    _, bs = mixed
+    g = CircleGrid(1024)
+    pj = mult_operator(fourier_coeffs(outer_symbol(bs, g, 0.5).boundary, 16), 16)
+    gam = gamma_b_matrix(bs, 16, g)
+    bound = operator_norm(pj) * gam.column_tail + pj.column_tail @ np.abs(gam.matrix)
+    assert np.array_equal(master_isometry_matrix(bs, 16, g).column_tail, bound)
+
+
 def test_master_isometry_reduced_by_h2(mixed):
     _, bs = mixed
     g = CircleGrid(4096)
@@ -358,11 +368,30 @@ def test_block_accumulates_dropped_mass():
     assert sub.column_tail[1] == pytest.approx(3.0)  # col mode 0 lost the 3.0 entry
 
 
+def test_derived_operators_carry_no_certificate():
+    op = mult_operator(exponential(1), 4)
+    assert np.all(compose(op, op).column_tail == np.inf)
+    assert np.all(adjoint(op).column_tail == np.inf)
+
+
 def test_interior_residual_refuses_vacuous():
     op = identity_operator(4)
     bad = TruncatedOperator(op.matrix, op.row_modes, op.col_modes, "L2", np.ones(9))
     with pytest.raises(ValueError):
         interior_residual(op, op, 2, tail_sources=[bad])
+
+
+def test_interior_residual_refuses_a_product_as_certificate():
+    op = mult_operator(exponential(1), 4)
+    prod = compose(adjoint(op), op)
+    with pytest.raises(ValueError, match="no certified column remains"):
+        interior_residual(prod, identity_operator(4), 2, tail_sources=[prod])
+
+
+def test_interior_residual_requires_tail_sources():
+    op = identity_operator(4)
+    with pytest.raises(TypeError):
+        interior_residual(op, op, 2)
 
 
 def test_operator_json_round_trip(z2):

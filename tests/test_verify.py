@@ -60,6 +60,12 @@ def test_zero_at_origin_makes_gamma_isometric():
     assert rep.params["gram_deviation"] < 1e-8
 
 
+@pytest.mark.parametrize("size", [2, 100])
+def test_config_grid_rule_is_the_circle_grid_rule(size):
+    with pytest.raises(ValueError, match="power of two >= 4"):
+        RunConfig(grid_size=size)
+
+
 def test_report_invariants():
     reports = verify_all(make_blaschke([0.5]), FAST)
     for r in reports:
