@@ -33,7 +33,7 @@ TWO_PI = 2.0 * np.pi
 #: refinement target for theta(t) = s root finding, in radians
 ROOT_TOL = 1e-13
 
-#: default chordal exclusion radius around the branch point b(1)
+#: chordal exclusion radius around the branch point b(1)
 BRANCH_EXCLUSION = 1e-8
 
 #: angular snap radius: points this close to b(1) are treated as exact hits
@@ -257,16 +257,16 @@ class BranchSystem:
 
     # -- preimages ----------------------------------------------------------
 
-    def preimage_angles(self, angles, snap: float = BRANCH_SNAP) -> np.ndarray:
+    def preimage_angles(self, angles) -> np.ndarray:
         """Angles of the full preimage fibre, shape (N, len(angles)).
 
-        Row j-1 holds the branch sigma_j.  Points within `snap` radians of the
+        Row j-1 holds the branch sigma_j.  Points within BRANCH_SNAP radians of the
         branch point are resolved to the arc-endpoint fibre (the preimage set
         varies continuously through b(1); only the branch labels jump there).
         """
         a = np.atleast_1d(np.asarray(angles, dtype=float)).reshape(-1)
         rep = np.mod(a - self.theta0, TWO_PI)
-        rep = np.where(np.minimum(rep, TWO_PI - rep) < snap, 0.0, rep)
+        rep = np.where(np.minimum(rep, TWO_PI - rep) < BRANCH_SNAP, 0.0, rep)
         offsets = self.theta0 + TWO_PI * np.arange(self.branch_count)
         targets = rep[None, :] + offsets[:, None]
         return self.theta_inv(targets)
@@ -290,21 +290,23 @@ def build_branches(b: BlaschkeProduct, table_size: int = 4096) -> BranchSystem:
     return bs
 
 
-def preimages(bs: BranchSystem, z, exclusion: float = BRANCH_EXCLUSION) -> np.ndarray:
+def preimages(bs: BranchSystem, z) -> np.ndarray:
     """The N circle preimages sigma_1(z), ..., sigma_N(z) of a unit-modulus z.
 
     Exact (machine-level) hits of the branch point b(1) are allowed and return
-    the arc-endpoint fibre; anything else inside the exclusion radius raises
+    the arc-endpoint fibre; anything else inside BRANCH_EXCLUSION raises
     BranchPointError, since the branch labelling is discontinuous there.
     """
     zc = complex(z)
+    if not np.isfinite(zc):
+        raise ValueError(f"preimages require a finite z, got {zc}")
     if abs(abs(zc) - 1.0) > 1e-8:
         raise ValueError(f"preimages require |z| = 1, got |z| = {abs(zc)}")
     rep = np.mod(np.angle(zc) - bs.theta0, TWO_PI)
     dist = min(rep, TWO_PI - rep)
-    if BRANCH_SNAP < dist < exclusion:
+    if BRANCH_SNAP < dist < BRANCH_EXCLUSION:
         raise BranchPointError(
-            f"z is within the exclusion radius {exclusion} of the branch point b(1)"
+            f"z is within the exclusion radius {BRANCH_EXCLUSION} of the branch point b(1)"
         )
     t = bs.preimage_angles(np.angle(zc))
     return np.exp(1j * t[:, 0])

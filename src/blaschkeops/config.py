@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .circlefun import CircleGrid
@@ -12,7 +13,9 @@ class RunConfig:
     """Grid, window and tolerances for a run.
 
     tol_operator governs identities of truncated matrices on interior blocks;
-    tol_function governs pointwise/boundary-function identities.
+    tol_function governs pointwise/boundary-function identities.  Both must be
+    finite and positive.  eps_tail must be positive; inf turns tail-based
+    column exclusion off.
     """
 
     grid_size: int = 4096
@@ -24,8 +27,16 @@ class RunConfig:
 
     def __post_init__(self):
         CircleGrid(self.grid_size)  # raises on a size it does not accept
+        if self.mode_window < 1:
+            raise ValueError(f"mode_window must be >= 1, got {self.mode_window}")
         if 2 * self.mode_window + 1 > self.grid_size:
             raise ValueError("mode window exceeds grid capacity")
+        for name in ("tol_operator", "tol_function"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.eps_tail > 0:
+            raise ValueError(f"eps_tail must be positive, got {self.eps_tail}")
 
     @property
     def interior(self) -> int:

@@ -20,13 +20,22 @@ from .blaschke import BlaschkeProduct, BranchSystem, evaluate, moebius_factor
 from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_coeffs, sample
 from .errors import GramCheckError
 from .transfer import (
+    MODULE_GRAM_TOL,
     ModuleVector,
-    _nudged_angles,
+    expansion_deviation,
+    expansion_points,
     fibre_gram,
     gram_deviation,
     grid_fibre,
     outer_symbol,
 )
+
+#: validate_basis checks orthogonality to b e_n for n = 0..VALIDATION_WINDOW
+VALIDATION_WINDOW = 64
+
+#: validate_basis bound on the Gram and negative-mode deviations; the b*H2
+#: overlap is held to its square root
+VALIDATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -107,13 +116,7 @@ def basis_series(basis: ModelBasis, grid: CircleGrid, window: int) -> list[Fouri
     return [fourier_coeffs(sample(v.evaluate, grid), window) for v in basis.elements]
 
 
-def validate_basis(
-    basis: ModelBasis,
-    grid: CircleGrid,
-    *,
-    window: int = 64,
-    tol: float = 1e-8,
-) -> dict:
+def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
     """Gram, H2 membership and orthogonality to b*H2; raises GramCheckError on failure.
 
     Returns the three deviations for reporting.
@@ -128,15 +131,15 @@ def validate_basis(
         s = fourier_coeffs(BoundaryFunction(grid, row), grid.size // 4)
         neg = max(neg, s.negative_energy())
 
-    # (v, b e_n) = mode-n coefficient of v * conj(b); must vanish for n = 0..window
+    # (v, b e_n) = mode-n coefficient of v * conj(b); must vanish for n = 0..VALIDATION_WINDOW
     bconj = np.conj(evaluate(b, grid.points))
     ortho = 0.0
     for row in vals:
-        s = fourier_coeffs(BoundaryFunction(grid, row * bconj), window)
-        ortho = max(ortho, float(np.max(np.abs(s.coeffs[window:]))))
+        s = fourier_coeffs(BoundaryFunction(grid, row * bconj), VALIDATION_WINDOW)
+        ortho = max(ortho, float(np.max(np.abs(s.coeffs[VALIDATION_WINDOW:]))))
 
     report = {"gram_deviation": gram_dev, "negative_energy": neg, "bh2_overlap": ortho}
-    if gram_dev > tol or neg > tol or ortho > np.sqrt(tol):
+    if gram_dev > VALIDATION_TOL or neg > VALIDATION_TOL or ortho > np.sqrt(VALIDATION_TOL):
         raise GramCheckError(f"model basis validation failed: {report}")
     return report
 
@@ -175,25 +178,19 @@ def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) 
 # -- linking unitaries between module bases ---------------------------------
 
 
-def linking_unitary(
-    bs: BranchSystem,
-    family_a: list,
-    family_b: list,
-    grid: CircleGrid,
-    *,
-    gram_tol: float = 1e-6,
-) -> list:
+def linking_unitary(bs: BranchSystem, family_a: list, family_b: list, grid: CircleGrid) -> list:
     """The matrix u_ij = <A_i, B_j> linking two module bases, as boundary functions.
 
-    Both families must pass the module Gram check.  Pointwise on the grid the
-    matrix (u_ij(z)) is unitary, and B_j = sum_i A_i * beta(u_ij).
+    Both families must pass the module Gram check, to MODULE_GRAM_TOL.
+    Pointwise on the grid the matrix (u_ij(z)) is unitary, and
+    B_j = sum_i A_i * beta(u_ij).
     """
     fib = grid_fibre(bs, grid)
     vals = []  # each family evaluated once on the fibre serves its Gram check and u
     for fam, name in ((family_a, "A"), (family_b, "B")):
         v = np.stack([m.evaluate(fib) for m in fam])  # (n, N, K)
         dev = gram_deviation(fibre_gram(bs, v, v))
-        if dev > gram_tol:
+        if dev > MODULE_GRAM_TOL:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
         vals.append(v)
     u = fibre_gram(bs, *vals)
@@ -217,18 +214,7 @@ def linking_reconstruction_deviation(
     this also exercises the linking matrix off the sampling grid.
     """
     exc = sorted({e for v in family_a + family_b for e in v.exceptions})
-    t, _ = _nudged_angles(grid, exc)
-    z = np.exp(1j * t)
-    bz = evaluate(bs.owner, z)
-    fib = np.exp(1j * bs.preimage_angles(np.angle(bz)))  # one fibre serves all pairs
-    a_fib = [a.evaluate(fib) for a in family_a]
+    z, fib = expansion_points(bs, grid, exc)  # one fibre serves all pairs
+    w_fib = [np.conj(a.evaluate(fib)) for a in family_a]
     a_z = [a.evaluate(z) for a in family_a]
-    worst = 0.0
-    for b_vec in family_b:
-        b_fib = b_vec.evaluate(fib)
-        acc = np.zeros(grid.size, dtype=complex)
-        for az, af in zip(a_z, a_fib):
-            u_at_bz = (np.conj(af) * b_fib).mean(axis=0)
-            acc += az * u_at_bz
-        worst = max(worst, float(np.max(np.abs(acc - b_vec.evaluate(z)))))
-    return worst
+    return expansion_deviation(a_z, w_fib, ((b.evaluate(fib), b.evaluate(z)) for b in family_b))

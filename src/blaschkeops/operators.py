@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BranchSystem, evaluate, j0
-from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_coeffs
-from .model_space import ModelBasis, induced_module_basis, validate_basis
+from .circlefun import CircleGrid, FourierSeries, fourier_coeffs
+from .model_space import ModelBasis, validate_basis
 from .transfer import ModuleVector, grid_fibre, outer_symbol
 
 import json
@@ -224,29 +224,20 @@ def master_isometry_matrix_direct(bs: BranchSystem, window: int, grid: CircleGri
 
 
 def cuntz_family_matrices(
-    bs: BranchSystem, basis: ModelBasis, window: int, grid: CircleGrid, *, method: str = "direct"
+    bs: BranchSystem, basis: ModelBasis, window: int, grid: CircleGrid
 ) -> list[TruncatedOperator]:
-    """The Cuntz isometries S_i determined by a model-space basis.
+    """The Cuntz isometries S_i of a model-space basis, sampled column by column: S_i e_n = v_i b^n.
 
-    method="direct" samples the defining columns S_i e_n = v_i b^n;
-    method="module" forms pi(v_i J^{-1/2}) C_b.  The two agree on interior
-    blocks (tests/test_operators.py::test_cuntz_cross_construction_agreement).
+    On interior blocks they agree with the module construction
+    pi(v_i J^{-1/2}) C_b, which
+    tests/test_operators.py::test_cuntz_cross_construction_agreement builds.
     The basis is validated first (Gram, H2 membership, orthogonality to b*H2).
     """
     validate_basis(basis, grid)
-    if method == "direct":
-        return [
-            weighted_composition_matrix(bs, v.evaluate(grid.points), window, grid)
-            for v in basis.elements
-        ]
-    if method == "module":
-        cb = master_isometry_matrix(bs, window, grid)
-        out = []
-        for m in induced_module_basis(bs, basis, grid):
-            symbol = fourier_coeffs(BoundaryFunction(grid, m.evaluate(grid.points)), window)
-            out.append(compose(mult_operator(symbol, window), cb))
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    return [
+        weighted_composition_matrix(bs, v.evaluate(grid.points), window, grid)
+        for v in basis.elements
+    ]
 
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:

@@ -58,20 +58,19 @@ def decompose(
     f: FourierSeries,
     grid: CircleGrid,
     *,
-    window: int | None = None,
     check_basis: bool = True,
 ) -> Decomposition:
     """Split f against the basis; coefficients come back as Fourier windows.
 
-    The coefficient window defaults to grid.size // 4: the f_i of a band-limited
-    f are generally full rational series, so truncating them at f's own window
+    The coefficient window is grid.size // 4: the f_i of a band-limited f are
+    generally full rational series, so truncating them at f's own window
     would lose geometric tail mass and spoil the round trip.
     """
     if 2 * f.window + 1 > grid.size // 2:
         raise ValueError("grid too coarse for the requested input window")
     if check_basis:
         validate_basis(basis, grid)
-    win = grid.size // 4 if window is None else window
+    win = grid.size // 4
 
     # one shared preimage fibre serves every coefficient
     fib = grid_fibre(bs, grid)

@@ -33,6 +33,10 @@ from .errors import GramCheckError
 #: nodes this close (radians) to a declared exception image get nudged
 NUDGE_RADIUS = 1e-9
 
+#: a family whose pointwise module Gram deviates from the identity by more is
+#: not a module basis (module_expand, model_space.linking_unitary)
+MODULE_GRAM_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ModuleVector:
@@ -96,12 +100,17 @@ def outer_symbol(bs: BranchSystem, grid: CircleGrid, power: float) -> OuterFunct
     return cache[key]
 
 
+def fibre(bs: BranchSystem, angles) -> np.ndarray:
+    """Preimage points of the circle points e^{i angles}, shape (N, len(angles))."""
+    return np.exp(1j * bs.preimage_angles(angles))
+
+
 def grid_fibre(bs: BranchSystem, grid: CircleGrid) -> np.ndarray:
     """Preimage points of all grid nodes, shape (N, K); cached on the branch system."""
     cache = bs._grid_cache
     key = grid.size
     if key not in cache:
-        cache[key] = np.exp(1j * bs.preimage_angles(grid.angles))
+        cache[key] = fibre(bs, grid.angles)
     return cache[key]
 
 
@@ -109,8 +118,7 @@ def transfer_values(bs: BranchSystem, xi: ModuleVector, z) -> np.ndarray:
     """(L xi) at arbitrary unit-modulus points, via the exact preimage fibre."""
     pts = np.asarray(z, dtype=complex)
     flat = np.atleast_1d(pts).reshape(-1)
-    fib = np.exp(1j * bs.preimage_angles(np.angle(flat)))
-    vals = xi.evaluate(fib).mean(axis=0)
+    vals = xi.evaluate(fibre(bs, np.angle(flat))).mean(axis=0)
     return vals.reshape(pts.shape)
 
 
@@ -153,6 +161,30 @@ def _nudged_angles(grid: CircleGrid, exception_angles) -> tuple[np.ndarray, list
                 t[k] += half
                 moved.append(int(k))
     return t, sorted(set(moved))
+
+
+def expansion_points(bs: BranchSystem, grid: CircleGrid, exception_angles) -> tuple:
+    """The grid points z, nudged off the exception angles, and the fibre of b(z), shape (N, K)."""
+    t, _ = _nudged_angles(grid, exception_angles)
+    z = np.exp(1j * t)
+    return z, fibre(bs, np.angle(evaluate(bs.owner, z)))
+
+
+def expansion_deviation(a_z: list, w_fib: list, targets) -> float:
+    """sup |f(z) - sum_i a_i(z) * mean_fibre(w_i f)| over the pairs (f on the fibre, f at z).
+
+    The module expansion f = sum_i m_i beta(<m_i, f>) checked pointwise at the
+    points of expansion_points: with a_i = m_i at z and w_i = conj(m_i) on the
+    fibre of b(z), the branch mean of w_i f is the coefficient <m_i, f> at b(z),
+    evaluated there directly, with no interpolation.
+    """
+    worst = 0.0
+    for f_fib, f_z in targets:
+        acc = np.zeros(f_z.shape, dtype=complex)
+        for az, w in zip(a_z, w_fib):
+            acc += az * (w * f_fib).mean(axis=0)
+        worst = max(worst, float(np.max(np.abs(acc - f_z))))
+    return worst
 
 
 def transfer_apply(bs: BranchSystem, xi: ModuleVector, grid: CircleGrid) -> BoundaryFunction:
@@ -252,19 +284,14 @@ def module_gram_deviation(bs: BranchSystem, family: list[ModuleVector], grid: Ci
 
 
 def module_expand(
-    bs: BranchSystem,
-    basis: list[ModuleVector],
-    f: ModuleVector,
-    grid: CircleGrid,
-    *,
-    gram_tol: float = 1e-6,
+    bs: BranchSystem, basis: list[ModuleVector], f: ModuleVector, grid: CircleGrid
 ) -> list[BoundaryFunction]:
     """Coefficients <m_i, f> of f against a module basis, sampled on the grid.
 
-    The basis must pass the pointwise Gram check first.
+    The basis must pass the pointwise Gram check (to MODULE_GRAM_TOL) first.
     """
     dev = module_gram_deviation(bs, basis, grid)
-    if dev > gram_tol:
+    if dev > MODULE_GRAM_TOL:
         raise GramCheckError(f"module Gram deviates from identity by {dev:.3e}")
     return [transfer_apply(bs, product_vector(conj_vector(m), f), grid) for m in basis]
 

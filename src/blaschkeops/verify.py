@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,9 @@ from .operators import (
 from .rochberg import decompose
 from .transfer import (
     ModuleVector,
-    _nudged_angles,
     arcs_basis,
+    expansion_deviation,
+    expansion_points,
     from_series,
     gram_deviation,
     gram_functions,
@@ -129,7 +131,6 @@ class _Context:
         self.interior = config.interior if interior is None else interior
         self.rng = np.random.default_rng(config.seed)
         self.bs = build_branches(b)
-        self._cache: dict = {}
 
     def base_params(self) -> dict:
         return {
@@ -140,64 +141,39 @@ class _Context:
             "eps_tail": self.config.eps_tail,
         }
 
-    def get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
     # shared ingredients ----------------------------------------------------
 
-    @property
+    @cached_property
     def basis(self):
-        return self.get("basis", lambda: canonical_basis(self.b))
+        return canonical_basis(self.b)
 
-    @property
+    @cached_property
     def module_basis(self):
-        return self.get("module_basis", lambda: induced_module_basis(self.bs, self.basis, self.grid))
+        return induced_module_basis(self.bs, self.basis, self.grid)
 
-    @property
+    @cached_property
     def cuntz(self):
-        return self.get(
-            "cuntz", lambda: cuntz_family_matrices(self.bs, self.basis, self.window, self.grid)
-        )
+        return cuntz_family_matrices(self.bs, self.basis, self.window, self.grid)
 
-    @property
-    def cuntz_shifted(self):
-        """Direct samplings of the columns v_i b^{n+1}: the sharp tails of the covariance checks."""
-
-        def build():
-            bvals = evaluate(self.b, self.grid.points)
-            return [
-                weighted_composition_matrix(self.bs, v.evaluate(self.grid.points) * bvals, self.window, self.grid)
-                for v in self.basis.elements
-            ]
-
-        return self.get("cuntz_shifted", build)
-
-    @property
+    @cached_property
     def c_matrix(self):
-        return self.get("c", lambda: master_isometry_matrix(self.bs, self.window, self.grid))
+        return master_isometry_matrix(self.bs, self.window, self.grid)
 
-    @property
+    @cached_property
     def c_direct(self):
-        return self.get(
-            "c_direct", lambda: master_isometry_matrix_direct(self.bs, self.window, self.grid)
-        )
+        return master_isometry_matrix_direct(self.bs, self.window, self.grid)
 
-    @property
+    @cached_property
     def gamma(self):
-        return self.get("gamma", lambda: gamma_b_matrix(self.bs, self.window, self.grid))
+        return gamma_b_matrix(self.bs, self.window, self.grid)
 
-    @property
+    @cached_property
     def transfer_op(self):
-        return self.get("transfer", lambda: transfer_matrix(self.bs, self.window, self.grid))
+        return transfer_matrix(self.bs, self.window, self.grid)
 
-    @property
+    @cached_property
     def b_series(self):
-        return self.get(
-            "b_series",
-            lambda: fourier_coeffs(BoundaryFunction(self.grid, evaluate(self.b, self.grid.points)), self.window),
-        )
+        return fourier_coeffs(BoundaryFunction(self.grid, evaluate(self.b, self.grid.points)), self.window)
 
     def mult_symbol(self, phi: FourierSeries) -> TruncatedOperator:
         return mult_operator(phi, self.window)
@@ -247,15 +223,25 @@ def _rel_cuntz_completeness(ctx: _Context):
     return r, {"excluded_columns": excl}
 
 
+def _successor_tails(op: TruncatedOperator) -> TruncatedOperator:
+    """A tail source only: column n carries the measured tail of op's column n + 1.
+
+    Column n + 1 of S_i is v_i b^{n+1}, the column both sides of the covariance
+    relation reproduce at n.  The last column has no successor in op and
+    carries inf, "not certified".  The matrix is op's own, not the shifted one.
+    """
+    return replace(op, column_tail=np.append(op.column_tail[1:], np.inf))
+
+
 def _rel_covariance_l2(ctx: _Context):
     pe1 = ctx.mult_symbol(exponential(1, ctx.window))
     pb = ctx.mult_symbol(ctx.b_series)
     worst, excluded = 0.0, []
-    for si, shifted in zip(ctx.cuntz, ctx.cuntz_shifted):
-        # both sides equal the direct sampling of columns v b^{n+1}; its tails certify
+    for si in ctx.cuntz:
+        # column n is certified by the tails of S_i at n and n + 1
         r, excl = interior_residual(
             compose(si, pe1), compose(pb, si), ctx.interior,
-            eps_tail=ctx.config.eps_tail, tail_sources=[si, shifted],
+            eps_tail=ctx.config.eps_tail, tail_sources=[si, _successor_tails(si)],
         )
         worst = max(worst, r)
         excluded = sorted(set(excluded) | set(excl))
@@ -266,11 +252,11 @@ def _rel_covariance_h2(ctx: _Context):
     te1 = toeplitz_operator(exponential(1, ctx.window), ctx.window)
     tb = toeplitz_operator(ctx.b_series, ctx.window)
     worst, excluded = 0.0, []
-    for si, shifted in zip(ctx.cuntz, ctx.cuntz_shifted):
+    for si in ctx.cuntz:
         ri = restrict_to_h2(si)
         r, excl = interior_residual(
             compose(ri, te1), compose(tb, ri), ctx.interior,
-            eps_tail=ctx.config.eps_tail, tail_sources=[ri, restrict_to_h2(shifted)],
+            eps_tail=ctx.config.eps_tail, tail_sources=[ri, _successor_tails(ri)],
         )
         worst = max(worst, r)
         excluded = sorted(set(excluded) | set(excl))
@@ -547,22 +533,15 @@ def verify_solution1(
     rng = np.random.default_rng(config.seed)
     rnd = rng.standard_normal(17) + 1j * rng.standard_normal(17)
     tests = [exponential(0, 8), exponential(1, 8), FourierSeries(rnd / np.sum(np.abs(rnd)))]
-    exc = sorted({e for m in family for e in m.exceptions})
-    t, _ = _nudged_angles(grid, exc)
-    z = np.exp(1j * t)
-    bz = evaluate(bs.owner, z)
-    fib = np.exp(1j * bs.preimage_angles(np.angle(bz)))  # fibre of b(z), shared
+    # the module expansion with a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2}
+    # on the fibre of b(z): the branch mean of w_i f is (S_i^* f) o b
+    z, fib = expansion_points(bs, grid, sorted({e for m in family for e in m.exceptions}))
     jm_fib = 1.0 / j_half.eval(fib)
-    m_fib = [m.evaluate(fib) for m in family]
+    w_fib = [np.conj(m.evaluate(fib)) * jm_fib for m in family]
     m_z = [m.evaluate(z) * j_half.eval(z) for m in family]
-    completeness = 0.0
-    for s in tests:
-        f_fib = synthesize(s, fib, analytic=False)
-        total = np.zeros(grid.size, dtype=complex)
-        for mf, mz in zip(m_fib, m_z):
-            u_at_bz = (np.conj(mf) * jm_fib * f_fib).mean(axis=0)  # (S_i^* f) o b
-            total += mz * u_at_bz
-        completeness = max(completeness, float(np.max(np.abs(total - synthesize(s, z, analytic=False)))))
+    completeness = expansion_deviation(
+        m_z, w_fib, ((synthesize(s, fib, analytic=False), synthesize(s, z, analytic=False)) for s in tests)
+    )
 
     residual = max(gram_dev, orth, consistency, completeness)
     params = {

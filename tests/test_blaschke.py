@@ -183,6 +183,13 @@ def test_lift_derivative_is_n_j0(zeros, t):
 # -- preimages ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(np.exp(1j * np.nan))])
+def test_preimages_reject_non_finite_points(z):
+    bs = build_branches(make_blaschke([0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        preimages(bs, z)
+
+
 def test_square_roots_of_unity(z2):
     _, bs = z2
     got = sorted(preimages(bs, 1.0), key=lambda w: w.imag)

@@ -77,6 +77,26 @@ def test_describe_rejects_grid_it_cannot_use(inputs, capsys, grid):
     assert "power of two >= 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--modes", "0"],
+        ["verify", "--modes", "-3"],
+        ["verify", "--tol", "nan"],
+        ["preimages", "--angle", "nan"],
+        ["preimages", "--angle", "inf"],
+    ],
+    ids=["modes-0", "modes-negative", "tol-nan", "angle-nan", "angle-inf"],
+)
+def test_non_usable_numbers_are_math_errors(inputs, capsys, argv):
+    _, z2, _, _ = inputs
+    code = main([argv[0], str(z2), "--grid", "512", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("math error: ")
+    assert captured.out == ""
+
+
 def test_preimages_command(inputs, capsys):
     _, z2, _, _ = inputs
     code, out = _run(["preimages", z2, "--angle", "0.0"], capsys)

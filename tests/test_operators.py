@@ -9,7 +9,7 @@ from blaschkeops.circlefun import (
     fourier_coeffs,
     sample,
 )
-from blaschkeops.model_space import canonical_basis
+from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
     TruncatedOperator,
     _columns_from_samples,
@@ -252,12 +252,16 @@ def test_cuntz_rejects_invalid_basis(mixed):
 
 
 def test_cuntz_cross_construction_agreement(mixed):
+    # the sampled columns v_i b^n against the module construction pi(v_i J^{-1/2}) C_b
     _, bs = mixed
     g = CircleGrid(4096)
-    direct = cuntz_family_matrices(bs, canonical_basis(bs.owner), 64, g, method="direct")
-    module = cuntz_family_matrices(bs, canonical_basis(bs.owner), 64, g, method="module")
-    for d, m in zip(direct, module):
-        r, _ = interior_residual(d, m, 32, tail_sources=[d])
+    basis = canonical_basis(bs.owner)
+    direct = cuntz_family_matrices(bs, basis, 64, g)
+    cb = master_isometry_matrix(bs, 64, g)
+    for d, m in zip(direct, induced_module_basis(bs, basis, g)):
+        symbol = fourier_coeffs(BoundaryFunction(g, m.evaluate(g.points)), 64)
+        module = compose(mult_operator(symbol, 64), cb)
+        r, _ = interior_residual(d, module, 32, tail_sources=[d])
         assert r < 1e-8
 
 

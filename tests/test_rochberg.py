@@ -118,7 +118,7 @@ def test_consistency_with_module_expand(mixed, grid1024):
             label="J-12", func=lambda z: jm.eval(np.asarray(z, dtype=complex))
         ),
     )
-    coeffs = module_expand(bs, induced_module_basis(bs, basis, grid1024), gvec, grid1024, gram_tol=1e-6)
+    coeffs = module_expand(bs, induced_module_basis(bs, basis, grid1024), gvec, grid1024)
     for s, mod in zip(dec.coefficients, coeffs):
         direct = synthesize(s, grid1024.points, analytic=False)
         assert np.max(np.abs(direct - mod.values)) < 1e-9

@@ -18,6 +18,8 @@ from blaschkeops.transfer import (
     conditional_expectation,
     constant,
     expand_vectors,
+    expansion_deviation,
+    expansion_points,
     expectation_vector,
     from_series,
     module_expand,
@@ -272,6 +274,25 @@ def test_module_expand_rejects_bad_family(mixed, grid1024):
     fam = [constant(1.0), constant(1.0)]
     with pytest.raises(GramCheckError):
         module_expand(bs, fam, _series_vec(1), grid1024)
+
+
+@pytest.mark.parametrize("basis_is_arcs", [True, False], ids=["arcs", "constant-pair"])
+def test_expansion_deviation(mixed, grid1024, basis_is_arcs):
+    # f = sum_i m_i beta(<m_i, f>) pointwise: exact for the arcs basis, and off
+    # by |2 L(f) o b - f| for the family [1, 1], which is no module basis
+    _, bs = mixed
+    fam = arcs_basis(bs) if basis_is_arcs else [constant(1.0), constant(1.0)]
+    z, fib = expansion_points(bs, grid1024, sorted({e for m in fam for e in m.exceptions}))
+    assert fib.shape == (bs.branch_count, grid1024.size)
+    assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
+    f = from_series(FourierSeries(np.array([0.3, 0, 1, 0.5j, 0, 0, 0.25])))  # modes -3..3
+    dev = expansion_deviation(
+        [m.evaluate(z) for m in fam], [np.conj(m.evaluate(fib)) for m in fam], [(f.evaluate(fib), f.evaluate(z))]
+    )
+    if basis_is_arcs:
+        assert dev < 1e-10
+    else:
+        assert dev > 0.5
 
 
 def test_nudge_recorded_for_indicator_input(z2):

@@ -3,22 +3,27 @@ import json
 import numpy as np
 import pytest
 
-from blaschkeops import build_branches, make_blaschke
+from blaschkeops import build_branches, evaluate, make_blaschke
 from blaschkeops.circlefun import CircleGrid, exponential
 from blaschkeops.config import RunConfig
 from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
     adjoint,
     compose,
+    cuntz_family_matrices,
     identity_operator,
     interior_residual,
     master_isometry_matrix,
     master_isometry_matrix_direct,
     mult_operator,
+    restrict_to_h2,
+    uncertified_modes,
+    weighted_composition_matrix,
 )
 from blaschkeops.transfer import arcs_basis, constant
 from blaschkeops.verify import (
     RELATIONS,
+    _successor_tails,
     convergence_csv,
     convergence_study,
     reports_to_json,
@@ -64,6 +69,70 @@ def test_zero_at_origin_makes_gamma_isometric():
 def test_config_grid_rule_is_the_circle_grid_rule(size):
     with pytest.raises(ValueError, match="power of two >= 4"):
         RunConfig(grid_size=size)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mode_window", 0),
+        ("mode_window", -3),
+        ("tol_operator", float("nan")),
+        ("tol_operator", 0.0),
+        ("tol_operator", float("inf")),
+        ("tol_function", -1e-8),
+        ("eps_tail", float("nan")),
+        ("eps_tail", -1e-10),
+        ("eps_tail", 0.0),
+    ],
+)
+def test_config_rejects_values_it_cannot_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_config_allows_infinite_eps_tail():
+    # convergence_study turns column exclusion off this way
+    assert RunConfig(eps_tail=float("inf")).eps_tail == float("inf")
+
+
+@pytest.mark.parametrize("space", ["L2", "H2"])
+def test_covariance_tails_match_direct_sampling_of_the_shifted_columns(mixed, space):
+    # S_i's tails at n + 1 exclude the same columns as a direct sampling of
+    # v_i b^{n+1}, below the top column, which has no successor and is excluded
+    b, bs = mixed
+    cfg = RunConfig()
+    g = CircleGrid(cfg.grid_size)
+    m = cfg.mode_window
+    basis = canonical_basis(b)
+    s = cuntz_family_matrices(bs, basis, m, g)
+    bvals = evaluate(b, g.points)
+    h2 = restrict_to_h2 if space == "H2" else (lambda op: op)
+    for v, si in zip(basis.elements, s):
+        direct = h2(weighted_composition_matrix(bs, v.evaluate(g.points) * bvals, m, g))
+        source = _successor_tails(h2(si))
+        got = uncertified_modes([source], cfg.eps_tail)
+        want = uncertified_modes([direct], cfg.eps_tail)
+        assert m in got
+        assert 0 < len(want - {m}) < len(source.col_mode_array) - 1  # some excluded, some not
+        assert got - {m} == want - {m}
+        assert np.array_equal(source.matrix, h2(si).matrix)
+
+
+def test_verify_all_weighted_composition_call_count(mixed, monkeypatch):
+    # S_1, S_2, C_b direct, and one pi(phi) C_b per implements_transfer symbol
+    from blaschkeops import operators, verify
+
+    calls = []
+    original = operators.weighted_composition_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "weighted_composition_matrix", counted)
+    monkeypatch.setattr(verify, "weighted_composition_matrix", counted)
+    verify_all(mixed[0], RunConfig(grid_size=4096, mode_window=64))
+    assert len(calls) == 7
 
 
 def test_report_invariants():
