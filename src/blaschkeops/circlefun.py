@@ -144,6 +144,33 @@ def exponential(n: int, window: int | None = None) -> FourierSeries:
     return FourierSeries(c)
 
 
+def integer_powers(z, window: int) -> np.ndarray:
+    """z^n for n = -window..window, shape (2*window+1, len(z)); row window + n holds z^n.
+
+    The rows n >= 0 are built by doubling, about one complex multiply per
+    entry: rows [2^h, 2^(h+1)) are rows [0, 2^h) times z^(2^h).  The negative
+    rows are reciprocals of the positive ones, not conjugates: samples of b are
+    unimodular only to a few ulps, which conj would carry into every row.  Row n
+    does not depend on the window, so a wider table holds a narrower one bit
+    for bit.
+    """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((2 * window + 1, z.size), dtype=complex)
+    pos = out[window:]  # rows n = 0..window
+    pos[0] = 1.0
+    if window:
+        pos[1] = z
+    done = 2  # rows [0, done) are filled; done is a power of two
+    while done <= window:
+        count = min(done, window + 1 - done)
+        np.multiply(pos[:count], pos[done // 2] * pos[done // 2], out=pos[done : done + count])
+        done *= 2
+    np.divide(1.0, pos[:0:-1], out=out[:window])
+    return out
+
+
 def sample(f, grid: CircleGrid) -> BoundaryFunction:
     """Sample a pointwise-evaluable function of z = e^{it} on the grid nodes."""
     return BoundaryFunction(grid, np.asarray(f(grid.points), dtype=complex))

@@ -120,6 +120,8 @@ def cmd_describe(args) -> int:
 
 def cmd_preimages(args) -> int:
     b = _load_blaschke(args.blaschke)
+    if not np.isfinite(args.angle):  # before np.exp, which warns on inf
+        raise ValueError(f"preimages require a finite z, got angle {args.angle}")
     bs = build_branches(b)
     pts = preimages(bs, complex(np.exp(1j * args.angle)))
     _emit(json.dumps({"preimages": [_pair(p) for p in pts]}, sort_keys=True), args.out)
@@ -265,6 +267,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _config(args)  # one rule for --grid, --modes and --tol on every command
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BranchSystem, evaluate, j0
-from .circlefun import CircleGrid, FourierSeries, fourier_coeffs
+from .circlefun import CircleGrid, FourierSeries, fourier_coeffs, integer_powers
 from .model_space import ModelBasis, validate_basis
-from .transfer import ModuleVector, grid_fibre, outer_symbol
+from .transfer import ModuleVector, fibre_power_means, grid_fibre, outer_symbol
 
 import json
 
@@ -179,9 +179,7 @@ def _power_samples(bs: BranchSystem, grid: CircleGrid, window: int) -> np.ndarra
     if table is None or table.shape[0] < 2 * window + 1:
         table = None  # drop both references to a narrower table before building
         bs._grid_cache.pop(key, None)
-        bvals = evaluate(bs.owner, grid.points)
-        ns = np.arange(-window, window + 1)
-        table = bvals[None, :] ** ns[:, None]
+        table = integer_powers(evaluate(bs.owner, grid.points), window)
         table.flags.writeable = False
         bs._grid_cache[key] = table
     mid = table.shape[0] // 2
@@ -241,13 +239,9 @@ def cuntz_family_matrices(
 
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """Transfer operator: column n is the Fourier window of L(e_n)."""
-    fib = grid_fibre(bs, grid)  # (N, K) preimage points
-    ns = np.arange(-window, window + 1)
-    samples = np.empty((ns.size, grid.size), dtype=complex)
-    for i, n in enumerate(ns):
-        samples[i] = (fib**n).mean(axis=0)
-    return _columns_from_samples(samples, grid, window, (-window, window))
+    """Transfer operator: column n is the Fourier window of L(e_n), the fibre mean of z^n."""
+    means = fibre_power_means(grid_fibre(bs, grid), window)
+    return _columns_from_samples(means, grid, window, (-window, window))
 
 
 # -- dense algebra -------------------------------------------------------------

@@ -25,6 +25,7 @@ from .circlefun import (
     CircleGrid,
     FourierSeries,
     OuterFunction,
+    integer_powers,
     outer_function,
     synthesize,
 )
@@ -112,6 +113,20 @@ def grid_fibre(bs: BranchSystem, grid: CircleGrid) -> np.ndarray:
     if key not in cache:
         cache[key] = fibre(bs, grid.angles)
     return cache[key]
+
+
+def fibre_power_means(fib: np.ndarray, window: int) -> np.ndarray:
+    """Branch means of z^n over a fibre, n = -window..window, shape (2*window+1, K).
+
+    Row window + n is L(e_n) at the points whose preimages are the columns of
+    `fib` (shape (N, K)).  One branch's power table is added to the running sum
+    at a time, so two tables are live at most.
+    """
+    acc = integer_powers(fib[0], window)
+    for branch in fib[1:]:
+        acc += integer_powers(branch, window)
+    acc /= fib.shape[0]
+    return acc
 
 
 def transfer_values(bs: BranchSystem, xi: ModuleVector, z) -> np.ndarray:

@@ -13,6 +13,7 @@ from blaschkeops.circlefun import (
     boundary_from_csv,
     exponential,
     fourier_coeffs,
+    integer_powers,
     l2_inner,
     l2_norm,
     outer_function,
@@ -123,6 +124,63 @@ def test_analytic_extension_guard():
     with pytest.raises(AnalyticExtensionError):
         synthesize(s, 0.3)
     assert synthesize(exponential(2, 2), 0.5) == pytest.approx(0.25)
+
+
+SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 3, 64, 128])
+def test_integer_powers_rows(window):
+    z = np.exp(1j * np.linspace(0.1, 6.2, 37))
+    p = integer_powers(z, window)
+    assert p.shape == (2 * window + 1, 37)
+    assert p.dtype == np.complex128
+    assert np.array_equal(p[window], np.ones(37))
+    if window:
+        assert np.array_equal(p[window + 1], z)
+        assert np.array_equal(p[window - 1], 1.0 / z)
+    ns = np.arange(-window, window + 1)
+    assert np.max(np.abs(p - z[None, :] ** ns[:, None])) < 1e-13
+    # row n does not depend on the window
+    wide = integer_powers(z, 130)
+    assert np.array_equal(wide[130 - window : 131 + window], p)
+
+
+def test_integer_powers_rejects_negative_window():
+    with pytest.raises(ValueError):
+        integer_powers(np.ones(4, dtype=complex), -1)
+
+
+def test_integer_powers_match_numpy_on_b_and_fibre():
+    b = make_blaschke(SIX_ZEROS)
+    grid = CircleGrid(4096)
+    ns = np.arange(-128, 129)[:, None]
+    bvals = evaluate(b, grid.points)
+    assert np.max(np.abs(integer_powers(bvals, 128) - bvals[None, :] ** ns)) < 1e-13
+    for branch in grid_fibre(build_branches(b), grid):
+        assert np.max(np.abs(integer_powers(branch, 128) - branch[None, :] ** ns)) < 1e-13
+
+
+def test_integer_powers_against_mpmath():
+    # the oracle raises the same floats to each power at 50 digits (|b| on the
+    # grid is off 1 by a few ulps, so the exact powers are not unimodular)
+    import mpmath
+
+    mpmath.mp.dps = 50
+    grid = CircleGrid(4096)
+    z = evaluate(make_blaschke(SIX_ZEROS), grid.points)[::256]
+    window = 128
+    ns = np.arange(-window, window + 1)
+    exact = [[mpmath.mpc(v.real, v.imag) ** int(n) for v in z] for n in ns]
+
+    def worst(table):
+        return max(
+            float(abs(e - mpmath.mpc(v.real, v.imag))) for er, row in zip(exact, table) for e, v in zip(er, row)
+        )
+
+    kernel_err = worst(integer_powers(z, window))
+    assert kernel_err <= worst(z[None, :] ** ns[:, None])
+    assert kernel_err < 1e-14
 
 
 def test_inner_products():

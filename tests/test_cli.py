@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blaschkeops.circlefun import series_from_json
+from blaschkeops.config import RunConfig
 from blaschkeops.cli import main
 from blaschkeops.operators import operator_from_json
 
@@ -94,6 +95,43 @@ def test_non_usable_numbers_are_math_errors(inputs, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("math error: ")
+    assert captured.out == ""
+
+
+COMMANDS = {
+    "describe": ["describe", "{b}"],
+    "preimages": ["preimages", "{b}", "--angle", "0.3"],
+    "transfer": ["transfer", "{b}", "{s}"],
+    "outer": ["outer", "{b}"],
+    "basis": ["basis", "{b}"],
+    "matrix-gamma": ["matrix", "{b}", "--which", "gamma"],
+    "matrix-cuntz": ["matrix", "{b}", "--which", "cuntz"],
+    "matrix-transfer": ["matrix", "{b}", "--which", "transfer"],
+    "decompose": ["decompose", "{b}", "{s}"],
+    "verify": ["verify", "{b}"],
+}
+BAD_SETTINGS = {
+    "modes-0": dict(grid=256, modes=0, tol=1e-6),
+    "modes-negative": dict(grid=256, modes=-3, tol=1e-6),
+    "modes-over-grid": dict(grid=256, modes=128, tol=1e-6),
+    "grid-not-power-of-two": dict(grid=100, modes=8, tol=1e-6),
+    "tol-nan": dict(grid=256, modes=8, tol=float("nan")),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("bad", BAD_SETTINGS)
+def test_every_command_validates_settings_like_run_config(inputs, capsys, command, bad):
+    _, z2, _, e3 = inputs
+    setting = BAD_SETTINGS[bad]
+    with pytest.raises(ValueError) as expected:
+        RunConfig(grid_size=setting["grid"], mode_window=setting["modes"], tol_operator=setting["tol"])
+    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
+    argv += ["--grid", str(setting["grid"]), "--modes", str(setting["modes"]), "--tol", str(setting["tol"])]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"math error: {expected.value}\n"
     assert captured.out == ""
 
 

@@ -32,7 +32,7 @@ from blaschkeops.operators import (
     transfer_matrix,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import arcs_basis, constant, outer_symbol, product_vector
+from blaschkeops.transfer import arcs_basis, constant, grid_fibre, outer_symbol, product_vector
 
 from oracles import grid_mean
 
@@ -125,8 +125,7 @@ def test_power_table_is_read_only():
 
 
 def test_power_table_grown_once_serves_narrower_windows_exactly():
-    # window 128 takes numpy's exp/log path for the high powers; the views of
-    # the grown table must still equal what a fresh branch system builds
+    # the views of the grown table must equal what a fresh branch system builds
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     grid = CircleGrid(1024)
     weight = canonical_basis(b).elements[1].evaluate(grid.points)
@@ -311,6 +310,27 @@ def test_transfer_matrix_squaring_pattern(z2):
         if n % 2 == 0:
             expect[n // 2 + 16] = 1.0
         assert np.max(np.abs(col - expect)) < 1e-12
+
+
+def _transfer_matrix_by_modes(bs, window, grid):
+    # the reference: each mode's fibre power formed on its own with numpy's **
+    fib = grid_fibre(bs, grid)
+    samples = np.stack([(fib**n).mean(axis=0) for n in range(-window, window + 1)])
+    return _columns_from_samples(samples, grid, window, (-window, window))
+
+
+@pytest.mark.parametrize(
+    "zeros, window",
+    [([0.5, -0.3j], 64), ([0.8], 64), ([0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j], 128)],
+    ids=["two-mixed", "single-0.8", "six-zeros"],
+)
+def test_transfer_matrix_matches_per_mode_powers(zeros, window):
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(4096)
+    got = transfer_matrix(bs, window, grid)
+    want = _transfer_matrix_by_modes(bs, window, grid)
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-14
+    assert np.array_equal(got.column_tail > 1e-10, want.column_tail > 1e-10)
 
 
 def test_transfer_matrix_h2_block(mixed):
