@@ -59,10 +59,6 @@ class TruncatedOperator:
         object.__setattr__(self, "column_tail", tails)
 
     @property
-    def row_mode_array(self) -> np.ndarray:
-        return np.arange(self.row_modes[0], self.row_modes[1] + 1)
-
-    @property
     def col_mode_array(self) -> np.ndarray:
         return np.arange(self.col_modes[0], self.col_modes[1] + 1)
 
@@ -101,16 +97,10 @@ def operator_from_json(text: str) -> TruncatedOperator:
     )
 
 
-def identity_operator(window: int, space: str = "L2") -> TruncatedOperator:
-    lo = -window if space == "L2" else 0
-    size = window - lo + 1
-    return TruncatedOperator(
-        matrix=np.eye(size, dtype=complex),
-        row_modes=(lo, window),
-        col_modes=(lo, window),
-        space=space,
-        column_tail=np.zeros(size),
-    )
+def identity_operator(window: int) -> TruncatedOperator:
+    size = 2 * window + 1
+    modes = (-window, window)
+    return TruncatedOperator(np.eye(size, dtype=complex), modes, modes, "L2", np.zeros(size))
 
 
 # -- constructions ------------------------------------------------------------
@@ -321,6 +311,17 @@ def uncertified_modes(tail_sources: list, eps_tail: float = 1e-10) -> set:
     return bad
 
 
+def excluded_mask(cols: np.ndarray, tail_sources: list, eps_tail: float) -> np.ndarray:
+    """True where a tail source leaves the column mode uncertified; raises if that is all of `cols`."""
+    mask = np.isin(cols, list(uncertified_modes(tail_sources, eps_tail)))
+    if mask.all():  # a check that excludes every column it names is vacuous, not a pass
+        raise ValueError(
+            "no certified column remains on the interior block; "
+            "increase the mode window or relax eps_tail"
+        )
+    return mask
+
+
 def interior_residual(
     a: TruncatedOperator, b: TruncatedOperator, inner: int, *, tail_sources: list, eps_tail: float = 1e-10
 ) -> tuple[float, list[int]]:
@@ -328,28 +329,22 @@ def interior_residual(
 
     Columns whose recorded tail exceeds eps_tail in any tail source (the
     sampled operators the identity is built from) are excluded from the max
-    and returned for reporting.  Raises if the exclusion leaves no column: a
-    vacuous check is not a pass.
+    and returned for reporting (excluded_mask, which raises if none remains).
     """
     ba = interior_block(a, inner)
     bb = interior_block(b, inner)
     if ba.row_modes != bb.row_modes or ba.col_modes != bb.col_modes:
         raise ValueError("operators do not share the interior block")
-    bad_modes = uncertified_modes(tail_sources, eps_tail)
     cols = np.arange(ba.col_modes[0], ba.col_modes[1] + 1)
-    mask = np.array([c in bad_modes for c in cols])
-    if mask.all():
-        raise ValueError(
-            "no certified column remains on the interior block; "
-            "increase the mode window or relax eps_tail"
-        )
+    mask = excluded_mask(cols, tail_sources, eps_tail)
     diff = np.abs(ba.matrix - bb.matrix)
     diff[:, mask] = 0.0
     return float(diff.max()), [int(c) for c in cols[mask]]
 
 
 PANEL_POINTS = 16  # Gauss-Legendre nodes per panel of pair_power_gram
-OVERSAMPLE = 4.0  # its quadrature points per period of the fastest oscillation
+OVERSAMPLE = 6.0  # its quadrature points per period of the fastest oscillation
+NODE_BLOCK = 2048  # quadrature nodes per power table, which bounds its memory
 
 
 def pair_power_gram(bs: BranchSystem, family: list[ModuleVector], window: int) -> np.ndarray:
@@ -360,8 +355,8 @@ def pair_power_gram(bs: BranchSystem, family: list[ModuleVector], window: int) -
     (f_j b^n, f_i b^m) is mu[i, j, n - m + 2*window]: the matrix is Toeplitz in
     n - m.  The panels break at the union of the family's exception angles, so
     the quadrature stays spectrally accurate for indicator-type members where
-    grid quadrature and truncated matrix products lose O(1/M).  Used to certify
-    Cuntz orthogonality for arbitrary module bases.
+    grid quadrature and truncated matrix products lose O(1/M).  The verifier
+    certifies every Gram relation of the form (f b^n, g b^m) from these moments.
     """
     two_pi = 2.0 * np.pi
     breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for f in family for e in f.exceptions})
@@ -382,10 +377,28 @@ def pair_power_gram(bs: BranchSystem, family: list[ModuleVector], window: int) -
     t = np.concatenate(ts)
     w = np.concatenate(ws) / two_pi
     vals = np.stack([f.evaluate(np.exp(1j * t)) for f in family])  # (n, Q)
-    phases = np.exp(1j * np.outer(bs.theta(t), np.arange(2 * window + 1)))  # (Q, 2*window+1)
-    mu = np.empty((len(family), len(family), 4 * window + 1), dtype=complex)
-    for i, fi in enumerate(vals):  # one row at a time keeps memory O(n Q), not O(n^2 Q)
-        mu[i, :, 2 * window:] = (w * np.conj(fi) * vals) @ phases
+    phase = np.exp(1j * bs.theta(t))  # b on the nodes
+    mu = np.zeros((len(family), len(family), 4 * window + 1), dtype=complex)
+    for start in range(0, t.size, NODE_BLOCK):
+        blk = slice(start, start + NODE_BLOCK)
+        # rows k = 0..2*window: e^{i window theta} times the powers -window..window
+        powers = integer_powers(phase[blk], window)
+        powers *= powers[-1].copy()
+        v = vals[:, blk]
+        for i, fi in enumerate(v):  # one row at a time keeps memory O(n NODE_BLOCK)
+            mu[i, :, 2 * window:] += (w[blk] * np.conj(fi) * v) @ powers.T
     # mu[i, j, -k] = conj(mu[j, i, k])
     mu[:, :, :2 * window] = np.conj(mu[:, :, :2 * window:-1]).transpose(1, 0, 2)
     return mu
+
+
+def orthonormality_defect(mu: np.ndarray) -> float:
+    """max |mu[i, j, k] - delta_ij delta_k0| of a pair_power_gram moment array.
+
+    Zero exactly when the family's b-power columns f_i b^n are orthonormal,
+    which is what S_i* S_j = delta_ij I and C_b* C_b = I assert.
+    """
+    n, _, width = mu.shape
+    dev = mu.copy()
+    dev[np.arange(n), np.arange(n), width // 2] -= 1.0
+    return float(np.max(np.abs(dev)))

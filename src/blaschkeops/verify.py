@@ -42,6 +42,7 @@ from .operators import (
     block,
     compose,
     cuntz_family_matrices,
+    excluded_mask,
     gamma_b_matrix,
     identity_operator,
     interior_residual,
@@ -49,17 +50,17 @@ from .operators import (
     master_isometry_matrix_direct,
     mult_operator,
     operator_norm,
+    orthonormality_defect,
     pair_power_gram,
     restrict_to_h2,
     toeplitz_operator,
     transfer_matrix,
-    uncertified_modes,
-    weighted_composition_matrix,
 )
 from .rochberg import decompose
 from .transfer import (
     ModuleVector,
     arcs_basis,
+    constant,
     expansion_deviation,
     expansion_points,
     fibre_power_means,
@@ -176,38 +177,30 @@ class _Context:
     def b_series(self):
         return fourier_coeffs(BoundaryFunction(self.grid, evaluate(self.b, self.grid.points)), self.window)
 
-    def mult_symbol(self, phi: FourierSeries) -> TruncatedOperator:
-        return mult_operator(phi, self.window)
-
-    def transfer_symbol(self, phi: FourierSeries) -> TruncatedOperator:
-        lphi = transfer_apply(self.bs, from_series(phi), self.grid)
-        return mult_operator(fourier_coeffs(lphi, self.window), self.window)
-
     def random_symbol(self, window: int = 8) -> FourierSeries:
         c = self.rng.standard_normal(2 * window + 1) + 1j * self.rng.standard_normal(2 * window + 1)
         return FourierSeries(c / np.sum(np.abs(c)))
 
 
+def _j_half_vector(bs, grid: CircleGrid) -> ModuleVector:
+    """J^{1/2} as a pointwise rule on the closed disc: C_b e_n = J^{1/2} b^n."""
+    j_half = outer_symbol(bs, grid, 0.5)
+    return ModuleVector(label="J^1/2", func=lambda z: j_half.eval(np.asarray(z, dtype=complex)))
+
+
 # -- relation checks ----------------------------------------------------------
+#
+# Four relations compare Grams that are Toeplitz in n - m, since b = e^{i theta}
+# on the circle: (f b^n, g b^m) = int conj(g) f e^{i(n-m) theta} dt/2pi.
+# cuntz_orthogonality, the isometry part of master_isometry, implements_transfer
+# and isometry_criterion are certified from pair_power_gram moments over every
+# |n|, |m| <= window, so they exclude no column.  The rest use truncated matrices.
 
 
 def _rel_cuntz_orthogonality(ctx: _Context):
-    s = ctx.cuntz
-    worst, excluded = 0.0, []
-    zero = TruncatedOperator(
-        np.zeros_like(s[0].matrix), s[0].row_modes, s[0].col_modes, "L2", np.zeros(s[0].matrix.shape[1])
-    )
-    eye = identity_operator(ctx.window)
-    for i, si in enumerate(s):
-        for j, sj in enumerate(s):
-            target = eye if i == j else zero
-            r, excl = interior_residual(
-                compose(adjoint(si), sj), target, ctx.interior,
-                eps_tail=ctx.config.eps_tail, tail_sources=[si, sj],
-            )
-            worst = max(worst, r)
-            excluded = sorted(set(excluded) | set(excl))
-    return worst, {"excluded_columns": excluded}
+    # S_i e_n = v_i b^n: S_i* S_j = delta_ij I is the orthonormality of the v_i b^n
+    mu = pair_power_gram(ctx.bs, ctx.basis.elements, ctx.window)
+    return orthonormality_defect(mu), {"excluded_columns": []}
 
 
 def _rel_cuntz_completeness(ctx: _Context):
@@ -235,8 +228,8 @@ def _successor_tails(op: TruncatedOperator) -> TruncatedOperator:
 
 
 def _rel_covariance_l2(ctx: _Context):
-    pe1 = ctx.mult_symbol(exponential(1, ctx.window))
-    pb = ctx.mult_symbol(ctx.b_series)
+    pe1 = mult_operator(exponential(1, ctx.window), ctx.window)
+    pb = mult_operator(ctx.b_series, ctx.window)
     worst, excluded = 0.0, []
     for si in ctx.cuntz:
         # column n is certified by the tails of S_i at n and n + 1
@@ -265,52 +258,46 @@ def _rel_covariance_h2(ctx: _Context):
 
 
 def _rel_implements_transfer(ctx: _Context):
-    c = ctx.c_matrix
-    jh = outer_symbol(ctx.bs, ctx.grid, 0.5).boundary.values
+    # (pi(phi) C_b e_n, C_b e_m) = int phi j0 e^{i(n-m) theta}, since |J| = j0 on the
+    # circle: the moment mu[0, s] of (J^{1/2}, phi_s J^{1/2}).  pi(L phi) holds
+    # c_{m-n}(L phi) there, so the moments are L phi's coefficients reversed.
+    # The grid holds those up to lag (K - 1)/2, which may fall short of 2*window
+    # but never of window, so the lags |n - m| <= window are always compared.
     symbols = [exponential(0, 2), exponential(1, 2), exponential(2, 2), ctx.random_symbol()]
-    worst, excluded = 0.0, []
-    for phi in symbols:
-        lhs = compose(adjoint(c), compose(ctx.mult_symbol(phi), c))
-        rhs = ctx.transfer_symbol(phi)
-        # sharp certificate: the middle product pi(phi) C_b sampled directly
-        phivals = synthesize(phi, ctx.grid.points, analytic=False)
-        middle = weighted_composition_matrix(ctx.bs, phivals * jh, ctx.window, ctx.grid)
-        r, excl = interior_residual(
-            lhs, rhs, ctx.interior, eps_tail=ctx.config.eps_tail,
-            tail_sources=[ctx.c_direct, middle],
-        )
-        worst = max(worst, r)
-        excluded = sorted(set(excluded) | set(excl))
-    return worst, {"symbols": ["e_0", "e_1", "e_2", "random(window=8)"], "excluded_columns": excluded}
+    jh = _j_half_vector(ctx.bs, ctx.grid)
+    mu = pair_power_gram(ctx.bs, [jh] + [product_vector(from_series(phi), jh) for phi in symbols], ctx.window)
+    lags = min(2 * ctx.window, (ctx.grid.size - 1) // 2)
+    mid = 2 * ctx.window
+    worst = 0.0
+    for s, phi in enumerate(symbols, start=1):
+        lphi = fourier_coeffs(transfer_apply(ctx.bs, from_series(phi), ctx.grid), lags)
+        worst = max(worst, float(np.max(np.abs(mu[0, s, mid - lags : mid + lags + 1] - lphi.coeffs[::-1]))))
+    return worst, {"symbols": ["e_0", "e_1", "e_2", "random(window=8)"], "max_lag": lags, "excluded_columns": []}
 
 
 def _rel_master_isometry(ctx: _Context):
-    c = ctx.c_matrix
-    r, excl = interior_residual(
-        compose(adjoint(c), c), identity_operator(ctx.window), ctx.interior,
-        eps_tail=ctx.config.eps_tail, tail_sources=[ctx.c_direct],
+    # C_b e_n = J^{1/2} b^n: C_b* C_b = I from the moments; the two truncated
+    # constructions of C_b are compared on the certified interior columns
+    iso = orthonormality_defect(pair_power_gram(ctx.bs, [_j_half_vector(ctx.bs, ctx.grid)], ctx.window))
+    cross, excl = interior_residual(
+        ctx.c_matrix, ctx.c_direct, ctx.interior, eps_tail=ctx.config.eps_tail, tail_sources=[ctx.c_direct]
     )
-    cross, excl2 = interior_residual(
-        c, ctx.c_direct, ctx.interior, eps_tail=ctx.config.eps_tail, tail_sources=[ctx.c_direct]
-    )
-    return max(r, cross), {
-        "isometry_defect": r,
+    return max(iso, cross), {
+        "isometry_defect": iso,
         "construction_agreement": cross,
-        "excluded_columns": sorted(set(excl) | set(excl2)),
+        "excluded_columns": excl,
     }
 
 
 def _rel_h2_reduction(ctx: _Context):
     c = ctx.c_direct
     m, inner = ctx.window, ctx.interior
-    bad = uncertified_modes([c], ctx.config.eps_tail)
     lower = block(c, (-m, -1), (0, inner))  # analytic columns leaking downward
     upper = block(c, (0, m), (-inner, -1))  # co-analytic columns leaking upward
-    worst = 0.0
-    excluded = []
+    worst, excluded = 0.0, []
     for blk in (lower, upper):
         cols = blk.col_mode_array
-        mask = np.array([n in bad for n in cols])
+        mask = excluded_mask(cols, [c], ctx.config.eps_tail)
         vals = np.abs(blk.matrix).max(axis=0)
         vals[mask] = 0.0
         worst = max(worst, float(vals.max()))
@@ -337,7 +324,7 @@ def _rel_left_inverse(ctx: _Context):
     j0inv = fourier_coeffs(
         BoundaryFunction(ctx.grid, (1.0 / j0(ctx.b, ctx.grid.angles)).astype(complex)), ctx.window
     )
-    pj0inv = ctx.mult_symbol(j0inv)
+    pj0inv = mult_operator(j0inv, ctx.window)
     r2, excl2 = interior_residual(
         compose(ctx.transfer_op, pj0inv), adjoint(ctx.gamma), ctx.interior,
         eps_tail=ctx.config.eps_tail, tail_sources=[ctx.transfer_op, pj0inv],
@@ -350,20 +337,19 @@ def _rel_left_inverse(ctx: _Context):
 
 
 def _rel_isometry_criterion(ctx: _Context):
-    gram = compose(adjoint(ctx.gamma), ctx.gamma)
+    # Gamma_b e_n = b^n: (Gamma e_n, Gamma e_m) = int b^k = b(0)^k for k = n - m >= 0,
+    # by the mean value property, and its conjugate for k < 0
+    mu = pair_power_gram(ctx.bs, [constant(1.0)], ctx.window)[0, 0]
     b0 = evaluate(ctx.b, 0.0)
-    dev, excl = interior_residual(
-        gram, identity_operator(ctx.window), ctx.interior,
-        eps_tail=ctx.config.eps_tail, tail_sources=[ctx.gamma],
-    )
-    # (Gamma e_1, Gamma e_0) = (b, 1) = b(0), isometric or not
-    entry_defect = abs(gram.entry(0, 1) - b0)
-    residual = max(entry_defect, abs(dev - abs(b0)))
-    return residual, {
+    mid = 2 * ctx.window
+    powers = np.power(complex(b0), np.arange(mid + 1))
+    closed = np.concatenate([np.conj(powers[:0:-1]), powers])
+    dev = float(np.max(np.abs(np.delete(mu, mid))))  # max over k != 0: |b(0)| exactly
+    return float(np.max(np.abs(mu - closed))), {
         "b0": [b0.real, b0.imag],
         "gram_deviation": dev,
         "is_isometry": bool(dev < ctx.config.tol_operator),
-        "excluded_columns": excl,
+        "excluded_columns": [],
     }
 
 
@@ -515,13 +501,10 @@ def verify_solution1(
     gram_dev = gram_deviation(gram)
     onb = bool(gram_dev < config.tol_operator)
 
-    j_half = outer_symbol(bs, grid, 0.5)
-    j_half_vec = ModuleVector(label="J^1/2", func=lambda z: j_half.eval(np.asarray(z, dtype=complex)))
+    j_half = _j_half_vector(bs, grid)
     # (S_j e_n, S_i e_m) = mu[i, j, n - m + 2*inner]: S_i* S_j is Toeplitz in n - m
-    mu = pair_power_gram(bs, [product_vector(m, j_half_vec) for m in family], inner)
-    target = np.zeros(mu.shape)
-    target[np.arange(n), np.arange(n), 2 * inner] = 1.0
-    orth = float(np.max(np.abs(mu - target)))
+    mu = pair_power_gram(bs, [product_vector(m, j_half) for m in family], inner)
+    orth = orthonormality_defect(mu)
     # S_i* S_j = pi(<m_i, m_j>): the moments reversed are the symbol's coefficients
     consistency = 0.0
     for i in range(n):
@@ -536,9 +519,9 @@ def verify_solution1(
     # the module expansion with a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2}
     # on the fibre of b(z): the branch mean of w_i f is (S_i^* f) o b
     z, fib = expansion_points(bs, grid, sorted({e for m in family for e in m.exceptions}))
-    jm_fib = 1.0 / j_half.eval(fib)
+    jm_fib = 1.0 / j_half.evaluate(fib)
     w_fib = [np.conj(m.evaluate(fib)) * jm_fib for m in family]
-    m_z = [m.evaluate(z) * j_half.eval(z) for m in family]
+    m_z = [m.evaluate(z) * j_half.evaluate(z) for m in family]
     completeness = expansion_deviation(
         m_z, w_fib, ((synthesize(s, fib, analytic=False), synthesize(s, z, analytic=False)) for s in tests)
     )

@@ -5,9 +5,11 @@ from blaschkeops import build_branches, evaluate, make_blaschke
 from blaschkeops.circlefun import (
     BoundaryFunction,
     CircleGrid,
+    FourierSeries,
     exponential,
     fourier_coeffs,
     sample,
+    synthesize_grid,
 )
 from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
@@ -26,13 +28,21 @@ from blaschkeops.operators import (
     mult_operator,
     operator_from_json,
     operator_norm,
+    orthonormality_defect,
     pair_power_gram,
     restrict_to_h2,
     toeplitz_operator,
     transfer_matrix,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import arcs_basis, constant, grid_fibre, outer_symbol, product_vector
+from blaschkeops.transfer import (
+    arcs_basis,
+    constant,
+    from_series,
+    grid_fibre,
+    outer_symbol,
+    product_vector,
+)
 
 from oracles import grid_mean
 
@@ -485,6 +495,46 @@ def test_pair_power_gram_mixed_exception_family(zeros):
     expected = np.zeros(mu.shape)
     expected[:, :, 16] = [[1.0, 1 / np.sqrt(n)], [1 / np.sqrt(n), 1.0]]
     assert np.max(np.abs(mu - expected)) < 1e-10
+
+
+def test_orthonormality_defect_of_moments(mixed):
+    b, bs = mixed
+    assert orthonormality_defect(pair_power_gram(bs, canonical_basis(b).elements, 8)) < 1e-12
+    # {1, 1} is not orthonormal: mu[0, 1] at k = 0 is 1 where delta_01 = 0
+    assert orthonormality_defect(pair_power_gram(bs, [constant(1.0), constant(1.0)], 8)) > 0.5
+    mu = np.zeros((1, 1, 5), dtype=complex)
+    mu[0, 0, 2] = 1.0
+    assert orthonormality_defect(mu) == 0.0
+    mu[0, 0, 3] = 0.25j
+    assert orthonormality_defect(mu) == 0.25
+
+
+def test_truncated_builders_agree_with_the_moments(mixed):
+    # each sampled builder's Gram on its certified interior columns against the
+    # Toeplitz moments the verifier certifies from: S_i* S_j, C_b* C_b,
+    # Gamma_b* Gamma_b and C_b* (pi(phi) C_b), the last sampled directly
+    b, bs = mixed
+    g, m, inner = CircleGrid(4096), 64, 32
+    basis = canonical_basis(b).elements
+    jh = _jvec(outer_symbol(bs, g, 0.5))
+    phi = FourierSeries(np.array([0.3, -0.2j, 0.5, 0.1, 0.25 + 0.1j]))
+    s = cuntz_family_matrices(bs, canonical_basis(b), m, g)
+    cd = master_isometry_matrix_direct(bs, m, g)
+    phi_cb = weighted_composition_matrix(bs, synthesize_grid(phi, g).values * jh.evaluate(g.points), m, g)
+    cases = [(s[i], s[j], basis, i, j) for i in range(2) for j in range(2)]
+    gam = gamma_b_matrix(bs, m, g)
+    cases += [
+        (cd, cd, [jh], 0, 0),
+        (gam, gam, [constant(1.0)], 0, 0),
+        (cd, phi_cb, [jh, product_vector(from_series(phi), jh)], 0, 1),
+    ]
+    for left, right, family, i, j in cases:
+        mu = pair_power_gram(bs, family, m)
+        target = TruncatedOperator(_power_gram(mu, i, j, m), (-m, m), (-m, m), "L2", np.zeros(2 * m + 1))
+        gram = compose(adjoint(left), right)
+        r, excluded = interior_residual(gram, target, inner, tail_sources=[left, right])
+        assert r < 1e-10, (i, j, r)
+        assert len(excluded) < 2 * inner + 1
 
 
 # -- the isometry criterion -----------------------------------------------------------

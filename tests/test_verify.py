@@ -54,7 +54,7 @@ def test_half_passes_and_reports_non_isometry():
     assert all(r.passed for r in reports), [(r.relation, r.residual) for r in reports if not r.passed]
     iso = by_name["isometry_criterion"]
     assert not iso.params["is_isometry"]
-    assert iso.params["gram_deviation"] == pytest.approx(0.5, abs=1e-8)
+    assert iso.params["gram_deviation"] == pytest.approx(0.5, abs=1e-12)
     assert iso.params["b0"] == pytest.approx([0.5, 0.0])
 
 
@@ -63,6 +63,30 @@ def test_zero_at_origin_makes_gamma_isometric():
     assert rep.passed
     assert rep.params["is_isometry"]
     assert rep.params["gram_deviation"] < 1e-8
+
+
+@pytest.mark.parametrize("zero", [0.8, 0.9])
+@pytest.mark.parametrize("relation", ["cuntz_orthogonality", "implements_transfer", "isometry_criterion"])
+def test_moment_relations_certify_every_column_near_the_circle(zero, relation):
+    # at the defaults every truncated column here has a tail over eps_tail
+    rep = verify_relation(make_blaschke([zero]), relation, RunConfig())
+    assert rep.passed
+    assert rep.residual < 1e-12
+    assert rep.params["excluded_columns"] == []
+
+
+def test_implements_transfer_on_a_grid_short_of_twice_the_window():
+    # L phi's coefficients on grid 256 reach lag 127, short of 2 * 100; the lags
+    # |n - m| <= 127 are compared and named
+    rep = verify_relation(make_blaschke([0.5]), "implements_transfer", RunConfig(grid_size=256, mode_window=100))
+    assert rep.passed
+    assert rep.params["max_lag"] == 127
+
+
+def test_h2_reduction_refuses_a_vacuous_pass():
+    # every interior column of C_b on {0.8} is excluded at the defaults
+    with pytest.raises(ValueError, match="no certified column remains"):
+        verify_relation(make_blaschke([0.8]), "h2_reduction", RunConfig())
 
 
 @pytest.mark.parametrize("size", [2, 100])
@@ -119,7 +143,7 @@ def test_covariance_tails_match_direct_sampling_of_the_shifted_columns(mixed, sp
 
 
 def test_verify_all_weighted_composition_call_count(mixed, monkeypatch):
-    # S_1, S_2, C_b direct, and one pi(phi) C_b per implements_transfer symbol
+    # S_1, S_2 and C_b direct; implements_transfer reads moments, not pi(phi) C_b
     from blaschkeops import operators, verify
 
     calls = []
@@ -129,10 +153,10 @@ def test_verify_all_weighted_composition_call_count(mixed, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
+    assert not hasattr(verify, "weighted_composition_matrix")  # only the builders call it
     monkeypatch.setattr(operators, "weighted_composition_matrix", counted)
-    monkeypatch.setattr(verify, "weighted_composition_matrix", counted)
     verify_all(mixed[0], RunConfig(grid_size=4096, mode_window=64))
-    assert len(calls) == 7
+    assert len(calls) == 3
 
 
 def test_report_invariants():
