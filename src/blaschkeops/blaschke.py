@@ -86,6 +86,13 @@ def blaschke_from_json(text: str) -> BlaschkeProduct:
     return make_blaschke(complex(re, im) for re, im in data["zeros"])
 
 
+def _rotation(w: complex) -> complex:
+    """|w| / w, the unimodular constant of b_w; a subnormal w is scaled by 2**600 (exact)
+    first, since its |w| keeps too few bits (|w| / w had modulus 0.71 at -5e-324 + 5e-324j)."""
+    w = w * 2.0**600 if abs(w) < np.finfo(float).tiny else w
+    return abs(w) / w
+
+
 def moebius_factor(w: complex, z):
     """The single factor b_w(z); b_0(z) = z."""
     if w == 0:
@@ -94,7 +101,7 @@ def moebius_factor(w: complex, z):
     denom = 1.0 - np.conj(w) * z
     if np.any(np.abs(denom) < 1e-14 * (1.0 + np.abs(np.conj(w) * z))):
         raise ValueError("evaluation at (or within machine tolerance of) a pole 1/conj(alpha)")
-    return (abs(w) / w) * (w - z) / denom
+    return _rotation(w) * (w - z) / denom
 
 
 def _factor_values(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
@@ -127,7 +134,7 @@ def derivative(b: BlaschkeProduct, z):
             dfac[j] = 1.0
         else:
             denom = 1.0 - np.conj(w) * pts
-            dfac[j] = (abs(w) / w) * (abs(w) ** 2 - 1.0) / denom**2
+            dfac[j] = _rotation(w) * (abs(w) ** 2 - 1.0) / denom**2
     # prefix/suffix products keep the formula finite at the zeros of b
     n = b.degree
     prefix = np.ones_like(fac)
@@ -175,7 +182,7 @@ class BranchSystem:
 
     owner: BlaschkeProduct
     theta0: float
-    theta_table: np.ndarray  # theta at table_size+1 uniform nodes on [0, 2pi]
+    theta_table: np.ndarray  # theta at max(4096, 64*N) + 1 uniform nodes on [0, 2pi]
     arc_endpoints: np.ndarray  # t_0 = 0 < t_1 < ... < t_N = 2pi
 
     def __post_init__(self):
@@ -272,11 +279,13 @@ class BranchSystem:
         return self.theta_inv(targets)
 
 
-def build_branches(b: BlaschkeProduct, table_size: int = 4096) -> BranchSystem:
-    """Construct the branch system: the closed-form lift, its table and the arc endpoints."""
+def build_branches(b: BlaschkeProduct) -> BranchSystem:
+    """Construct the branch system: the closed-form lift, its table and the arc endpoints.
+
+    The table has max(4096, 64*N) uniform cells: at least 64 per branch on average.
+    """
     n = b.degree
-    if table_size < 64 * n:
-        raise ValueError(f"table_size must be >= 64*N = {64 * n}")
+    table_size = max(4096, 64 * n)
     theta0 = float(np.angle(evaluate(b, 1.0)))
     bs = BranchSystem(owner=b, theta0=theta0, theta_table=np.empty(0), arc_endpoints=np.empty(0))
     table = bs.theta(np.linspace(0.0, TWO_PI, table_size + 1))

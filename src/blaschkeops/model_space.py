@@ -30,7 +30,7 @@ from .transfer import (
     outer_symbol,
 )
 
-#: validate_basis checks orthogonality to b e_n for n = 0..VALIDATION_WINDOW
+#: validate_basis checks orthogonality to b e_n for n = 0..VALIDATION_WINDOW, or as far as the grid holds
 VALIDATION_WINDOW = 64
 
 #: validate_basis bound on the Gram and negative-mode deviations; the b*H2
@@ -131,12 +131,13 @@ def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
         s = fourier_coeffs(BoundaryFunction(grid, row), grid.size // 4)
         neg = max(neg, s.negative_energy())
 
-    # (v, b e_n) = mode-n coefficient of v * conj(b); must vanish for n = 0..VALIDATION_WINDOW
+    # (v, b e_n) = mode-n coefficient of v * conj(b); must vanish for n = 0..window
+    window = min(VALIDATION_WINDOW, (grid.size - 1) // 2)
     bconj = np.conj(evaluate(b, grid.points))
     ortho = 0.0
     for row in vals:
-        s = fourier_coeffs(BoundaryFunction(grid, row * bconj), VALIDATION_WINDOW)
-        ortho = max(ortho, float(np.max(np.abs(s.coeffs[VALIDATION_WINDOW:]))))
+        s = fourier_coeffs(BoundaryFunction(grid, row * bconj), window)
+        ortho = max(ortho, float(np.max(np.abs(s.coeffs[window:]))))
 
     report = {"gram_deviation": gram_dev, "negative_energy": neg, "bh2_overlap": ortho}
     if gram_dev > VALIDATION_TOL or neg > VALIDATION_TOL or ortho > np.sqrt(VALIDATION_TOL):

@@ -74,26 +74,6 @@ from .transfer import (
     transfer_apply,
 )
 
-RELATIONS = (
-    "cuntz_orthogonality",
-    "cuntz_completeness",
-    "covariance_L2",
-    "covariance_H2",
-    "implements_transfer",
-    "master_isometry",
-    "h2_reduction",
-    "transfer_h2_invariance",
-    "left_inverse",
-    "isometry_criterion",
-    "norm_formula",
-    "module_onb",
-    "arcs_onb",
-    "linking_unitary",
-    "rochberg_roundtrip",
-    "solution1_equivalence",
-)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     relation: str
@@ -177,8 +157,9 @@ class _Context:
     def b_series(self):
         return fourier_coeffs(BoundaryFunction(self.grid, evaluate(self.b, self.grid.points)), self.window)
 
-    def random_symbol(self, window: int = 8) -> FourierSeries:
-        c = self.rng.standard_normal(2 * window + 1) + 1j * self.rng.standard_normal(2 * window + 1)
+    def random_symbol(self) -> FourierSeries:
+        """A seeded symbol on modes |k| <= 8, normalised to unit l1 norm."""
+        c = self.rng.standard_normal(17) + 1j * self.rng.standard_normal(17)
         return FourierSeries(c / np.sum(np.abs(c)))
 
 
@@ -203,58 +184,57 @@ def _rel_cuntz_orthogonality(ctx: _Context):
     return orthonormality_defect(mu), {"excluded_columns": []}
 
 
+def _certify(ctx: _Context, checks) -> tuple[float, list[int]]:
+    """interior_residual on ctx's interior block for each (lhs, rhs, tail_sources).
+
+    Returns the worst residual and the sorted union of the excluded columns.
+    """
+    residuals, excluded = [], set()
+    for lhs, rhs, sources in checks:
+        r, excl = interior_residual(lhs, rhs, ctx.interior, eps_tail=ctx.config.eps_tail, tail_sources=sources)
+        residuals.append(r)
+        excluded.update(excl)
+    return float(np.max(residuals)), sorted(excluded)
+
+
 def _rel_cuntz_completeness(ctx: _Context):
     s = ctx.cuntz
-    total = None
-    for si in s:
-        p = compose(si, adjoint(si))
-        total = p.matrix if total is None else total + p.matrix
+    total = sum(compose(si, adjoint(si)).matrix for si in s)
     op = TruncatedOperator(total, s[0].row_modes, s[0].col_modes, "L2", np.full(total.shape[1], np.inf))
-    r, excl = interior_residual(
-        op, identity_operator(ctx.window), ctx.interior,
-        eps_tail=ctx.config.eps_tail, tail_sources=list(s),
-    )
+    r, excl = _certify(ctx, [(op, identity_operator(ctx.window), list(s))])
     return r, {"excluded_columns": excl}
 
 
-def _successor_tails(op: TruncatedOperator) -> TruncatedOperator:
-    """A tail source only: column n carries the measured tail of op's column n + 1.
+def _shift_columns(op: TruncatedOperator) -> TruncatedOperator:
+    """op pi(e_1) (op T(e_1) on H2) without the shift matrix: column n is op's column n + 1.
 
-    Column n + 1 of S_i is v_i b^{n+1}, the column both sides of the covariance
-    relation reproduce at n.  The last column has no successor in op and
-    carries inf, "not certified".  The matrix is op's own, not the shifted one.
+    Column n + 1 of S_i is v_i b^{n+1}, so the shifted operator carries op's
+    measured tail at n + 1 and is its own tail source.  The last column has no
+    successor in op: it is zero, with tail inf, "not certified".
     """
-    return replace(op, column_tail=np.append(op.column_tail[1:], np.inf))
+    shifted = np.zeros_like(op.matrix)
+    shifted[:, :-1] = op.matrix[:, 1:]
+    return replace(op, matrix=shifted, column_tail=np.append(op.column_tail[1:], np.inf))
+
+
+def _covariance(ctx: _Context, restrict, pb: TruncatedOperator):
+    # S_i pi(e_1) = pi(b) S_i, or R_i T(e_1) = T(b) R_i on H2: column n is
+    # certified by the tails of S_i (R_i) at n and n + 1
+    checks = []
+    for si in ctx.cuntz:
+        ri = restrict(si)
+        shifted = _shift_columns(ri)
+        checks.append((shifted, compose(pb, ri), [ri, shifted]))
+    r, excl = _certify(ctx, checks)
+    return r, {"excluded_columns": excl}
 
 
 def _rel_covariance_l2(ctx: _Context):
-    pe1 = mult_operator(exponential(1, ctx.window), ctx.window)
-    pb = mult_operator(ctx.b_series, ctx.window)
-    worst, excluded = 0.0, []
-    for si in ctx.cuntz:
-        # column n is certified by the tails of S_i at n and n + 1
-        r, excl = interior_residual(
-            compose(si, pe1), compose(pb, si), ctx.interior,
-            eps_tail=ctx.config.eps_tail, tail_sources=[si, _successor_tails(si)],
-        )
-        worst = max(worst, r)
-        excluded = sorted(set(excluded) | set(excl))
-    return worst, {"excluded_columns": excluded}
+    return _covariance(ctx, lambda op: op, mult_operator(ctx.b_series, ctx.window))
 
 
 def _rel_covariance_h2(ctx: _Context):
-    te1 = toeplitz_operator(exponential(1, ctx.window), ctx.window)
-    tb = toeplitz_operator(ctx.b_series, ctx.window)
-    worst, excluded = 0.0, []
-    for si in ctx.cuntz:
-        ri = restrict_to_h2(si)
-        r, excl = interior_residual(
-            compose(ri, te1), compose(tb, ri), ctx.interior,
-            eps_tail=ctx.config.eps_tail, tail_sources=[ri, _successor_tails(ri)],
-        )
-        worst = max(worst, r)
-        excluded = sorted(set(excluded) | set(excl))
-    return worst, {"excluded_columns": excluded}
+    return _covariance(ctx, restrict_to_h2, toeplitz_operator(ctx.b_series, ctx.window))
 
 
 def _rel_implements_transfer(ctx: _Context):
@@ -279,9 +259,7 @@ def _rel_master_isometry(ctx: _Context):
     # C_b e_n = J^{1/2} b^n: C_b* C_b = I from the moments; the two truncated
     # constructions of C_b are compared on the certified interior columns
     iso = orthonormality_defect(pair_power_gram(ctx.bs, [_j_half_vector(ctx.bs, ctx.grid)], ctx.window))
-    cross, excl = interior_residual(
-        ctx.c_matrix, ctx.c_direct, ctx.interior, eps_tail=ctx.config.eps_tail, tail_sources=[ctx.c_direct]
-    )
+    cross, excl = _certify(ctx, [(ctx.c_matrix, ctx.c_direct, [ctx.c_direct])])
     return max(iso, cross), {
         "isometry_defect": iso,
         "construction_agreement": cross,
@@ -316,19 +294,11 @@ def _rel_transfer_h2_invariance(ctx: _Context):
 
 
 def _rel_left_inverse(ctx: _Context):
-    eye = identity_operator(ctx.window)
-    r1, excl1 = interior_residual(
-        compose(ctx.transfer_op, ctx.gamma), eye, ctx.interior,
-        eps_tail=ctx.config.eps_tail, tail_sources=[ctx.transfer_op, ctx.gamma],
-    )
-    j0inv = fourier_coeffs(
-        BoundaryFunction(ctx.grid, (1.0 / j0(ctx.b, ctx.grid.angles)).astype(complex)), ctx.window
-    )
-    pj0inv = mult_operator(j0inv, ctx.window)
-    r2, excl2 = interior_residual(
-        compose(ctx.transfer_op, pj0inv), adjoint(ctx.gamma), ctx.interior,
-        eps_tail=ctx.config.eps_tail, tail_sources=[ctx.transfer_op, pj0inv],
-    )
+    t = ctx.transfer_op
+    r1, excl1 = _certify(ctx, [(compose(t, ctx.gamma), identity_operator(ctx.window), [t, ctx.gamma])])
+    j0inv = BoundaryFunction(ctx.grid, (1.0 / j0(ctx.b, ctx.grid.angles)).astype(complex))
+    pj0inv = mult_operator(fourier_coeffs(j0inv, ctx.window), ctx.window)
+    r2, excl2 = _certify(ctx, [(compose(t, pj0inv), adjoint(ctx.gamma), [t, pj0inv])])
     return max(r1, r2), {
         "left_inverse_defect": r1,
         "adjoint_identity_defect": r2,
@@ -353,14 +323,18 @@ def _rel_isometry_criterion(ctx: _Context):
     }
 
 
-def _rel_norm_formula(ctx: _Context, m_list=(32, 64, 128)):
+#: the windows of norm_formula's monotone sequence of truncated norms
+NORM_WINDOWS = (32, 64, 128)
+
+
+def _rel_norm_formula(ctx: _Context):
     jm_half = outer_symbol(ctx.bs, ctx.grid, -0.5)
     # target: sup L(|m|^2) = sup of J0^{-1} over the preimage fibre
     fib = grid_fibre(ctx.bs, ctx.grid)
     lm2 = (1.0 / j0(ctx.b, np.angle(fib))).mean(axis=0)
     target = float(np.sqrt(lm2.max()))
     norms = []
-    for m in m_list:
+    for m in NORM_WINDOWS:
         sym = fourier_coeffs(jm_half.boundary, m)
         c = ctx.c_matrix if m == ctx.window else master_isometry_matrix(ctx.bs, m, ctx.grid)
         t = compose(mult_operator(sym, m), c)
@@ -368,7 +342,7 @@ def _rel_norm_formula(ctx: _Context, m_list=(32, 64, 128)):
     drops = max(0.0, float(np.max(-np.diff(norms)))) if len(norms) > 1 else 0.0
     rel_err = abs(norms[-1] - target) / target
     return rel_err + (drops if drops > 1e-12 else 0.0), {
-        "windows": list(m_list),
+        "windows": list(NORM_WINDOWS),
         "norms": [float(x) for x in norms],
         "target": target,
         "monotonicity_defect": drops,
@@ -430,6 +404,8 @@ _RELATION_FUNCS = {
     "solution1_equivalence": _rel_solution1,
 }
 
+RELATIONS = tuple(_RELATION_FUNCS)
+
 #: relations judged at the pointwise (tol_function) tolerance
 _FUNCTION_LEVEL = {"transfer_h2_invariance", "module_onb", "rochberg_roundtrip"}
 
@@ -442,6 +418,11 @@ def _tolerance_for(relation: str, config: RunConfig) -> float:
     return config.tol_operator
 
 
+def _run(ctx: _Context, relation: str) -> VerificationReport:
+    residual, params = _RELATION_FUNCS[relation](ctx)
+    return _report(relation, residual, _tolerance_for(relation, ctx.config), {**ctx.base_params(), **params})
+
+
 def verify_all(b: BlaschkeProduct, config: RunConfig | None = None) -> list:
     """Run every relation; failures are collected, not fatal; order is fixed."""
     config = config or RunConfig()
@@ -449,19 +430,10 @@ def verify_all(b: BlaschkeProduct, config: RunConfig | None = None) -> list:
     reports = []
     for name in RELATIONS:
         try:
-            residual, params = _RELATION_FUNCS[name](ctx)
-            params = {**ctx.base_params(), **params}
-            reports.append(_report(name, residual, _tolerance_for(name, config), params))
+            reports.append(_run(ctx, name))
         except MATH_ERRORS as exc:  # collected, not fatal; a programming bug propagates
-            reports.append(
-                VerificationReport(
-                    relation=name,
-                    residual=float("inf"),
-                    tolerance=_tolerance_for(name, config),
-                    passed=False,
-                    params={**ctx.base_params(), "error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
+            params = {**ctx.base_params(), "error": f"{type(exc).__name__}: {exc}"}
+            reports.append(_report(name, float("inf"), _tolerance_for(name, config), params))
     return reports
 
 
@@ -470,9 +442,7 @@ def verify_relation(
 ) -> VerificationReport:
     if relation not in _RELATION_FUNCS:
         raise ValueError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    ctx = _Context(b, config, interior=interior)
-    residual, params = _RELATION_FUNCS[relation](ctx)
-    return _report(relation, residual, _tolerance_for(relation, config), {**ctx.base_params(), **params})
+    return _run(_Context(b, config, interior=interior), relation)
 
 
 # -- solutions of the covariance equation -------------------------------------

@@ -35,7 +35,7 @@ def z2():
     from blaschkeops import build_branches, make_blaschke
 
     b = make_blaschke([0, 0])
-    return b, build_branches(b, 512)
+    return b, build_branches(b)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ def _numerator_denominator(zeros):
             nf = np.array([0.0, 1.0], dtype=complex)  # w
             df = np.array([1.0], dtype=complex)
         else:
-            nf = (abs(w) / w) * np.array([w, -1.0], dtype=complex)  # (|w|/w)(w - x)
+            nf = np.exp(-1j * np.angle(w)) * np.array([w, -1.0], dtype=complex)  # (|w|/w)(w - x)
             df = np.array([1.0, -np.conj(w)], dtype=complex)  # 1 - conj(w) x
         num = np.polynomial.polynomial.polymul(num, nf)
         den = np.polynomial.polynomial.polymul(den, df)
@@ -50,7 +50,7 @@ def blaschke_value(zeros, w):
         if a == 0:
             out = out * w
         else:
-            out = out * (abs(a) / a) * (a - w) / (1.0 - np.conj(a) * w)
+            out = out * np.exp(-1j * np.angle(a)) * (a - w) / (1.0 - np.conj(a) * w)
     return out
 
 

@@ -70,7 +70,7 @@ def _seeded_zeros(rng, max_degree, max_radius):
 def test_criterion_1_exact_model_case():
     t0 = time.time()
     b = make_blaschke([0, 0])
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     grid = CircleGrid(512)
     s = cuntz_family_matrices(bs, canonical_basis(b), 32, grid)
     # 0/1 interleaving pattern

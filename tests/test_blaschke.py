@@ -157,15 +157,27 @@ def test_half_lift_starts_at_pi(half):
     assert bs.theta0 == pytest.approx(np.pi)
 
 
-def test_table_size_floor():
-    with pytest.raises(ValueError):
-        build_branches(make_blaschke([0.5, 0.2]), 100)
+@pytest.mark.parametrize("degree", [65, 100])
+def test_high_degree_builds_and_matches_polyroot_oracle(degree):
+    # the lift table grows with the degree (64 cells per branch on average)
+    rng = np.random.default_rng(0)
+    zeros = list(0.5 * np.sqrt(rng.uniform(0, 1, degree)) * np.exp(2j * np.pi * rng.uniform(0, 1, degree)))
+    bs = build_branches(make_blaschke(zeros))
+    assert bs.theta_table.size == 64 * degree + 1
+    for t in (0.3, 1.7, 4.0):
+        z = np.exp(1j * t)
+        got = preimages(bs, z)
+        expect = preimage_roots(zeros, z)
+        assert len(got) == degree
+        # each preimage is its nearest oracle root, and no root is missed
+        assert np.max(np.min(np.abs(got[:, None] - expect[None, :]), axis=1)) < 1e-12
+        assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(expect))) < 1e-12
 
 
 @given(blaschke_zeros(max_degree=3))
 def test_lift_total_increment(zeros):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     n = b.degree
     assert abs(bs.theta(2 * np.pi) - bs.theta(0.0) - 2 * np.pi * n) < 1e-10
     assert np.all(np.diff(bs.theta_table) > 0)
@@ -174,7 +186,7 @@ def test_lift_total_increment(zeros):
 @given(blaschke_zeros(max_degree=3), circle_angles())
 def test_lift_derivative_is_n_j0(zeros, t):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     h = 1e-6
     fd = (bs.theta(t + h) - bs.theta(t - h)) / (2 * h)
     assert abs(fd - b.degree * j0(b, t)) < 1e-5
@@ -226,7 +238,7 @@ def test_branch_point_exclusion(half):
 @example([0.99, 0.99j, -0.99, 0.5], 2.0)
 def test_preimage_defining_residual(zeros, t):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     z = np.exp(1j * t)
     if abs(z - evaluate(b, 1.0)) < 1e-6:
         return
@@ -245,7 +257,7 @@ def test_preimage_defining_residual(zeros, t):
 @example([0.99, 0.99j, -0.99, 0.5], 2.0)
 def test_preimage_completeness_against_polyroot_oracle(zeros, t):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     z = np.exp(1j * t)
     if abs(z - evaluate(b, 1.0)) < 1e-6:
         return

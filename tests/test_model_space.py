@@ -200,7 +200,7 @@ def test_linking_rejects_non_basis(mixed, grid1024):
 @given(blaschke_zeros(max_degree=3, max_radius=0.7))
 def test_linking_unitarity_generic(zeros):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     g = CircleGrid(256)
     mod = induced_module_basis(bs, canonical_basis(b), g)
     u = linking_unitary(bs, mod, arcs_basis(bs), g)

@@ -91,7 +91,7 @@ def test_left_inverse_of_composition(mixed, grid1024):
 @given(blaschke_zeros(max_degree=3), st.integers(min_value=-8, max_value=8))
 def test_left_inverse_on_modes(zeros, n):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     g = CircleGrid(256)
     comp = compose_with_b(bs, _series_vec(n))
     back = transfer_apply(bs, comp, g)
@@ -101,7 +101,7 @@ def test_left_inverse_on_modes(zeros, n):
 @given(blaschke_zeros(max_degree=3))
 def test_transfer_against_polyroot_oracle(zeros):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     rng = np.random.default_rng(11)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     s = FourierSeries(c / np.sum(np.abs(c)))
@@ -167,7 +167,7 @@ def test_expectation_kills_odd_mode_under_squaring(z2, grid1024):
 @given(blaschke_zeros(max_degree=3))
 def test_expectation_idempotent(zeros):
     b = make_blaschke(zeros)
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     g = CircleGrid(256)
     rng = np.random.default_rng(5)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)

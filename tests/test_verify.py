@@ -17,13 +17,14 @@ from blaschkeops.operators import (
     master_isometry_matrix_direct,
     mult_operator,
     restrict_to_h2,
+    toeplitz_operator,
     uncertified_modes,
     weighted_composition_matrix,
 )
 from blaschkeops.transfer import arcs_basis, constant
 from blaschkeops.verify import (
     RELATIONS,
-    _successor_tails,
+    _shift_columns,
     convergence_csv,
     convergence_study,
     reports_to_json,
@@ -133,13 +134,39 @@ def test_covariance_tails_match_direct_sampling_of_the_shifted_columns(mixed, sp
     h2 = restrict_to_h2 if space == "H2" else (lambda op: op)
     for v, si in zip(basis.elements, s):
         direct = h2(weighted_composition_matrix(bs, v.evaluate(g.points) * bvals, m, g))
-        source = _successor_tails(h2(si))
+        source = _shift_columns(h2(si))
         got = uncertified_modes([source], cfg.eps_tail)
         want = uncertified_modes([direct], cfg.eps_tail)
         assert m in got
         assert 0 < len(want - {m}) < len(source.col_mode_array) - 1  # some excluded, some not
         assert got - {m} == want - {m}
-        assert np.array_equal(source.matrix, h2(si).matrix)
+        assert np.array_equal(source.matrix[:, :-1], h2(si).matrix[:, 1:])
+        assert not source.matrix[:, -1].any()
+
+
+@pytest.mark.parametrize("space", ["L2", "H2"])
+def test_shifted_columns_are_the_dense_product_by_the_shift(mixed, space):
+    # S_i pi(e_1), or R_i T(e_1) on H2, formed as a dense product is the reference
+    b, bs = mixed
+    cfg = RunConfig()
+    m = cfg.mode_window
+    for si in cuntz_family_matrices(bs, canonical_basis(b), m, CircleGrid(cfg.grid_size)):
+        if space == "H2":
+            op, shift = restrict_to_h2(si), toeplitz_operator(exponential(1, m), m)
+        else:
+            op, shift = si, mult_operator(exponential(1, m), m)
+        got, want = _shift_columns(op), compose(op, shift)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert (got.row_modes, got.col_modes, got.space) == (want.row_modes, want.col_modes, want.space)
+        assert np.array_equal(got.column_tail, np.append(op.column_tail[1:], np.inf))
+
+
+def test_cuntz_matrix_relations_on_a_grid_of_128():
+    # validate_basis checks the modes 0..63 that 128 nodes hold, not 0..64
+    reports = verify_all(make_blaschke([0, 0]), RunConfig(grid_size=128, mode_window=40))
+    by_name = {r.relation: r for r in reports}
+    for relation in ("cuntz_completeness", "covariance_L2", "covariance_H2"):
+        assert by_name[relation].passed, by_name[relation].params
 
 
 def test_verify_all_weighted_composition_call_count(mixed, monkeypatch):
@@ -310,7 +337,7 @@ def test_inner_twist_of_master_isometry_for_squaring():
     # m = z: pi(m) C_b is again an isometry reduced by H2 implementing the
     # transfer operator (the composition endomorphism has many master isometries)
     b = make_blaschke([0, 0])
-    bs = build_branches(b, 512)
+    bs = build_branches(b)
     g = CircleGrid(2048)
     m = 32
     c = master_isometry_matrix(bs, m, g)
