@@ -3,9 +3,10 @@
 
 The payloads are the `reports_to_json` of `verify_all` on the zoo of
 `run_verify.py` plus the single zero 0.8 (grid 4096, window 64) and on six
-zeros (window 128), and the `matrix --which cb` and `matrix --which transfer`
-JSON of three products at `--modes 16` and `--modes 64`.  Run it on two
-checkouts and diff the output:
+zeros (window 128), the `matrix --which cb` and `matrix --which transfer`
+JSON of three products at `--modes 16` and `--modes 64`, and the `decompose`
+JSON of one seeded analytic series against the same three products at
+`--grid 512` and `--grid 4096`.  Run it on two checkouts and diff the output:
 
     PYTHONPATH=src python scripts/parity_digest.py > digests.txt
 """
@@ -18,7 +19,9 @@ import os
 import sys
 import tempfile
 
-from blaschkeops import RunConfig, make_blaschke, verify_all
+import numpy as np
+
+from blaschkeops import FourierSeries, RunConfig, make_blaschke, verify_all
 from blaschkeops.cli import main as cli_main
 from blaschkeops.verify import reports_to_json
 from run_verify import ZOO
@@ -31,21 +34,34 @@ VERIFY_CASES = [
 MATRIX_CASES = {"two mixed": [0.5, -0.3j], "single 0.8": [0.8], "six zeros": SIX_ZEROS}
 MATRIX_KINDS = ("cb", "transfer")
 MATRIX_MODES = (16, 64)
+DECOMPOSE_GRIDS = (512, 4096)
 
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def matrix_json(which: str, zeros, modes: int, workdir: str) -> str:
+def analytic_series(window: int = 16, seed: int = 7) -> FourierSeries:
+    """Modes 0..window drawn from a seeded normal law, scaled to unit l1 norm."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(2 * window + 1, dtype=complex)
+    coeffs[window:] = rng.standard_normal(window + 1) + 1j * rng.standard_normal(window + 1)
+    return FourierSeries(coeffs / np.sum(np.abs(coeffs)))
+
+
+def write_product(zeros, workdir: str) -> str:
     path = os.path.join(workdir, "b.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"zeros": [[complex(z).real, complex(z).imag] for z in zeros]}, fh)
+    return path
+
+
+def cli_json(argv: list) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli_main(["matrix", path, "--which", which, "--modes", str(modes)])
+        code = cli_main(argv)
     if code != 0:
-        raise SystemExit(f"matrix --which {which} exited {code}")
+        raise SystemExit(f"{argv[0]} exited {code}")
     return out.getvalue()
 
 
@@ -57,9 +73,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for which in MATRIX_KINDS:
             for name, zeros in MATRIX_CASES.items():
+                path = write_product(zeros, workdir)
                 for modes in MATRIX_MODES:
-                    text = matrix_json(which, zeros, modes, workdir)
+                    text = cli_json(["matrix", path, "--which", which, "--modes", str(modes)])
                     print(f"{digest(text)}  matrix {which} {name} m{modes}", flush=True)
+        series = os.path.join(workdir, "f.json")
+        with open(series, "w", encoding="utf-8") as fh:
+            fh.write(analytic_series().to_json())
+        for name, zeros in MATRIX_CASES.items():
+            path = write_product(zeros, workdir)
+            for grid in DECOMPOSE_GRIDS:
+                text = cli_json(["decompose", path, series, "--grid", str(grid)])
+                print(f"{digest(text)}  decompose {name} g{grid}", flush=True)
     return 0
 
 

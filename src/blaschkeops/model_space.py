@@ -7,7 +7,9 @@ built from partial products,
 
 whose elements are rational, pole-free on the closed disc and zero-free on the
 circle.  Any unitary rotation of a basis is again a basis; D is a complete
-wandering subspace for multiplication by b, which check_wandering certifies.
+wandering subspace for multiplication by b: the columns v_i b^n are
+orthonormal, which operators.orthonormality_defect certifies from the
+moments of operators.pair_power_gram.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ VALIDATION_WINDOW = 64
 #: validate_basis bound on the Gram and negative-mode deviations; the b*H2
 #: overlap is held to its square root
 VALIDATION_TOL = 1e-8
+
+#: rotate_basis bound on ||U*U - I||
+ROTATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,14 @@ def canonical_basis(b: BlaschkeProduct) -> ModelBasis:
     return ModelBasis(owner=b, elements=elems, kind="canonical")
 
 
-def rotate_basis(basis: ModelBasis, u: np.ndarray, *, tol: float = 1e-10) -> ModelBasis:
+def rotate_basis(basis: ModelBasis, u: np.ndarray) -> ModelBasis:
     """New elements v~_i = sum_j u[i, j] v_j; u must be unitary."""
     u = np.asarray(u, dtype=complex)
     n = basis.size
     if u.shape != (n, n):
         raise ValueError(f"rotation must be {n}x{n}")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(n)))
-    if defect > tol:
+    if defect > ROTATION_TOL:
         raise ValueError(f"rotation is not unitary: ||U*U - I|| = {defect:.3e}")
 
     def make(i):
@@ -143,25 +148,6 @@ def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
     if gram_dev > VALIDATION_TOL or neg > VALIDATION_TOL or ortho > np.sqrt(VALIDATION_TOL):
         raise GramCheckError(f"model basis validation failed: {report}")
     return report
-
-
-def check_wandering(basis: ModelBasis, n_range: tuple, grid: CircleGrid) -> dict:
-    """Certify that {v_i b^n : n in range} is orthonormal on the grid.
-
-    Returns max |(v_i b^n, v_j b^m) - delta| over all pairs in the range.
-    """
-    lo, hi = int(n_range[0]), int(n_range[1])
-    b = basis.owner
-    bvals = evaluate(b, grid.points)
-    rows = []
-    for n in range(lo, hi + 1):
-        bn = bvals**n
-        for v in basis.elements:
-            rows.append(v.evaluate(grid.points) * bn)
-    a = np.stack(rows)
-    gram = a @ a.conj().T / grid.size
-    dev = float(np.max(np.abs(gram - np.eye(a.shape[0]))))
-    return {"max_deviation": dev, "n_range": (lo, hi), "vectors": a.shape[0]}
 
 
 def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) -> list:

@@ -4,10 +4,9 @@ Against a model-space basis {v_i}, every bounded f splits with coefficients
 
     f_i = <v_i J^{-1/2}, J^{-1/2} f> = L(conj(v_i) J0^{-1} f),
 
-computed by one transfer-operator application each.  When f is analytic, so is
-every f_i; a coefficient with negative-mode mass witnesses that f was not.
-The expansion is injective on coefficient tuples, which uniqueness_check
-certifies by a reconstruct-then-recover round trip.
+computed as branch means over one shared preimage fibre (transfer.fibre_means)
+and put back together at b(z) by transfer.expansion_sum.  When f is analytic,
+so is every f_i; a coefficient with negative-mode mass witnesses that f was not.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .circlefun import (
     trim_series,
 )
 from .model_space import ModelBasis, validate_basis
-from .transfer import grid_fibre
+from .transfer import expansion_sum, fibre_means, grid_fibre
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ def decompose(
 
     coeff_series = []
     membership = []
-    for v in basis.elements:
-        vals = (np.conj(v.evaluate(fib)) * weight).mean(axis=0)
+    for vals in fibre_means((np.conj(v.evaluate(fib)) for v in basis.elements), weight):
         s = fourier_coeffs(BoundaryFunction(grid, vals), win)
         membership.append(s.negative_energy())  # measured before trimming
         # floor sits above the root-finding noise in the sampled values
@@ -109,57 +107,8 @@ def reconstruct(
         raise ValueError("one coefficient series per basis element required")
     z = grid.points
     bz = evaluate(bs.owner, z)
-    total = np.zeros(grid.size, dtype=complex)
-    for v, s in zip(basis.elements, coefficients):
-        total += v.evaluate(z) * synthesize(s, bz, analytic=False)
+    total = expansion_sum(
+        (v.evaluate(z) for v in basis.elements),
+        (synthesize(s, bz, analytic=False) for s in coefficients),
+    )
     return BoundaryFunction(grid, total)
-
-
-def uniqueness_check(
-    bs: BranchSystem,
-    basis: ModelBasis,
-    f: FourierSeries | None,
-    perturbed_coeffs: list | None,
-    grid: CircleGrid,
-) -> dict:
-    """Reconstruct from a coefficient tuple, re-derive the coefficients, compare.
-
-    If perturbed_coeffs is None, the tuple is the decomposition of f itself
-    (zero perturbation).  Coefficients need not be analytic: the expansion is
-    injective on arbitrary bounded tuples.
-    """
-    if perturbed_coeffs is None:
-        if f is None:
-            raise ValueError("need either f or an explicit coefficient tuple")
-        perturbed_coeffs = decompose(bs, basis, f, grid).coefficients
-    if len(perturbed_coeffs) != basis.size:
-        raise ValueError("one coefficient series per basis element required")
-
-    b = bs.owner
-    fib = grid_fibre(bs, grid)
-    bz_fib = evaluate(b, fib)
-    g_fib = np.zeros(fib.shape, dtype=complex)
-    for v, s in zip(basis.elements, perturbed_coeffs):
-        g_fib += v.evaluate(fib) * synthesize(s, bz_fib, analytic=False)
-    weight = g_fib / j0(b, np.angle(fib))
-
-    errors = []
-    for v, s in zip(basis.elements, perturbed_coeffs):
-        recovered = (np.conj(v.evaluate(fib)) * weight).mean(axis=0)
-        expected = synthesize(s, grid.points, analytic=False)
-        errors.append(float(np.max(np.abs(recovered - expected))))
-    return {"recovery_sup_error": max(errors), "per_coefficient": errors}
-
-
-def analytic_membership(s: FourierSeries, tol: float = 1e-8) -> dict:
-    """Negative-mode energy and the (approximate) disc-algebra evidence.
-
-    `abs_coeff_sum` reports window summability as a proxy for continuity; it is
-    informational, not a certificate.
-    """
-    neg = s.negative_energy()
-    return {
-        "is_h2_like": bool(neg < tol),
-        "neg_energy": float(neg),
-        "abs_coeff_sum": float(np.sum(np.abs(s.coeffs))),
-    }

@@ -29,13 +29,12 @@ from .circlefun import (
     outer_function,
     synthesize,
 )
-from .errors import GramCheckError
 
 #: nodes this close (radians) to a declared exception image get nudged
 NUDGE_RADIUS = 1e-9
 
 #: a family whose pointwise module Gram deviates from the identity by more is
-#: not a module basis (module_expand, model_space.linking_unitary)
+#: not a module basis (model_space.linking_unitary)
 MODULE_GRAM_TOL = 1e-6
 
 
@@ -71,13 +70,6 @@ def from_series(s: FourierSeries, label: str = "series") -> ModuleVector:
 def constant(c: complex, label: str | None = None) -> ModuleVector:
     cc = complex(c)
     return ModuleVector(label=label or f"const {cc}", func=lambda z: np.full(np.shape(z), cc))
-
-
-def conj_vector(v: ModuleVector) -> ModuleVector:
-    """Pointwise conjugate; valid on the circle."""
-    return ModuleVector(
-        label=f"conj({v.label})", func=lambda z: np.conj(v.evaluate(z)), exceptions=v.exceptions
-    )
 
 
 def product_vector(u: ModuleVector, v: ModuleVector, label: str | None = None) -> ModuleVector:
@@ -185,19 +177,40 @@ def expansion_points(bs: BranchSystem, grid: CircleGrid, exception_angles) -> tu
     return z, fibre(bs, np.angle(evaluate(bs.owner, z)))
 
 
+def fibre_means(w_fib, f_fib: np.ndarray) -> list[np.ndarray]:
+    """The branch means (w_i * f).mean(axis=0) over a fibre of shape (N, K).
+
+    With w_i = conj(m_i) on the fibre of b(z), mean i is the module coefficient
+    <m_i, f> = L(conj(m_i) f) at b(z).  `w_fib` is consumed one (N, K) array
+    at a time, and each is dropped before the next is drawn, so a generator
+    keeps one of them live.
+    """
+    means = []
+    for w in w_fib:
+        means.append((w * f_fib).mean(axis=0))
+        del w
+    return means
+
+
+def expansion_sum(a_z, coeffs) -> np.ndarray:
+    """sum_i a_i * c_i, accumulated from zeros in basis order."""
+    total = 0j
+    for a, c in zip(a_z, coeffs):
+        total = total + a * c
+    return total
+
+
 def expansion_deviation(a_z: list, w_fib: list, targets) -> float:
     """sup |f(z) - sum_i a_i(z) * mean_fibre(w_i f)| over the pairs (f on the fibre, f at z).
 
     The module expansion f = sum_i m_i beta(<m_i, f>) checked pointwise at the
     points of expansion_points: with a_i = m_i at z and w_i = conj(m_i) on the
-    fibre of b(z), the branch mean of w_i f is the coefficient <m_i, f> at b(z),
-    evaluated there directly, with no interpolation.
+    fibre of b(z), fibre_means gives the coefficients <m_i, f> at b(z) directly,
+    with no interpolation, and expansion_sum puts the expansion back together.
     """
     worst = 0.0
     for f_fib, f_z in targets:
-        acc = np.zeros(f_z.shape, dtype=complex)
-        for az, w in zip(a_z, w_fib):
-            acc += az * (w * f_fib).mean(axis=0)
+        acc = expansion_sum(a_z, fibre_means(w_fib, f_fib))
         worst = max(worst, float(np.max(np.abs(acc - f_z))))
     return worst
 
@@ -218,29 +231,6 @@ def transfer_apply(bs: BranchSystem, xi: ModuleVector, grid: CircleGrid) -> Boun
         return BoundaryFunction(grid, vals, meta=meta)
     fib = grid_fibre(bs, grid)
     return BoundaryFunction(grid, xi.evaluate(fib).mean(axis=0))
-
-
-def expectation_vector(bs: BranchSystem, f: ModuleVector) -> ModuleVector:
-    """E(f) = beta(L(f)): conditional expectation onto the range of composition."""
-    return compose_with_b(bs, transfer_vector(bs, f))
-
-
-def conditional_expectation(bs: BranchSystem, f: ModuleVector, grid: CircleGrid) -> BoundaryFunction:
-    ef = expectation_vector(bs, f)
-    t, moved = _nudged_angles(grid, ef.exceptions)
-    vals = ef.evaluate(np.exp(1j * t))
-    meta = {"nudged_nodes": moved} if moved else {}
-    return BoundaryFunction(grid, vals, meta=meta)
-
-
-def module_inner_vector(bs: BranchSystem, xi: ModuleVector, eta: ModuleVector) -> ModuleVector:
-    """<xi, eta> = L(conj(xi) * eta), conjugate linear in the first slot."""
-    v = transfer_vector(bs, product_vector(conj_vector(xi), eta))
-    return ModuleVector(label=f"<{xi.label},{eta.label}>", func=v.func, exceptions=v.exceptions)
-
-
-def module_inner(bs: BranchSystem, xi: ModuleVector, eta: ModuleVector, grid: CircleGrid) -> BoundaryFunction:
-    return transfer_apply(bs, product_vector(conj_vector(xi), eta), grid)
 
 
 # -- bases ------------------------------------------------------------------
@@ -296,39 +286,3 @@ def gram_deviation(g: np.ndarray) -> float:
 def module_gram_deviation(bs: BranchSystem, family: list[ModuleVector], grid: CircleGrid) -> float:
     """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs."""
     return gram_deviation(gram_functions(bs, family, grid))
-
-
-def module_expand(
-    bs: BranchSystem, basis: list[ModuleVector], f: ModuleVector, grid: CircleGrid
-) -> list[BoundaryFunction]:
-    """Coefficients <m_i, f> of f against a module basis, sampled on the grid.
-
-    The basis must pass the pointwise Gram check (to MODULE_GRAM_TOL) first.
-    """
-    dev = module_gram_deviation(bs, basis, grid)
-    if dev > MODULE_GRAM_TOL:
-        raise GramCheckError(f"module Gram deviates from identity by {dev:.3e}")
-    return [transfer_apply(bs, product_vector(conj_vector(m), f), grid) for m in basis]
-
-
-def expand_vectors(bs: BranchSystem, basis: list[ModuleVector], f: ModuleVector) -> list[ModuleVector]:
-    """The coefficient functions <m_i, f> as pointwise rules (no sampling)."""
-    return [module_inner_vector(bs, m, f) for m in basis]
-
-
-def reconstruct_expansion(
-    bs: BranchSystem,
-    basis: list[ModuleVector],
-    coefficients: list[ModuleVector],
-    grid: CircleGrid,
-) -> BoundaryFunction:
-    """sum_i m_i(z) * c_i(b(z)) sampled on the grid (exception nodes nudged)."""
-    exc = sorted({e for m in basis for e in m.exceptions})
-    t, moved = _nudged_angles(grid, exc)
-    z = np.exp(1j * t)
-    bz = evaluate(bs.owner, z)
-    total = np.zeros(grid.size, dtype=complex)
-    for m, c in zip(basis, coefficients):
-        total += m.evaluate(z) * c.evaluate(bz)
-    meta = {"nudged_nodes": moved} if moved else {}
-    return BoundaryFunction(grid, total, meta=meta)

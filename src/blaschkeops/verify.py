@@ -326,8 +326,14 @@ def _rel_isometry_criterion(ctx: _Context):
 #: the windows of norm_formula's monotone sequence of truncated norms
 NORM_WINDOWS = (32, 64, 128)
 
+#: the smallest grid (a power of two) that holds the 2*max(NORM_WINDOWS)+1 modes;
+#: clipping the windows to a smaller grid would alias the norms
+NORM_GRID = 1 << (2 * max(NORM_WINDOWS)).bit_length()
+
 
 def _rel_norm_formula(ctx: _Context):
+    if ctx.grid.size < NORM_GRID:
+        raise ValueError(f"norm_formula needs grid >= {NORM_GRID}, got {ctx.grid.size}")
     jm_half = outer_symbol(ctx.bs, ctx.grid, -0.5)
     # target: sup L(|m|^2) = sup of J0^{-1} over the preimage fibre
     fib = grid_fibre(ctx.bs, ctx.grid)

@@ -1,8 +1,9 @@
-"""The benchmark's tracer names library functions; they must exist.
+"""Names that code outside the library looks up in it must exist.
 
 perfbench/tracing.py wraps each name in TRACED by looking it up in a
-blaschkeops module, so deleting or renaming one breaks the traced benchmark.
-This test reads TRACED without running the benchmark.
+blaschkeops module, so deleting or renaming one breaks the traced benchmark;
+its test reads TRACED without running the benchmark.  `from blaschkeops
+import *` reads `__all__`, so every name listed there must resolve, once.
 """
 
 import importlib
@@ -27,3 +28,12 @@ def test_traced_names_resolve_in_the_library(monkeypatch):
             if not callable(owner):
                 missing.append(f"{module_name}.{attr}")
     assert tracing.TRACED and not missing, missing
+
+
+def test_package_exports_resolve_once():
+    import blaschkeops
+
+    names = blaschkeops.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [n for n in names if not hasattr(blaschkeops, n)]
+    assert not missing, missing

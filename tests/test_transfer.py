@@ -11,24 +11,20 @@ from blaschkeops.circlefun import (
     fourier_coeffs,
     sample,
 )
-from blaschkeops.errors import GramCheckError
 from blaschkeops.transfer import (
     arcs_basis,
     compose_with_b,
-    conditional_expectation,
     constant,
-    expand_vectors,
     expansion_deviation,
     expansion_points,
-    expectation_vector,
+    fibre_means,
     from_series,
-    module_expand,
+    grid_fibre,
     module_gram_deviation,
-    module_inner,
     product_vector,
-    reconstruct_expansion,
     transfer_apply,
     transfer_values,
+    transfer_vector,
 )
 
 from conftest import blaschke_zeros
@@ -37,6 +33,21 @@ from oracles import transfer_brute
 
 def _series_vec(n, window=8):
     return from_series(exponential(n, window))
+
+
+def _expectation(bs, f):
+    """E(f) = beta(L(f)): the conditional expectation onto the range of composition."""
+    return compose_with_b(bs, transfer_vector(bs, f))
+
+
+def _coefficients(basis, f, fib):
+    """The module coefficients <m_i, f> = L(conj(m_i) f) at the image of the fibre."""
+    return fibre_means((np.conj(m.evaluate(fib)) for m in basis), f.evaluate(fib))
+
+
+def _inner(bs, xi, eta, grid):
+    """<xi, eta> = L(conj(xi) eta) on the grid, conjugate linear in the first slot."""
+    return _coefficients([xi], eta, grid_fibre(bs, grid))[0]
 
 
 # -- composition --------------------------------------------------------------
@@ -142,26 +153,26 @@ def test_transfer_maps_h2_into_h2(mixed, grid1024):
     assert worst < 1e-8
 
 
-# -- conditional expectation -----------------------------------------------------
+# -- conditional expectation E = beta L ------------------------------------------
 
 
 def test_expectation_fixes_constants(mixed, grid1024):
     _, bs = mixed
-    out = conditional_expectation(bs, constant(2.5), grid1024)
-    assert np.max(np.abs(out.values - 2.5)) < 1e-12
+    out = _expectation(bs, constant(2.5)).evaluate(grid1024.points)
+    assert np.max(np.abs(out - 2.5)) < 1e-12
 
 
 def test_expectation_fixes_range_of_composition(mixed, grid1024):
     _, bs = mixed
     f = compose_with_b(bs, _series_vec(1))
-    out = conditional_expectation(bs, f, grid1024)
-    assert np.max(np.abs(out.values - f.evaluate(grid1024.points))) < 1e-10
+    out = _expectation(bs, f).evaluate(grid1024.points)
+    assert np.max(np.abs(out - f.evaluate(grid1024.points))) < 1e-10
 
 
 def test_expectation_kills_odd_mode_under_squaring(z2, grid1024):
     _, bs = z2
-    out = conditional_expectation(bs, _series_vec(1), grid1024)
-    assert np.max(np.abs(out.values)) < 1e-12
+    out = _expectation(bs, _series_vec(1)).evaluate(grid1024.points)
+    assert np.max(np.abs(out)) < 1e-12
 
 
 @given(blaschke_zeros(max_degree=3))
@@ -172,8 +183,8 @@ def test_expectation_idempotent(zeros):
     rng = np.random.default_rng(5)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     f = from_series(FourierSeries(c / np.sum(np.abs(c))))
-    once = conditional_expectation(bs, f, g).values
-    twice = expectation_vector(bs, expectation_vector(bs, f)).evaluate(g.points)
+    once = _expectation(bs, f).evaluate(g.points)
+    twice = _expectation(bs, _expectation(bs, f)).evaluate(g.points)
     assert np.max(np.abs(twice - once)) < 1e-9
 
 
@@ -182,8 +193,8 @@ def test_expectation_idempotent(zeros):
 
 def test_module_inner_of_ones(mixed, grid1024):
     _, bs = mixed
-    out = module_inner(bs, constant(1.0), constant(1.0), grid1024)
-    assert np.max(np.abs(out.values - 1.0)) < 1e-12
+    out = _inner(bs, constant(1.0), constant(1.0), grid1024)
+    assert np.max(np.abs(out - 1.0)) < 1e-12
 
 
 def test_module_inner_conjugate_linear_first_slot(mixed, grid1024):
@@ -192,8 +203,8 @@ def test_module_inner_conjugate_linear_first_slot(mixed, grid1024):
     xi = _series_vec(1)
     eta = _series_vec(2)
     scaled = product_vector(constant(alpha), xi)
-    lhs = module_inner(bs, scaled, eta, grid1024).values
-    rhs = np.conj(alpha) * module_inner(bs, xi, eta, grid1024).values
+    lhs = _inner(bs, scaled, eta, grid1024)
+    rhs = np.conj(alpha) * _inner(bs, xi, eta, grid1024)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -201,9 +212,9 @@ def test_module_cauchy_schwarz(mixed, grid1024):
     _, bs = mixed
     xi = _series_vec(1)
     eta = from_series(FourierSeries(np.array([0.2, 1.0, -0.4j], dtype=complex)))
-    gij = module_inner(bs, xi, eta, grid1024).values
-    gii = module_inner(bs, xi, xi, grid1024).values.real
-    gjj = module_inner(bs, eta, eta, grid1024).values.real
+    gij = _inner(bs, xi, eta, grid1024)
+    gii = _inner(bs, xi, xi, grid1024).real
+    gjj = _inner(bs, eta, eta, grid1024).real
     assert np.max(np.abs(gij)) ** 2 <= np.max(gii) * np.max(gjj) + 1e-12
 
 
@@ -231,61 +242,40 @@ def test_arcs_gram_identity(mixed, grid1024):
 def test_module_expand_of_basis_element(z2, grid1024):
     _, bs = z2
     arcs = arcs_basis(bs)
-    coeffs = module_expand(bs, arcs, arcs[0], grid1024)
-    assert np.max(np.abs(coeffs[0].values - 1.0)) < 1e-10
-    assert np.max(np.abs(coeffs[1].values)) < 1e-10
-
-
-def _nodes_with_nudge(fn, grid):
-    t = grid.angles.copy()
-    for k in fn.meta.get("nudged_nodes", []):
-        t[k] += np.pi / grid.size
-    return np.exp(1j * t)
+    _, fib = expansion_points(bs, grid1024, arcs[0].exceptions)
+    coeffs = _coefficients(arcs, arcs[0], fib)
+    assert np.max(np.abs(coeffs[0] - 1.0)) < 1e-10
+    assert np.max(np.abs(coeffs[1])) < 1e-10
 
 
 def test_module_expand_module_linearity(z2, grid1024):
-    # f = m_1 * beta(g) has coefficients (g, 0)
-    _, bs = z2
+    # f = m_1 * beta(g) has coefficients (g, 0), here at w = b(z)
+    b, bs = z2
     arcs = arcs_basis(bs)
-    g = _series_vec(1)
-    f = product_vector(arcs[0], compose_with_b(bs, g))
-    coeffs = module_expand(bs, arcs, f, grid1024)
-    assert np.max(np.abs(coeffs[0].values - _nodes_with_nudge(coeffs[0], grid1024))) < 1e-10
-    assert np.max(np.abs(coeffs[1].values)) < 1e-10
+    z, fib = expansion_points(bs, grid1024, arcs[0].exceptions)
+    f = product_vector(arcs[0], compose_with_b(bs, _series_vec(1)))
+    coeffs = _coefficients(arcs, f, fib)
+    assert np.max(np.abs(coeffs[0] - evaluate(b, z))) < 1e-10
+    assert np.max(np.abs(coeffs[1])) < 1e-10
 
 
-def test_arcs_reconstruction_of_polynomial(z2, grid1024):
-    _, bs = z2
-    arcs = arcs_basis(bs)
-    f = from_series(FourierSeries(np.array([0, 1, 1], dtype=complex)))  # 1 + z
-    vectors = expand_vectors(bs, arcs, f)
-    recon = reconstruct_expansion(bs, arcs, vectors, grid1024)
-    t = grid1024.angles.copy()
-    if recon.meta.get("nudged_nodes"):
-        half = np.pi / grid1024.size
-        for k in recon.meta["nudged_nodes"]:
-            t[k] += half
-    target = 1.0 + np.exp(1j * t)
-    assert np.max(np.abs(recon.values - target)) < 1e-8
-
-
-def test_module_expand_rejects_bad_family(mixed, grid1024):
-    _, bs = mixed
-    fam = [constant(1.0), constant(1.0)]
-    with pytest.raises(GramCheckError):
-        module_expand(bs, fam, _series_vec(1), grid1024)
-
-
-@pytest.mark.parametrize("basis_is_arcs", [True, False], ids=["arcs", "constant-pair"])
-def test_expansion_deviation(mixed, grid1024, basis_is_arcs):
+@pytest.mark.parametrize(
+    "product, basis_is_arcs, modes",
+    [
+        pytest.param("mixed", True, [0.3, 0, 1, 0.5j, 0, 0, 0.25], id="arcs"),  # modes -3..3
+        pytest.param("mixed", False, [0.3, 0, 1, 0.5j, 0, 0, 0.25], id="constant-pair"),
+        pytest.param("z2", True, [0, 1, 1], id="arcs-squaring-polynomial"),  # 1 + z
+    ],
+)
+def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
     # f = sum_i m_i beta(<m_i, f>) pointwise: exact for the arcs basis, and off
     # by |2 L(f) o b - f| for the family [1, 1], which is no module basis
-    _, bs = mixed
+    _, bs = request.getfixturevalue(product)
     fam = arcs_basis(bs) if basis_is_arcs else [constant(1.0), constant(1.0)]
     z, fib = expansion_points(bs, grid1024, sorted({e for m in fam for e in m.exceptions}))
     assert fib.shape == (bs.branch_count, grid1024.size)
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
-    f = from_series(FourierSeries(np.array([0.3, 0, 1, 0.5j, 0, 0, 0.25])))  # modes -3..3
+    f = from_series(FourierSeries(np.array(modes, dtype=complex)))
     dev = expansion_deviation(
         [m.evaluate(z) for m in fam], [np.conj(m.evaluate(fib)) for m in fam], [(f.evaluate(fib), f.evaluate(z))]
     )

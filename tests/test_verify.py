@@ -330,6 +330,18 @@ def test_norm_formula_relation_reports_target():
     assert norms == sorted(norms)
 
 
+@pytest.mark.parametrize("window", [8, 100])
+def test_norm_formula_names_the_grid_it_needs(window):
+    # its fixed windows reach 128, so 257 modes: a grid of 256 is refused by
+    # name whatever the configured window, not clipped to an aliased norm
+    reports = verify_all(make_blaschke([0, 0]), RunConfig(grid_size=256, mode_window=window))
+    rep = {r.relation: r for r in reports}["norm_formula"]
+    assert not rep.passed
+    assert rep.params["error"] == "ValueError: norm_formula needs grid >= 512, got 256"
+    rep = verify_relation(make_blaschke([0, 0]), "norm_formula", RunConfig(grid_size=512, mode_window=8))
+    assert rep.passed and rep.residual < 1e-12
+
+
 # -- the non-uniqueness example from the master-isometry discussion ----------------
 
 
