@@ -6,11 +6,17 @@ The payloads are the `reports_to_json` of `verify_all` on the zoo of
 zeros (window 128), the `matrix --which cb` and `matrix --which transfer`
 JSON of three products at `--modes 16` and `--modes 64`, and the `decompose`
 JSON of one seeded analytic series against the same three products at
-`--grid 512` and `--grid 4096`.  Run it on two checkouts and diff the output:
+`--grid 512` and `--grid 4096`.  Save one checkout's output and compare the
+other against it:
 
-    PYTHONPATH=src python scripts/parity_digest.py > digests.txt
+    PYTHONPATH=src python scripts/parity_digest.py > parent.txt
+    PYTHONPATH=src python scripts/parity_digest.py --against parent.txt
+
+With `--against` it prints the name of each payload whose digest differs from
+the saved one, or that only one side has, and exits 1 if there is any.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -65,18 +71,19 @@ def cli_json(argv: list) -> str:
     return out.getvalue()
 
 
-def main() -> int:
+def digests():
+    """(name, sha256) of every payload, in a fixed order."""
     for name, zeros, window in VERIFY_CASES:
         cfg = RunConfig(grid_size=4096, mode_window=window, seed=1)
         payload = reports_to_json(verify_all(make_blaschke(zeros), cfg))
-        print(f"{digest(payload)}  verify {name} w{window}", flush=True)
+        yield f"verify {name} w{window}", digest(payload)
     with tempfile.TemporaryDirectory() as workdir:
         for which in MATRIX_KINDS:
             for name, zeros in MATRIX_CASES.items():
                 path = write_product(zeros, workdir)
                 for modes in MATRIX_MODES:
                     text = cli_json(["matrix", path, "--which", which, "--modes", str(modes)])
-                    print(f"{digest(text)}  matrix {which} {name} m{modes}", flush=True)
+                    yield f"matrix {which} {name} m{modes}", digest(text)
         series = os.path.join(workdir, "f.json")
         with open(series, "w", encoding="utf-8") as fh:
             fh.write(analytic_series().to_json())
@@ -84,8 +91,35 @@ def main() -> int:
             path = write_product(zeros, workdir)
             for grid in DECOMPOSE_GRIDS:
                 text = cli_json(["decompose", path, series, "--grid", str(grid)])
-                print(f"{digest(text)}  decompose {name} g{grid}", flush=True)
-    return 0
+                yield f"decompose {name} g{grid}", digest(text)
+
+
+def read_digests(path: str) -> dict:
+    """name -> sha256 from a saved run's output ("<sha256>  <name>" per line)."""
+    with open(path, encoding="utf-8") as fh:
+        pairs = [line.rstrip("\n").partition("  ")[::2] for line in fh if line.strip()]
+    return {name: sha for sha, name in pairs}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="One sha256 per certified payload.")
+    ap.add_argument("--against", metavar="FILE", help="a saved run's output to compare with")
+    args = ap.parse_args(argv)
+    if args.against is None:
+        for name, sha in digests():
+            print(f"{sha}  {name}", flush=True)
+        return 0
+    saved = read_digests(args.against)
+    differing = []
+    for name, sha in digests():
+        if saved.pop(name, None) != sha:
+            differing.append(name)
+            print(name, flush=True)
+    for name in saved:  # saved payloads this run did not produce
+        differing.append(name)
+        print(name, flush=True)
+    print(f"{len(differing)} payloads differ", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -95,6 +95,18 @@ def _config(args) -> RunConfig:
     )
 
 
+def _check_format(args):
+    """csv is a table of grid samples or matrix entries: only transfer, outer and matrix have one."""
+    if args.format != "csv":
+        return
+    name = args.command
+    if name == "matrix" and args.which == "cuntz":
+        name = "matrix --which cuntz"  # a family of matrices, not one table
+    elif name in ("transfer", "outer", "matrix"):
+        return
+    raise UsageError(f"csv output is not available for {name}")
+
+
 def _pair(z: complex) -> list:
     return [z.real, z.imag]
 
@@ -268,6 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _config(args)  # one rule for --grid, --modes and --tol on every command
+        _check_format(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

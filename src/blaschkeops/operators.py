@@ -115,12 +115,16 @@ def mult_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
     mat = np.zeros(diff.shape, dtype=complex)
     inside = np.abs(diff) <= phi.window
     mat[inside] = phi.coeffs[diff[inside] + phi.window]
-    # per column: symbol mass pushed outside the row window
+    # per column: symbol mass pushed outside the row window.  Coefficient j
+    # lands on row j - phi.window + n, so the rows below -window are j < lo and
+    # those above window are j >= hi; phi.window <= window keeps lo below and hi
+    # above the symbol's length, so each bound is clipped on one side only
     tails = np.empty(modes.size)
     c2 = np.abs(phi.coeffs) ** 2
     for idx, n in enumerate(modes):
-        k = phi.modes + n
-        tails[idx] = np.sqrt(np.sum(c2[(k < -window) | (k > window)]))
+        lo = max(phi.window - window - n, 0)
+        hi = min(phi.window + window - n + 1, c2.size)
+        tails[idx] = np.sqrt(np.sum(np.concatenate((c2[:lo], c2[hi:]))))
     return TruncatedOperator(mat, (-window, window), (-window, window), "L2", tails)
 
 
@@ -135,16 +139,20 @@ def _columns_from_samples(
 ) -> TruncatedOperator:
     """Operator whose column j is the Fourier window of weight * rows[j] (length-K rows).
 
-    `rows` is only read: the samples are formed in one fresh buffer, which the
-    transform then overwrites.
+    `rows` is only read: unweighted, it is transformed out of place; weighted,
+    the samples are formed in one fresh buffer, which the transform overwrites.
+    Either way one K-wide array is allocated.
     """
     K = grid.size
     if 2 * window + 1 > K:
         raise ValueError("row window exceeds grid capacity")
-    samples = np.array(rows, dtype=complex) if weight is None else weight[None, :] * rows
     # scaled by 1/K inside the transform: exact for the power-of-two grid sizes,
-    # so the same bits as dividing afterwards, and in place, so no second K-wide array
-    coef = np.fft.fft(samples, axis=1, norm="forward", out=samples)
+    # so the same bits as dividing afterwards
+    if weight is None:
+        coef = np.fft.fft(rows, axis=1, norm="forward")
+    else:
+        samples = weight[None, :] * rows
+        coef = np.fft.fft(samples, axis=1, norm="forward", out=samples)
     idx = np.mod(np.arange(-window, window + 1), K)
     mat = coef[:, idx].T
     # measured mass of the discarded modes (no cancellation against the total):
@@ -191,8 +199,20 @@ def weighted_composition_matrix(
 
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """Composition operator: column n is the Fourier window of b^n."""
-    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+    """Composition operator: column n is the Fourier window of b^n.
+
+    One operator per (grid, window) is kept on the branch system, its matrix
+    and tails read-only like the b^n table, so every caller at that window
+    shares one transform.
+    """
+    key = ("gamma", grid.size, window)
+    op = bs._grid_cache.get(key)
+    if op is None:
+        op = _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+        op.matrix.flags.writeable = False
+        op.column_tail.flags.writeable = False
+        bs._grid_cache[key] = op
+    return op
 
 
 def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:

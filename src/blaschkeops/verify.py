@@ -334,16 +334,20 @@ NORM_GRID = 1 << (2 * max(NORM_WINDOWS)).bit_length()
 def _rel_norm_formula(ctx: _Context):
     if ctx.grid.size < NORM_GRID:
         raise ValueError(f"norm_formula needs grid >= {NORM_GRID}, got {ctx.grid.size}")
-    jm_half = outer_symbol(ctx.bs, ctx.grid, -0.5)
+    j_half = outer_symbol(ctx.bs, ctx.grid, 0.5).boundary
+    jm_half = outer_symbol(ctx.bs, ctx.grid, -0.5).boundary
     # target: sup L(|m|^2) = sup of J0^{-1} over the preimage fibre
     fib = grid_fibre(ctx.bs, ctx.grid)
     lm2 = (1.0 / j0(ctx.b, np.angle(fib))).mean(axis=0)
     target = float(np.sqrt(lm2.max()))
+    # the central block of the widest Gamma_b equals Gamma_b at window m bit for
+    # bit, so one transform serves every window; C_b = pi(J^{1/2}) Gamma_b is the
+    # product master_isometry_matrix forms, without the tail bound no norm reads
+    gam = gamma_b_matrix(ctx.bs, max(NORM_WINDOWS), ctx.grid)
     norms = []
     for m in NORM_WINDOWS:
-        sym = fourier_coeffs(jm_half.boundary, m)
-        c = ctx.c_matrix if m == ctx.window else master_isometry_matrix(ctx.bs, m, ctx.grid)
-        t = compose(mult_operator(sym, m), c)
+        c = compose(mult_operator(fourier_coeffs(j_half, m), m), block(gam, (-m, m), (-m, m)))
+        t = compose(mult_operator(fourier_coeffs(jm_half, m), m), c)
         norms.append(operator_norm(t))
     drops = max(0.0, float(np.max(-np.diff(norms)))) if len(norms) > 1 else 0.0
     rel_err = abs(norms[-1] - target) / target

@@ -135,6 +135,37 @@ def test_every_command_validates_settings_like_run_config(inputs, capsys, comman
     assert captured.out == ""
 
 
+CSV_REFUSED = {
+    "describe": "describe",
+    "preimages": "preimages",
+    "basis": "basis",
+    "matrix-cuntz": "matrix --which cuntz",
+    "decompose": "decompose",
+    "verify": "verify",
+}
+
+
+@pytest.mark.parametrize("command", CSV_REFUSED)
+def test_csv_is_refused_where_there_is_no_table(inputs, capsys, command):
+    _, z2, _, e3 = inputs
+    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
+    code = main(argv + ["--grid", "256", "--modes", "8", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: csv output is not available for {CSV_REFUSED[command]}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - set(CSV_REFUSED)))
+def test_csv_tables_are_written(inputs, capsys, command):
+    _, z2, _, e3 = inputs
+    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
+    code, out = _run(argv + ["--grid", "256", "--modes", "8", "--format", "csv"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines() if line]
+    assert rows and all(len(r) == len(rows[0]) for r in rows)  # one table, not JSON
+
+
 def test_preimages_command(inputs, capsys):
     _, z2, _, _ = inputs
     code, out = _run(["preimages", z2, "--angle", "0.0"], capsys)

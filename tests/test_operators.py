@@ -72,6 +72,20 @@ def test_mult_blaschke_entry(grid4096):
     assert abs(op.entry(0, 0) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("symbol_window", [0, 5, 16])
+def test_mult_tails_match_mask_formula(symbol_window):
+    # reference: the symbol modes pushed outside the rows, picked out by a boolean mask
+    rng = np.random.default_rng(3)
+    size = 2 * symbol_window + 1
+    phi = FourierSeries(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    window = 16
+    op = mult_operator(phi, window)
+    c2 = np.abs(phi.coeffs) ** 2
+    for n, tail in zip(op.col_mode_array, op.column_tail):
+        k = phi.modes + n
+        assert tail == np.sqrt(np.sum(c2[(k < -window) | (k > window)]))
+
+
 def test_mult_window_violation():
     with pytest.raises(ValueError):
         mult_operator(exponential(5, 5), 4)
@@ -140,10 +154,16 @@ def test_power_table_grown_once_serves_narrower_windows_exactly():
     grid = CircleGrid(1024)
     weight = canonical_basis(b).elements[1].evaluate(grid.points)
     bs = build_branches(b)
-    gamma_b_matrix(bs, 128, grid)
+    wide = gamma_b_matrix(bs, 128, grid)
     assert bs._grid_cache[("powers", 1024)].shape == (257, 1024)
+    # one Gamma_b per (grid, window), shared read-only by every caller
+    assert gamma_b_matrix(bs, 128, grid) is wide
+    for array in (wide.matrix, wide.column_tail):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
     for build in (
         lambda s: gamma_b_matrix(s, 32, grid),
+        lambda s: gamma_b_matrix(s, 64, grid),
         lambda s: weighted_composition_matrix(s, weight, 64, grid),
     ):
         got, want = build(bs), build(build_branches(b))

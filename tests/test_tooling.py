@@ -4,6 +4,8 @@ perfbench/tracing.py wraps each name in TRACED by looking it up in a
 blaschkeops module, so deleting or renaming one breaks the traced benchmark;
 its test reads TRACED without running the benchmark.  `from blaschkeops
 import *` reads `__all__`, so every name listed there must resolve, once.
+`scripts/parity_digest.py --against` is the byte-parity check between two
+versions, so its comparison is tested on fixed digests.
 """
 
 import importlib
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_traced_names_resolve_in_the_library(monkeypatch):
@@ -37,3 +40,20 @@ def test_package_exports_resolve_once():
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     missing = [n for n in names if not hasattr(blaschkeops, n)]
     assert not missing, missing
+
+
+def test_parity_digest_against_names_each_differing_payload(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # it imports its sibling run_verify
+    monkeypatch.delitem(sys.modules, "parity_digest", raising=False)
+    parity = importlib.import_module("parity_digest")
+    now = [("verify z^2 w64", "a" * 64), ("matrix cb two mixed m16", "b" * 64), ("decompose new g512", "c" * 64)]
+    monkeypatch.setattr(parity, "digests", lambda: iter(now))
+    assert parity.main([]) == 0
+    saved = tmp_path / "parent.txt"
+    saved.write_text(capsys.readouterr().out)
+    assert parity.main(["--against", str(saved)]) == 0
+    assert capsys.readouterr().out == ""
+    # one digest moved, one payload only this run has, one only the saved run has
+    saved.write_text(f"{'a' * 64}  verify z^2 w64\n{'d' * 64}  matrix cb two mixed m16\n{'e' * 64}  gone\n")
+    assert parity.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["matrix cb two mixed m16", "decompose new g512", "gone"]

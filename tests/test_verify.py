@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blaschkeops import build_branches, evaluate, make_blaschke
-from blaschkeops.circlefun import CircleGrid, exponential
+from blaschkeops.circlefun import CircleGrid, exponential, fourier_coeffs
 from blaschkeops.config import RunConfig
 from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
@@ -16,13 +16,15 @@ from blaschkeops.operators import (
     master_isometry_matrix,
     master_isometry_matrix_direct,
     mult_operator,
+    operator_norm,
     restrict_to_h2,
     toeplitz_operator,
     uncertified_modes,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import arcs_basis, constant
+from blaschkeops.transfer import arcs_basis, constant, outer_symbol
 from blaschkeops.verify import (
+    NORM_WINDOWS,
     RELATIONS,
     _shift_columns,
     convergence_csv,
@@ -186,6 +188,24 @@ def test_verify_all_weighted_composition_call_count(mixed, monkeypatch):
     assert len(calls) == 3
 
 
+def test_verify_all_operator_norm_call_count(mixed, monkeypatch):
+    # master_isometry_matrix's tail bound for ctx.c_matrix, and the three norms
+    # norm_formula reports; no SVD for a tail bound that nothing reads
+    from blaschkeops import operators, verify
+
+    calls = []
+    original = operators.operator_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "operator_norm", counted)
+    monkeypatch.setattr(verify, "operator_norm", counted)
+    verify_all(mixed[0], RunConfig(grid_size=4096, mode_window=64))
+    assert len(calls) == 4
+
+
 def test_report_invariants():
     reports = verify_all(make_blaschke([0.5]), FAST)
     for r in reports:
@@ -328,6 +348,21 @@ def test_norm_formula_relation_reports_target():
     assert rep.params["target"] == pytest.approx(np.sqrt(3.0), rel=1e-6)
     norms = rep.params["norms"]
     assert norms == sorted(norms)
+
+
+def test_norm_formula_norms_equal_the_master_isometry_products():
+    # its windows are central blocks of one widest Gamma_b: the norms must be
+    # the bits that pi(J^{-1/2}) master_isometry_matrix gives at each window
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    grid = CircleGrid(4096)
+    rep = verify_relation(b, "norm_formula", RunConfig(grid_size=4096, mode_window=64))
+    bs = build_branches(b)
+    jm_half = outer_symbol(bs, grid, -0.5).boundary
+    want = [
+        operator_norm(compose(mult_operator(fourier_coeffs(jm_half, m), m), master_isometry_matrix(bs, m, grid)))
+        for m in NORM_WINDOWS
+    ]
+    assert rep.params["norms"] == want
 
 
 @pytest.mark.parametrize("window", [8, 100])
