@@ -14,16 +14,31 @@ other against it:
 
 With `--against` it prints the name of each payload whose digest differs from
 the saved one, or that only one side has, and exits 1 if there is any.
+
+`--save DIR` also writes each payload to DIR, one JSON file per payload.
+`--against DIR` compares with such a directory; for each differing payload it
+then prints the largest absolute difference between the floats at the same
+JSON path, and whether anything else differs: booleans, integers (such as
+`excluded_columns`), strings, keys or list lengths.
+
+The script runs OpenBLAS on one thread, as `perfbench` does: the matrix
+products, and so ten of the digests, change bits between one thread and two.
 """
+
+import os
+
+# set before numpy is first imported, so every run hashes the same bits
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import contextlib
 import hashlib
 import io
 import json
-import os
+import re
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -71,50 +86,108 @@ def cli_json(argv: list) -> str:
     return out.getvalue()
 
 
-def digests():
-    """(name, sha256) of every payload, in a fixed order."""
+def payloads():
+    """(name, JSON text) of every payload, in a fixed order."""
     for name, zeros, window in VERIFY_CASES:
         cfg = RunConfig(grid_size=4096, mode_window=window, seed=1)
-        payload = reports_to_json(verify_all(make_blaschke(zeros), cfg))
-        yield f"verify {name} w{window}", digest(payload)
+        yield f"verify {name} w{window}", reports_to_json(verify_all(make_blaschke(zeros), cfg))
     with tempfile.TemporaryDirectory() as workdir:
         for which in MATRIX_KINDS:
             for name, zeros in MATRIX_CASES.items():
                 path = write_product(zeros, workdir)
                 for modes in MATRIX_MODES:
                     text = cli_json(["matrix", path, "--which", which, "--modes", str(modes)])
-                    yield f"matrix {which} {name} m{modes}", digest(text)
+                    yield f"matrix {which} {name} m{modes}", text
         series = os.path.join(workdir, "f.json")
         with open(series, "w", encoding="utf-8") as fh:
             fh.write(analytic_series().to_json())
         for name, zeros in MATRIX_CASES.items():
             path = write_product(zeros, workdir)
             for grid in DECOMPOSE_GRIDS:
-                text = cli_json(["decompose", path, series, "--grid", str(grid)])
-                yield f"decompose {name} g{grid}", digest(text)
+                yield f"decompose {name} g{grid}", cli_json(["decompose", path, series, "--grid", str(grid)])
 
 
-def read_digests(path: str) -> dict:
-    """name -> sha256 from a saved run's output ("<sha256>  <name>" per line)."""
+def file_name(name: str) -> str:
+    """The file a payload is saved to: its name with every run of other characters as "_"."""
+    return re.sub(r"[^A-Za-z0-9.+-]+", "_", name) + ".json"
+
+
+def read_saved(path: Path) -> dict:
+    """name -> sha256 from a saved run's output ("<sha256>  <name>" per line),
+    or file name -> payload text from a --save directory."""
+    if path.is_dir():
+        return {f.name: f.read_text(encoding="utf-8") for f in sorted(path.glob("*.json"))}
     with open(path, encoding="utf-8") as fh:
         pairs = [line.rstrip("\n").partition("  ")[::2] for line in fh if line.strip()]
     return {name: sha for sha, name in pairs}
 
 
+def json_diff(a, b, path: str = "$") -> tuple[float, list]:
+    """The largest |a - b| over the floats at the same JSON path, and the paths
+    where anything else differs (value, type, keys or list length)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (0.0 if a == b else abs(a - b)), []  # equal infinities differ by 0, not nan
+    if type(a) is not type(b):
+        return 0.0, [path]
+    if isinstance(a, dict):
+        keys, worst, other = a.keys() | b.keys(), 0.0, []
+        for k in sorted(keys):
+            if k not in a or k not in b:
+                other.append(f"{path}.{k}")
+                continue
+            d, o = json_diff(a[k], b[k], f"{path}.{k}")
+            worst, other = max(worst, d), other + o
+        return worst, other
+    if isinstance(a, list):
+        worst, other = 0.0, [] if len(a) == len(b) else [f"{path} (length {len(a)} vs {len(b)})"]
+        for i, (x, y) in enumerate(zip(a, b)):
+            d, o = json_diff(x, y, f"{path}[{i}]")
+            worst, other = max(worst, d), other + o
+        return worst, other
+    return 0.0, [] if a == b else [path]
+
+
+def describe_difference(saved_text: str, text: str) -> str:
+    worst, other = json_diff(json.loads(saved_text), json.loads(text))
+    where = f"yes at {len(other)} path(s), first {other[0]}" if other else "no"
+    return f"  max |float difference| {worst:.3e}; other fields differ: {where}"
+
+
+def digests():
+    """(name, sha256) of every payload, in a fixed order."""
+    return ((name, digest(text)) for name, text in payloads())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="One sha256 per certified payload.")
-    ap.add_argument("--against", metavar="FILE", help="a saved run's output to compare with")
+    ap.add_argument("--against", metavar="PATH", type=Path,
+                    help="a saved run's output, or a --save directory, to compare with")
+    ap.add_argument("--save", metavar="DIR", type=Path, help="also write each payload to DIR")
     args = ap.parse_args(argv)
-    if args.against is None:
-        for name, sha in digests():
-            print(f"{sha}  {name}", flush=True)
-        return 0
-    saved = read_digests(args.against)
+    against_dir = args.against is not None and args.against.is_dir()
+    if args.save is None and not against_dir:
+        rows = ((name, sha, None) for name, sha in digests())
+    else:
+        rows = ((name, digest(text), text) for name, text in payloads())
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
+    saved = None if args.against is None else read_saved(args.against)
     differing = []
-    for name, sha in digests():
-        if saved.pop(name, None) != sha:
-            differing.append(name)
-            print(name, flush=True)
+    for name, sha, text in rows:
+        if args.save is not None:
+            (args.save / file_name(name)).write_text(text, encoding="utf-8")
+        if saved is None:
+            print(f"{sha}  {name}", flush=True)
+            continue
+        old = saved.pop(file_name(name) if against_dir else name, None)
+        if old is not None and (digest(old) if against_dir else old) == sha:
+            continue
+        differing.append(name)
+        print(name, flush=True)
+        if against_dir and old is not None:
+            print(describe_difference(old, text), flush=True)
+    if saved is None:
+        return 0
     for name in saved:  # saved payloads this run did not produce
         differing.append(name)
         print(name, flush=True)

@@ -80,8 +80,11 @@ def _load_series(path: str):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

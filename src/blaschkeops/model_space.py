@@ -6,10 +6,12 @@ built from partial products,
     w_j(z) = sqrt(1 - |a_j|^2) / (1 - conj(a_j) z) * prod_{k<j} b_{a_k}(z),
 
 whose elements are rational, pole-free on the closed disc and zero-free on the
-circle.  Any unitary rotation of a basis is again a basis; D is a complete
-wandering subspace for multiplication by b: the columns v_i b^n are
-orthonormal, which operators.orthonormality_defect certifies from the
-moments of operators.pair_power_gram.
+circle.  A basis is one family: values(z) holds all N elements, shape
+(N, *z.shape), and the canonical values come from one running product over the
+zeros, one Moebius factor per zero per point.  Any unitary rotation of a basis
+is again a basis; D is a complete wandering subspace for multiplication by b:
+the columns v_i b^n are orthonormal, which operators.orthonormality_defect
+certifies from the moments of operators.pair_power_gram.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, BranchSystem, evaluate, moebius_factor
-from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_coeffs, sample
+from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_coeffs
 from .errors import GramCheckError
 from .transfer import (
     MODULE_GRAM_TOL,
-    ModuleVector,
+    ModuleFamily,
     expansion_deviation,
     expansion_points,
     fibre_gram,
@@ -43,47 +45,36 @@ VALIDATION_TOL = 1e-8
 ROTATION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ModelBasis:
-    """A basis of the model space: N analytic ModuleVectors plus provenance tag."""
+@dataclass(frozen=True, kw_only=True)
+class ModelBasis(ModuleFamily):
+    """A basis of the model space: a family of N analytic elements plus its provenance."""
 
     owner: BlaschkeProduct
-    elements: list
     kind: str  # canonical | rotated | user
 
     def __post_init__(self):
-        if len(self.elements) != self.owner.degree:
+        if self.size != self.owner.degree:
             raise ValueError("basis must have exactly N elements")
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def _canonical_rule(zeros: tuple, j: int):
-    a = zeros[j - 1]
-    scale = float(np.sqrt(1.0 - abs(a) ** 2))
-    partial = zeros[: j - 1]
-
-    def rule(z):
-        z = np.asarray(z, dtype=complex)
-        vals = np.full(z.shape, scale, dtype=complex)
-        if a != 0:
-            vals = vals / (1.0 - np.conj(a) * z)
-        for w in partial:
-            vals = vals * moebius_factor(w, z)
-        return vals
-
-    return rule
 
 
 def canonical_basis(b: BlaschkeProduct) -> ModelBasis:
     """The partial-product basis; element j uses the first j-1 Moebius factors."""
-    elems = [
-        ModuleVector(label=f"w_{j}", func=_canonical_rule(b.zeros, j))
-        for j in range(1, b.degree + 1)
-    ]
-    return ModelBasis(owner=b, elements=elems, kind="canonical")
+    zeros = b.zeros
+
+    def rule(z):
+        out = np.empty((len(zeros),) + z.shape, dtype=complex)
+        partial = 1.0  # prod_{k<j} b_{a_k}(z), one more factor per zero
+        for j, a in enumerate(zeros):
+            head = np.full(z.shape, np.sqrt(1.0 - abs(a) ** 2), dtype=complex)
+            if a != 0:
+                head = head / (1.0 - np.conj(a) * z)
+            out[j] = head * partial
+            if j + 1 < len(zeros):
+                partial = partial * moebius_factor(a, z)
+        return out
+
+    labels = tuple(f"w_{j}" for j in range(1, b.degree + 1))
+    return ModelBasis(labels=labels, rule=rule, owner=b, kind="canonical")
 
 
 def rotate_basis(basis: ModelBasis, u: np.ndarray) -> ModelBasis:
@@ -96,29 +87,17 @@ def rotate_basis(basis: ModelBasis, u: np.ndarray) -> ModelBasis:
     if defect > ROTATION_TOL:
         raise ValueError(f"rotation is not unitary: ||U*U - I|| = {defect:.3e}")
 
-    def make(i):
-        row = u[i]
+    def rule(z):
+        vals = basis.values(z)
+        return (u @ vals.reshape(n, -1)).reshape(vals.shape)
 
-        def rule(z):
-            z = np.asarray(z, dtype=complex)
-            acc = np.zeros(z.shape, dtype=complex)
-            for c, v in zip(row, basis.elements):
-                acc += c * v.evaluate(z)
-            return acc
-
-        return rule
-
-    elems = [ModuleVector(label=f"rot_{i + 1}", func=make(i)) for i in range(n)]
-    return ModelBasis(owner=basis.owner, elements=elems, kind="rotated")
-
-
-def user_basis(b: BlaschkeProduct, elements: list) -> ModelBasis:
-    return ModelBasis(owner=b, elements=list(elements), kind="user")
+    labels = tuple(f"rot_{i}" for i in range(1, n + 1))
+    return ModelBasis(labels=labels, rule=rule, owner=basis.owner, kind="rotated")
 
 
 def basis_series(basis: ModelBasis, grid: CircleGrid, window: int) -> list[FourierSeries]:
     """Fourier windows of the basis elements (export format)."""
-    return [fourier_coeffs(sample(v.evaluate, grid), window) for v in basis.elements]
+    return [fourier_coeffs(BoundaryFunction(grid, row), window) for row in basis.values(grid.points)]
 
 
 def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
@@ -127,7 +106,7 @@ def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
     Returns the three deviations for reporting.
     """
     b = basis.owner
-    vals = np.stack([v.evaluate(grid.points) for v in basis.elements])
+    vals = basis.values(grid.points)
     gram = vals @ vals.conj().T / grid.size
     gram_dev = float(np.max(np.abs(gram - np.eye(basis.size))))
 
@@ -150,22 +129,15 @@ def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
     return report
 
 
-def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) -> list:
+def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) -> ModuleFamily:
     """{v_i * J^{-1/2}}: the module orthonormal basis induced by a model-space basis."""
-    jm = outer_symbol(bs, grid, -0.5)
-
-    def make(v):
-        return lambda z: v.evaluate(z) * jm.eval(np.asarray(z, dtype=complex))
-
-    return [
-        ModuleVector(label=f"{v.label}*J^-1/2", func=make(v)) for v in basis.elements
-    ]
+    return basis.times(outer_symbol(bs, grid, -0.5).eval, "J^-1/2")
 
 
 # -- linking unitaries between module bases ---------------------------------
 
 
-def linking_unitary(bs: BranchSystem, family_a: list, family_b: list, grid: CircleGrid) -> list:
+def linking_unitary(bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid) -> list:
     """The matrix u_ij = <A_i, B_j> linking two module bases, as boundary functions.
 
     Both families must pass the module Gram check, to MODULE_GRAM_TOL.
@@ -175,13 +147,13 @@ def linking_unitary(bs: BranchSystem, family_a: list, family_b: list, grid: Circ
     fib = grid_fibre(bs, grid)
     vals = []  # each family evaluated once on the fibre serves its Gram check and u
     for fam, name in ((family_a, "A"), (family_b, "B")):
-        v = np.stack([m.evaluate(fib) for m in fam])  # (n, N, K)
+        v = fam.values(fib)  # (n, N, K)
         dev = gram_deviation(fibre_gram(bs, v, v))
         if dev > MODULE_GRAM_TOL:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
         vals.append(v)
     u = fibre_gram(bs, *vals)
-    return [[BoundaryFunction(grid, u[i, j]) for j in range(len(family_b))] for i in range(len(family_a))]
+    return [[BoundaryFunction(grid, u[i, j]) for j in range(family_b.size)] for i in range(family_a.size)]
 
 
 def pointwise_unitarity_deviation(u: list) -> float:
@@ -193,15 +165,15 @@ def pointwise_unitarity_deviation(u: list) -> float:
 
 
 def linking_reconstruction_deviation(
-    bs: BranchSystem, family_a: list, family_b: list, grid: CircleGrid
+    bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid
 ) -> float:
     """sup-error of B_j = sum_i A_i * (u_ij o b) over the grid, u_ij = <A_i, B_j>.
 
     The coefficients are re-evaluated pointwise at b(z) (no interpolation), so
     this also exercises the linking matrix off the sampling grid.
     """
-    exc = sorted({e for v in family_a + family_b for e in v.exceptions})
+    exc = sorted(set(family_a.exceptions) | set(family_b.exceptions))
     z, fib = expansion_points(bs, grid, exc)  # one fibre serves all pairs
-    w_fib = [np.conj(a.evaluate(fib)) for a in family_a]
-    a_z = [a.evaluate(z) for a in family_a]
-    return expansion_deviation(a_z, w_fib, ((b.evaluate(fib), b.evaluate(z)) for b in family_b))
+    w_fib = family_a.values(fib)
+    np.conjugate(w_fib, out=w_fib)
+    return expansion_deviation(family_a.values(z), w_fib, zip(family_b.values(fib), family_b.values(z)))

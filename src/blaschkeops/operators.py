@@ -20,7 +20,7 @@ import numpy as np
 from .blaschke import BranchSystem, evaluate, j0
 from .circlefun import CircleGrid, FourierSeries, fourier_coeffs, integer_powers
 from .model_space import ModelBasis, validate_basis
-from .transfer import ModuleVector, fibre_power_means, grid_fibre, outer_symbol
+from .transfer import ModuleFamily, fibre_power_means, grid_fibre, outer_symbol
 
 import json
 
@@ -242,10 +242,7 @@ def cuntz_family_matrices(
     The basis is validated first (Gram, H2 membership, orthogonality to b*H2).
     """
     validate_basis(basis, grid)
-    return [
-        weighted_composition_matrix(bs, v.evaluate(grid.points), window, grid)
-        for v in basis.elements
-    ]
+    return [weighted_composition_matrix(bs, v, window, grid) for v in basis.values(grid.points)]
 
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
@@ -367,7 +364,7 @@ OVERSAMPLE = 6.0  # its quadrature points per period of the fastest oscillation
 NODE_BLOCK = 2048  # quadrature nodes per power table, which bounds its memory
 
 
-def pair_power_gram(bs: BranchSystem, family: list[ModuleVector], window: int) -> np.ndarray:
+def pair_power_gram(bs: BranchSystem, family: ModuleFamily, window: int) -> np.ndarray:
     """Power-Gram moments of a family by piecewise Gauss-Legendre, shape (n, n, 4*window+1).
 
     mu[i, j, k + 2*window] = int conj(f_i) f_j e^{ik theta(t)} dt/2pi for
@@ -379,7 +376,7 @@ def pair_power_gram(bs: BranchSystem, family: list[ModuleVector], window: int) -
     certifies every Gram relation of the form (f b^n, g b^m) from these moments.
     """
     two_pi = 2.0 * np.pi
-    breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for f in family for e in f.exceptions})
+    breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for e in family.exceptions})
     nodes_x, weights_x = np.polynomial.legendre.leggauss(PANEL_POINTS)
     max_slope = bs.branch_count * float(np.max(j0(bs.owner, np.linspace(0, two_pi, 1024))))
     ts, ws = [], []
@@ -396,9 +393,9 @@ def pair_power_gram(bs: BranchSystem, family: list[ModuleVector], window: int) -
         ws.append((half[:, None] * weights_x[None, :]).reshape(-1))
     t = np.concatenate(ts)
     w = np.concatenate(ws) / two_pi
-    vals = np.stack([f.evaluate(np.exp(1j * t)) for f in family])  # (n, Q)
+    vals = family.values(np.exp(1j * t))  # (n, Q)
     phase = np.exp(1j * bs.theta(t))  # b on the nodes
-    mu = np.zeros((len(family), len(family), 4 * window + 1), dtype=complex)
+    mu = np.zeros((family.size, family.size, 4 * window + 1), dtype=complex)
     for start in range(0, t.size, NODE_BLOCK):
         blk = slice(start, start + NODE_BLOCK)
         # rows k = 0..2*window: e^{i window theta} times the powers -window..window

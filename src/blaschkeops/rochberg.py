@@ -76,9 +76,11 @@ def decompose(
     f_fib = synthesize(f, fib, analytic=False)
     weight = f_fib / j0(bs.owner, np.angle(fib))
 
+    w_fib = basis.values(fib)  # (N, N, K)
+    np.conjugate(w_fib, out=w_fib)
     coeff_series = []
     membership = []
-    for vals in fibre_means((np.conj(v.evaluate(fib)) for v in basis.elements), weight):
+    for vals in fibre_means(w_fib, weight):
         s = fourier_coeffs(BoundaryFunction(grid, vals), win)
         membership.append(s.negative_energy())  # measured before trimming
         # floor sits above the root-finding noise in the sampled values
@@ -107,8 +109,5 @@ def reconstruct(
         raise ValueError("one coefficient series per basis element required")
     z = grid.points
     bz = evaluate(bs.owner, z)
-    total = expansion_sum(
-        (v.evaluate(z) for v in basis.elements),
-        (synthesize(s, bz, analytic=False) for s in coefficients),
-    )
+    total = expansion_sum(basis.values(z), (synthesize(s, bz, analytic=False) for s in coefficients))
     return BoundaryFunction(grid, total)

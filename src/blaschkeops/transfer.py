@@ -43,8 +43,9 @@ class ModuleVector:
     """An element of the function module: a Fourier window or a pointwise rule.
 
     Series-backed vectors are evaluated exactly by synthesis; callable-backed
-    ones (indicators, closed-form basis elements) by their rule.  `exceptions`
-    lists circle angles where the rule is only defined up to a null set.
+    ones (phi o b, L(xi)) by their rule.  `exceptions` lists circle angles
+    where the rule is only defined up to a null set.  Families of vectors,
+    such as bases, are ModuleFamily objects.
     """
 
     label: str
@@ -67,17 +68,35 @@ def from_series(s: FourierSeries, label: str = "series") -> ModuleVector:
     return ModuleVector(label=label, series=s)
 
 
-def constant(c: complex, label: str | None = None) -> ModuleVector:
-    cc = complex(c)
-    return ModuleVector(label=label or f"const {cc}", func=lambda z: np.full(np.shape(z), cc))
+@dataclass(frozen=True)
+class ModuleFamily:
+    """n module vectors evaluated together: values(z) has shape (n, *z.shape).
 
+    `rule` computes every member at once, so what the members share (a
+    running product, a symbol, a branch search) is computed once per point set;
+    it returns a new array, which callers may overwrite.  `exceptions` lists
+    circle angles where some member is only defined up to a null set.
+    """
 
-def product_vector(u: ModuleVector, v: ModuleVector, label: str | None = None) -> ModuleVector:
-    return ModuleVector(
-        label=label or f"{u.label}*{v.label}",
-        func=lambda z: u.evaluate(z) * v.evaluate(z),
-        exceptions=tuple(sorted(set(u.exceptions) | set(v.exceptions))),
-    )
+    labels: tuple
+    rule: object
+    exceptions: tuple = ()
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    def values(self, z) -> np.ndarray:
+        return np.asarray(self.rule(np.asarray(z, dtype=complex)), dtype=complex)
+
+    def times(self, weight, label: str) -> ModuleFamily:
+        """The family m_i * weight for a pointwise rule `weight` (an OuterFunction's eval)."""
+        def rule(z):
+            vals = self.values(z)
+            vals *= weight(z)
+            return vals
+
+        return ModuleFamily(tuple(f"{m}*{label}" for m in self.labels), rule, self.exceptions)
 
 
 # -- fibre plumbing ---------------------------------------------------------
@@ -181,15 +200,10 @@ def fibre_means(w_fib, f_fib: np.ndarray) -> list[np.ndarray]:
     """The branch means (w_i * f).mean(axis=0) over a fibre of shape (N, K).
 
     With w_i = conj(m_i) on the fibre of b(z), mean i is the module coefficient
-    <m_i, f> = L(conj(m_i) f) at b(z).  `w_fib` is consumed one (N, K) array
-    at a time, and each is dropped before the next is drawn, so a generator
-    keeps one of them live.
+    <m_i, f> = L(conj(m_i) f) at b(z).  `w_fib` holds the w_i along its first
+    axis, shape (n, N, K).
     """
-    means = []
-    for w in w_fib:
-        means.append((w * f_fib).mean(axis=0))
-        del w
-    return means
+    return [(w * f_fib).mean(axis=0) for w in w_fib]
 
 
 def expansion_sum(a_z, coeffs) -> np.ndarray:
@@ -200,7 +214,7 @@ def expansion_sum(a_z, coeffs) -> np.ndarray:
     return total
 
 
-def expansion_deviation(a_z: list, w_fib: list, targets) -> float:
+def expansion_deviation(a_z: np.ndarray, w_fib: np.ndarray, targets) -> float:
     """sup |f(z) - sum_i a_i(z) * mean_fibre(w_i f)| over the pairs (f on the fibre, f at z).
 
     The module expansion f = sum_i m_i beta(<m_i, f>) checked pointwise at the
@@ -236,29 +250,28 @@ def transfer_apply(bs: BranchSystem, xi: ModuleVector, grid: CircleGrid) -> Boun
 # -- bases ------------------------------------------------------------------
 
 
-def arcs_basis(bs: BranchSystem) -> list[ModuleVector]:
+def arcs_basis(bs: BranchSystem) -> ModuleFamily:
     """The N-element module basis sqrt(N) * indicator of the j-th arc.
 
     Arcs are half-open [t_{j-1}, t_j), which fixes values on the measure-zero
-    endpoint set consistently with the branch labelling.
+    endpoint set consistently with the branch labelling.  One search over the
+    arc endpoints serves every member: row j is sqrt(N) where z lies in arc j.
     """
     n = bs.branch_count
     root = float(np.sqrt(n))
     ends = bs.arc_endpoints
 
-    def make(j):
-        def rule(z):
-            t = np.mod(np.angle(np.asarray(z, dtype=complex)), TWO_PI)
-            arc = np.clip(np.searchsorted(ends, t, side="right"), 1, n)
-            return np.where(arc == j, root, 0.0).astype(complex)
+    def rule(z):
+        t = np.mod(np.angle(z), TWO_PI)
+        arc = np.clip(np.searchsorted(ends, t, side="right"), 1, n)
+        rows = np.arange(1, n + 1).reshape((n,) + (1,) * z.ndim)
+        return np.where(rows == arc, root, 0.0).astype(complex)
 
-        return rule
-
-    exceptions = tuple(np.mod(ends[:-1], TWO_PI))
-    return [
-        ModuleVector(label=f"sqrt({n})*1_A{j}", func=make(j), exceptions=exceptions)
-        for j in range(1, n + 1)
-    ]
+    return ModuleFamily(
+        labels=tuple(f"sqrt({n})*1_A{j}" for j in range(1, n + 1)),
+        rule=rule,
+        exceptions=tuple(np.mod(ends[:-1], TWO_PI)),
+    )
 
 
 def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
@@ -270,10 +283,9 @@ def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.n
     return np.einsum("aNK,bNK->abK", np.conj(a_vals), b_vals) / bs.branch_count
 
 
-def gram_functions(bs: BranchSystem, family: list[ModuleVector], grid: CircleGrid) -> np.ndarray:
+def gram_functions(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> np.ndarray:
     """Pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K)."""
-    fib = grid_fibre(bs, grid)
-    vals = np.stack([m.evaluate(fib) for m in family])  # (n, N, K)
+    vals = family.values(grid_fibre(bs, grid))  # (n, N, K)
     return fibre_gram(bs, vals, vals)
 
 
@@ -283,6 +295,6 @@ def gram_deviation(g: np.ndarray) -> float:
     return float(np.max(np.abs(g - eye)))
 
 
-def module_gram_deviation(bs: BranchSystem, family: list[ModuleVector], grid: CircleGrid) -> float:
+def module_gram_deviation(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> float:
     """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs."""
     return gram_deviation(gram_functions(bs, family, grid))

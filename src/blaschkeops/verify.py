@@ -58,9 +58,8 @@ from .operators import (
 )
 from .rochberg import decompose
 from .transfer import (
-    ModuleVector,
+    ModuleFamily,
     arcs_basis,
-    constant,
     expansion_deviation,
     expansion_points,
     fibre_power_means,
@@ -70,7 +69,6 @@ from .transfer import (
     grid_fibre,
     module_gram_deviation,
     outer_symbol,
-    product_vector,
     transfer_apply,
 )
 
@@ -163,10 +161,13 @@ class _Context:
         return FourierSeries(c / np.sum(np.abs(c)))
 
 
-def _j_half_vector(bs, grid: CircleGrid) -> ModuleVector:
-    """J^{1/2} as a pointwise rule on the closed disc: C_b e_n = J^{1/2} b^n."""
-    j_half = outer_symbol(bs, grid, 0.5)
-    return ModuleVector(label="J^1/2", func=lambda z: j_half.eval(np.asarray(z, dtype=complex)))
+#: the one-member family {1}: Gamma_b e_n = 1 * b^n
+_ONE = ModuleFamily(("1",), lambda z: np.ones((1,) + z.shape, dtype=complex))
+
+
+def _times_j_half(family: ModuleFamily, bs, grid: CircleGrid) -> ModuleFamily:
+    """The family m_i J^{1/2}, J^{1/2} a pointwise rule on the closed disc: C_b e_n = J^{1/2} b^n."""
+    return family.times(outer_symbol(bs, grid, 0.5).eval, "J^1/2")
 
 
 # -- relation checks ----------------------------------------------------------
@@ -180,7 +181,7 @@ def _j_half_vector(bs, grid: CircleGrid) -> ModuleVector:
 
 def _rel_cuntz_orthogonality(ctx: _Context):
     # S_i e_n = v_i b^n: S_i* S_j = delta_ij I is the orthonormality of the v_i b^n
-    mu = pair_power_gram(ctx.bs, ctx.basis.elements, ctx.window)
+    mu = pair_power_gram(ctx.bs, ctx.basis, ctx.window)
     return orthonormality_defect(mu), {"excluded_columns": []}
 
 
@@ -244,8 +245,11 @@ def _rel_implements_transfer(ctx: _Context):
     # The grid holds those up to lag (K - 1)/2, which may fall short of 2*window
     # but never of window, so the lags |n - m| <= window are always compared.
     symbols = [exponential(0, 2), exponential(1, 2), exponential(2, 2), ctx.random_symbol()]
-    jh = _j_half_vector(ctx.bs, ctx.grid)
-    mu = pair_power_gram(ctx.bs, [jh] + [product_vector(from_series(phi), jh) for phi in symbols], ctx.window)
+    phis = ModuleFamily(
+        ("1", "e_0", "e_1", "e_2", "random"),
+        lambda z: np.stack([np.ones(z.shape)] + [synthesize(phi, z, analytic=None) for phi in symbols]),
+    )
+    mu = pair_power_gram(ctx.bs, _times_j_half(phis, ctx.bs, ctx.grid), ctx.window)
     lags = min(2 * ctx.window, (ctx.grid.size - 1) // 2)
     mid = 2 * ctx.window
     worst = 0.0
@@ -258,7 +262,7 @@ def _rel_implements_transfer(ctx: _Context):
 def _rel_master_isometry(ctx: _Context):
     # C_b e_n = J^{1/2} b^n: C_b* C_b = I from the moments; the two truncated
     # constructions of C_b are compared on the certified interior columns
-    iso = orthonormality_defect(pair_power_gram(ctx.bs, [_j_half_vector(ctx.bs, ctx.grid)], ctx.window))
+    iso = orthonormality_defect(pair_power_gram(ctx.bs, _times_j_half(_ONE, ctx.bs, ctx.grid), ctx.window))
     cross, excl = _certify(ctx, [(ctx.c_matrix, ctx.c_direct, [ctx.c_direct])])
     return max(iso, cross), {
         "isometry_defect": iso,
@@ -309,7 +313,7 @@ def _rel_left_inverse(ctx: _Context):
 def _rel_isometry_criterion(ctx: _Context):
     # Gamma_b e_n = b^n: (Gamma e_n, Gamma e_m) = int b^k = b(0)^k for k = n - m >= 0,
     # by the mean value property, and its conjugate for k < 0
-    mu = pair_power_gram(ctx.bs, [constant(1.0)], ctx.window)[0, 0]
+    mu = pair_power_gram(ctx.bs, _ONE, ctx.window)[0, 0]
     b0 = evaluate(ctx.b, 0.0)
     mid = 2 * ctx.window
     powers = np.power(complex(b0), np.arange(mid + 1))
@@ -460,7 +464,7 @@ def verify_relation(
 
 def verify_solution1(
     bs,
-    family: list,
+    family: ModuleFamily,
     config: RunConfig | None = None,
     *,
     interior: int | None = None,
@@ -475,15 +479,16 @@ def verify_solution1(
     config = config or RunConfig()
     grid = CircleGrid(config.grid_size)
     inner = config.interior if interior is None else interior
-    n = len(family)
+    n = family.size
 
     gram = gram_functions(bs, family, grid)  # <m_i, m_j> on the grid
     gram_dev = gram_deviation(gram)
     onb = bool(gram_dev < config.tol_operator)
 
-    j_half = _j_half_vector(bs, grid)
-    # (S_j e_n, S_i e_m) = mu[i, j, n - m + 2*inner]: S_i* S_j is Toeplitz in n - m
-    mu = pair_power_gram(bs, [product_vector(m, j_half) for m in family], inner)
+    # S_i e_n = m_i J^{1/2} b^n, so (S_j e_n, S_i e_m) = mu[i, j, n - m + 2*inner]:
+    # S_i* S_j is Toeplitz in n - m
+    columns = _times_j_half(family, bs, grid)
+    mu = pair_power_gram(bs, columns, inner)
     orth = orthonormality_defect(mu)
     # S_i* S_j = pi(<m_i, m_j>): the moments reversed are the symbol's coefficients
     consistency = 0.0
@@ -498,17 +503,16 @@ def verify_solution1(
     tests = [exponential(0, 8), exponential(1, 8), FourierSeries(rnd / np.sum(np.abs(rnd)))]
     # the module expansion with a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2}
     # on the fibre of b(z): the branch mean of w_i f is (S_i^* f) o b
-    z, fib = expansion_points(bs, grid, sorted({e for m in family for e in m.exceptions}))
-    jm_fib = 1.0 / j_half.evaluate(fib)
-    w_fib = [np.conj(m.evaluate(fib)) * jm_fib for m in family]
-    m_z = [m.evaluate(z) * j_half.evaluate(z) for m in family]
-    completeness = expansion_deviation(
-        m_z, w_fib, ((synthesize(s, fib, analytic=False), synthesize(s, z, analytic=False)) for s in tests)
-    )
+    z, fib = expansion_points(bs, grid, sorted(set(family.exceptions)))
+    w_fib = family.values(fib)
+    np.conjugate(w_fib, out=w_fib)
+    w_fib *= 1.0 / outer_symbol(bs, grid, 0.5).eval(fib)
+    targets = ((synthesize(s, fib, analytic=False), synthesize(s, z, analytic=False)) for s in tests)
+    completeness = expansion_deviation(columns.values(z), w_fib, targets)
 
     residual = max(gram_dev, orth, consistency, completeness)
     params = {
-        "family": [m.label for m in family],
+        "family": list(family.labels),
         "gram_deviation": gram_dev,
         "orthogonality_residual": orth,
         "consistency_residual": consistency,

@@ -66,3 +66,11 @@ def grid4096():
     from blaschkeops.circlefun import CircleGrid
 
     return CircleGrid(4096)
+
+
+def ones_basis(b):
+    """The family {1, ..., 1} with deg b members: no basis, the negative control of the basis checks."""
+    from blaschkeops.model_space import ModelBasis
+
+    n = b.degree
+    return ModelBasis(labels=("1",) * n, rule=lambda z: np.ones((n,) + z.shape), owner=b, kind="user")

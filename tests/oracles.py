@@ -120,3 +120,19 @@ def closed_form_outer_symbol(zeros, power, z):
     for a in zeros:
         out /= (1.0 - np.conj(a) * z) ** (2.0 * power)
     return out
+
+
+def canonical_basis_mpmath(zeros, z, dps=50):
+    """w_j(z) = sqrt(1 - |a_j|^2) / (1 - conj(a_j) z) prod_{k<j} b_{a_k}(z) at `dps` digits, shape (N, len(z))."""
+    import mpmath
+
+    out = np.empty((len(zeros), len(z)), dtype=complex)
+    with mpmath.workdps(dps):
+        for k, p in enumerate(z):
+            x = mpmath.mpc(p.real, p.imag)
+            partial = mpmath.mpf(1)
+            for j, a in enumerate(map(complex, zeros)):
+                a = mpmath.mpc(a.real, a.imag)
+                out[j, k] = complex(mpmath.sqrt(1 - abs(a) ** 2) / (1 - mpmath.conj(a) * x) * partial)
+                partial *= x if a == 0 else abs(a) / a * (a - x) / (1 - mpmath.conj(a) * x)
+    return out

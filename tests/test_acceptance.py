@@ -45,7 +45,6 @@ from blaschkeops.operators import (
 from blaschkeops.rochberg import decompose
 from blaschkeops.transfer import (
     arcs_basis,
-    constant,
     from_series,
     grid_fibre,
     module_gram_deviation,
@@ -53,6 +52,8 @@ from blaschkeops.transfer import (
     transfer_apply,
 )
 from blaschkeops.verify import reports_to_json, verify_all, verify_solution1
+
+from conftest import ones_basis
 
 
 def _line(num, name, ok, detail):
@@ -160,8 +161,8 @@ def test_criterion_5_covariance():
     bvals = evaluate(b, grid.points)
     pb = mult_operator(fourier_coeffs(BoundaryFunction(grid, bvals), m), m)
     cov = 0.0
-    for v, si in zip(canonical_basis(b).elements, s):
-        shifted = weighted_composition_matrix(bs, v.evaluate(grid.points) * bvals, m, grid)
+    for v, si in zip(canonical_basis(b).values(grid.points), s):
+        shifted = weighted_composition_matrix(bs, v * bvals, m, grid)
         r, _ = interior_residual(compose(si, pe1), compose(pb, si), inner,
                                  tail_sources=[si, shifted])
         cov = max(cov, r)
@@ -266,7 +267,7 @@ def test_criterion_11_negative_controls(tmp_path):
         rejected = True
     # the constant family fails completeness by more than 0.5
     bs = build_branches(b)
-    rep = verify_solution1(bs, [constant(1.0), constant(1.0)],
+    rep = verify_solution1(bs, ones_basis(b),
                            RunConfig(grid_size=2048, mode_window=32))
     completeness = rep.params["completeness_residual"]
     # verify exit code equals the failure count

@@ -278,6 +278,18 @@ def test_out_flag_writes_file(inputs, tmp_path, capsys):
     assert json.loads(target.read_text())["degree"] == 2
 
 
+@pytest.mark.parametrize("command", ["describe", "verify"])
+def test_unwritable_out_is_usage_error(inputs, tmp_path, capsys, command):
+    _, z2, _, _ = inputs
+    target = tmp_path / "missing-dir" / "out.json"
+    code = main([command, str(z2), "--grid", "512", "--modes", "16", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_usage_error_for_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -13,21 +13,39 @@ from blaschkeops.model_space import (
     linking_unitary,
     pointwise_unitarity_deviation,
     rotate_basis,
-    user_basis,
     validate_basis,
 )
 from blaschkeops.operators import orthonormality_defect, pair_power_gram
-from blaschkeops.transfer import arcs_basis, constant, fibre_means, grid_fibre, module_gram_deviation
+from blaschkeops.transfer import arcs_basis, fibre_means, grid_fibre, module_gram_deviation, outer_symbol
 
-from conftest import blaschke_zeros
+from conftest import blaschke_zeros, ones_basis
+from oracles import canonical_basis_mpmath
+
+
+def _seeded_zeros(n, radius):
+    """n zeros r e^{it}, r = radius sqrt(U), t uniform, from default_rng(1)."""
+    rng = np.random.default_rng(1)
+    r = radius * np.sqrt(rng.uniform(size=n))
+    t = rng.uniform(0, 2 * np.pi, n)
+    return list(r * np.exp(1j * t))
+
+
+def _disc_points():
+    """64 seeded points of the closed disc, the first 32 on the circle."""
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0, 2 * np.pi, 64)
+    r = np.where(np.arange(64) < 32, 1.0, np.sqrt(rng.uniform(size=64)))
+    return r * np.exp(1j * t)
 
 
 def test_canonical_for_squaring_is_monomials(z2, grid1024):
     b, _ = z2
     basis = canonical_basis(b)
     z = grid1024.points[:16]
-    assert np.allclose(basis.elements[0].evaluate(z), 1.0)
-    assert np.allclose(basis.elements[1].evaluate(z), z)
+    vals = basis.values(z)
+    assert vals.shape == (2, 16)
+    assert np.allclose(vals[0], 1.0)
+    assert np.allclose(vals[1], z)
 
 
 def test_canonical_closed_form_for_half():
@@ -35,20 +53,49 @@ def test_canonical_closed_form_for_half():
     basis = canonical_basis(make_blaschke([0.5]))
     z = np.array([0.2 + 0.1j, -0.7j, 0.99])
     target = np.sqrt(0.75) / (1 - 0.5 * z)
-    assert np.max(np.abs(basis.elements[0].evaluate(z) - target)) < 1e-14
+    assert np.max(np.abs(basis.values(z)[0] - target)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        pytest.param(_seeded_zeros(32, 0.5), id="32-zeros"),
+        pytest.param([0.999], id="near-circle"),
+        pytest.param([0.5, 0.5, 0.5], id="repeated"),
+    ],
+)
+def test_canonical_values_match_mpmath(zeros):
+    # the running product against a 50-digit evaluation of each element's own
+    # partial product; the error is measured relative to the sup of the exact
+    # values, since near |a| = 1 the constant sqrt(1 - |a|^2) alone has
+    # condition 1 / (1 - |a|^2) (3.7e-14 absolute at 0.999, where w_1 reaches 4.75)
+    z = _disc_points()
+    vals = canonical_basis(make_blaschke(zeros)).values(z)
+    exact = canonical_basis_mpmath(zeros, z)
+    assert vals.shape == (len(zeros), 64)
+    assert np.max(np.abs(vals - exact)) / np.max(np.abs(exact)) < 1e-14
+
+
+def test_family_values_keep_the_shape_of_the_points():
+    basis = canonical_basis(make_blaschke([0.5, -0.3j, 0.2 + 0.4j]))
+    z = _disc_points().reshape(4, 16)
+    vals = basis.values(z)
+    assert vals.shape == (3, 4, 16)
+    assert np.array_equal(vals[:, 2], basis.values(z[2]))
+    assert basis.values(0.25j).shape == (3,)
 
 
 def test_canonical_gram_identity(grid4096):
     basis = canonical_basis(make_blaschke([0.5, -0.3j]))
-    vals = np.stack([v.evaluate(grid4096.points) for v in basis.elements])
+    vals = basis.values(grid4096.points)
     gram = vals @ vals.conj().T / grid4096.size
     assert np.max(np.abs(gram - np.eye(2))) < 1e-10
 
 
 def test_canonical_elements_nonvanishing_on_circle(grid1024):
     basis = canonical_basis(make_blaschke([0.5, -0.3j, 0.6j]))
-    for v in basis.elements:
-        assert np.min(np.abs(v.evaluate(grid1024.points))) > 0.05
+    for row in basis.values(grid1024.points):
+        assert np.min(np.abs(row)) > 0.05
 
 
 def test_validate_basis_reports(grid4096):
@@ -60,9 +107,8 @@ def test_validate_basis_reports(grid4096):
 
 def test_validate_rejects_non_basis(grid1024):
     b = make_blaschke([0.5, -0.3j])
-    fam = user_basis(b, [constant(1.0), constant(1.0)])
     with pytest.raises(GramCheckError):
-        validate_basis(fam, grid1024)
+        validate_basis(ones_basis(b), grid1024)
 
 
 # -- rotations ------------------------------------------------------------------
@@ -73,8 +119,7 @@ def test_rotate_identity_keeps_values(z2, grid1024):
     basis = canonical_basis(b)
     rot = rotate_basis(basis, np.eye(2))
     z = grid1024.points[:8]
-    for v, w in zip(basis.elements, rot.elements):
-        assert np.allclose(v.evaluate(z), w.evaluate(z))
+    assert np.allclose(basis.values(z), rot.values(z))
 
 
 def test_rotate_by_quarter_turn(z2, grid4096):
@@ -83,9 +128,21 @@ def test_rotate_by_quarter_turn(z2, grid4096):
     u = np.array([[c, c], [-c, c]])
     rot = rotate_basis(canonical_basis(b), u)
     z = np.array([0.5, 0.3 + 0.2j])
-    assert np.allclose(rot.elements[0].evaluate(z), (1 + z) / np.sqrt(2))
-    assert np.allclose(rot.elements[1].evaluate(z), (-1 + z) / np.sqrt(2))
+    vals = rot.values(z)
+    assert np.allclose(vals[0], (1 + z) / np.sqrt(2))
+    assert np.allclose(vals[1], (-1 + z) / np.sqrt(2))
     assert validate_basis(rot, grid4096)["gram_deviation"] < 1e-12
+
+
+def test_rotated_values_are_u_times_the_canonical_values():
+    b = make_blaschke(_seeded_zeros(4, 0.7))
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    basis = canonical_basis(b)
+    rot = rotate_basis(basis, u)
+    z = _disc_points()
+    assert rot.labels == ("rot_1", "rot_2", "rot_3", "rot_4") and rot.kind == "rotated"
+    assert np.array_equal(rot.values(z), u @ basis.values(z))
 
 
 def test_rotate_rejects_non_unitary(z2):
@@ -107,7 +164,7 @@ def test_diagonal_phase_rotation_preserves_gram(grid4096):
 
 
 def _wandering_defect(basis, window):
-    return orthonormality_defect(pair_power_gram(build_branches(basis.owner), basis.elements, window))
+    return orthonormality_defect(pair_power_gram(build_branches(basis.owner), basis, window))
 
 
 def test_wandering_for_squaring(z2):
@@ -136,7 +193,7 @@ def test_model_space_has_dimension_n(grid4096):
     basis = canonical_basis(b)
     K = grid4096.size
     deg = 12
-    rows = [v.evaluate(grid4096.points) for v in basis.elements]
+    rows = list(basis.values(grid4096.points))
     bvals = evaluate(b, grid4096.points)
     # (g - P_D g)/b has a geometric Taylor tail, so the b*e_n span must reach
     # far enough past deg for the residual to drop below tolerance
@@ -157,6 +214,17 @@ def test_induced_module_basis_gram(mixed, grid1024):
     b, bs = mixed
     mod = induced_module_basis(bs, canonical_basis(b), grid1024)
     assert module_gram_deviation(bs, mod, grid1024) < 1e-8
+
+
+def test_module_family_is_the_basis_times_j_minus_half(grid1024):
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    bs = build_branches(b)
+    basis = canonical_basis(b)
+    mod = induced_module_basis(bs, basis, grid1024)
+    fib = grid_fibre(bs, grid1024)
+    jm = outer_symbol(bs, grid1024, -0.5)
+    assert mod.labels == ("w_1*J^-1/2", "w_2*J^-1/2", "w_3*J^-1/2")
+    assert np.array_equal(mod.values(fib), basis.values(fib) * jm.eval(fib))
 
 
 def test_linking_same_family_is_identity(mixed, grid1024):
@@ -182,7 +250,7 @@ def test_linking_scalar_rotation_gives_constants(mixed, grid1024):
     fib = grid_fibre(bs, grid1024)
     for i in range(2):
         for j in range(2):
-            direct = fibre_means([np.conj(mod_a[i].evaluate(fib))], mod_b[j].evaluate(fib))[0]
+            direct = fibre_means(np.conj(mod_a.values(fib)[i : i + 1]), mod_b.values(fib)[j])[0]
             assert np.max(np.abs(u[i][j].values - direct)) < 1e-12
             assert np.max(np.abs(u[i][j].values - scalar_u[j, i])) < 1e-8
 
@@ -199,7 +267,7 @@ def test_linking_canonical_to_arcs(z2, grid1024):
 def test_linking_rejects_non_basis(mixed, grid1024):
     b, bs = mixed
     with pytest.raises(GramCheckError):
-        linking_unitary(bs, [constant(1.0), constant(1.0)], arcs_basis(bs), grid1024)
+        linking_unitary(bs, ones_basis(b), arcs_basis(bs), grid1024)
 
 
 @given(blaschke_zeros(max_degree=3, max_radius=0.7))

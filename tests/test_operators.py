@@ -9,6 +9,7 @@ from blaschkeops.circlefun import (
     exponential,
     fourier_coeffs,
     sample,
+    synthesize,
     synthesize_grid,
 )
 from blaschkeops.model_space import canonical_basis, induced_module_basis
@@ -35,15 +36,9 @@ from blaschkeops.operators import (
     transfer_matrix,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import (
-    arcs_basis,
-    constant,
-    from_series,
-    grid_fibre,
-    outer_symbol,
-    product_vector,
-)
+from blaschkeops.transfer import ModuleFamily, arcs_basis, grid_fibre, outer_symbol
 
+from conftest import ones_basis
 from oracles import grid_mean
 
 
@@ -152,7 +147,7 @@ def test_power_table_grown_once_serves_narrower_windows_exactly():
     # the views of the grown table must equal what a fresh branch system builds
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     grid = CircleGrid(1024)
-    weight = canonical_basis(b).elements[1].evaluate(grid.points)
+    weight = canonical_basis(b).values(grid.points)[1]
     bs = build_branches(b)
     wide = gamma_b_matrix(bs, 128, grid)
     assert bs._grid_cache[("powers", 1024)].shape == (257, 1024)
@@ -272,12 +267,10 @@ def test_cuntz_relations_interior(mixed):
 
 def test_cuntz_rejects_invalid_basis(mixed):
     from blaschkeops.errors import GramCheckError
-    from blaschkeops.model_space import user_basis
 
     b, bs = mixed
-    fam = user_basis(b, [constant(1.0), constant(1.0)])
     with pytest.raises(GramCheckError):
-        cuntz_family_matrices(bs, fam, 16, CircleGrid(512))
+        cuntz_family_matrices(bs, ones_basis(b), 16, CircleGrid(512))
 
 
 def test_cuntz_cross_construction_agreement(mixed):
@@ -287,8 +280,8 @@ def test_cuntz_cross_construction_agreement(mixed):
     basis = canonical_basis(bs.owner)
     direct = cuntz_family_matrices(bs, basis, 64, g)
     cb = master_isometry_matrix(bs, 64, g)
-    for d, m in zip(direct, induced_module_basis(bs, basis, g)):
-        symbol = fourier_coeffs(BoundaryFunction(g, m.evaluate(g.points)), 64)
+    for d, m in zip(direct, induced_module_basis(bs, basis, g).values(g.points)):
+        symbol = fourier_coeffs(BoundaryFunction(g, m), 64)
         module = compose(mult_operator(symbol, 64), cb)
         r, _ = interior_residual(d, module, 32, tail_sources=[d])
         assert r < 1e-8
@@ -302,8 +295,8 @@ def test_cuntz_covariance(mixed):
     pe1 = mult_operator(exponential(1, 64), 64)
     pb = mult_operator(fourier_coeffs(sample(lambda z: evaluate(b, z), g), 64), 64)
     bvals = evaluate(b, g.points)
-    for v, si in zip(canonical_basis(b).elements, s):
-        shifted = weighted_composition_matrix(bs, v.evaluate(g.points) * bvals, 64, g)
+    for v, si in zip(canonical_basis(b).values(g.points), s):
+        shifted = weighted_composition_matrix(bs, v * bvals, 64, g)
         r, _ = interior_residual(compose(si, pe1), compose(pb, si), 32, tail_sources=[si, shifted])
         assert r < 1e-6
 
@@ -472,28 +465,24 @@ def test_pair_power_gram_matches_fft_for_smooth(mixed):
     # the interior, where the dense side's k-truncation is negligible
     b, bs = mixed
     g = CircleGrid(4096)
-    jh = outer_symbol(bs, g, 0.5)
-    xi = product_vector(constant(1.0), _jvec(jh))
-    gram = _power_gram(pair_power_gram(bs, [xi], 4), 0, 0, 4)
+    gram = _power_gram(pair_power_gram(bs, _j_half(bs, g), 4), 0, 0, 4)
     cb = master_isometry_matrix_direct(bs, 32, g)
     dense = compose(adjoint(cb), cb)
     sub = dense.matrix[28:37, 28:37]
     assert np.max(np.abs(gram - sub)) < 1e-8
 
 
-def _jvec(jh):
-    from blaschkeops.transfer import ModuleVector
-
-    return ModuleVector(label="J12", func=lambda z: jh.eval(np.asarray(z, dtype=complex)))
+def _j_half(bs, grid):
+    """The one-member family {J^{1/2}}."""
+    jh = outer_symbol(bs, grid, 0.5)
+    return ModuleFamily(("J^1/2",), lambda z: jh.eval(z)[None])
 
 
 def test_pair_power_gram_arcs_orthonormal(mixed):
     # the S_i from the arcs basis satisfy S_i* S_j = delta_ij I exactly
     b, bs = mixed
     g = CircleGrid(1024)
-    jh = outer_symbol(bs, g, 0.5)
-    arcs = arcs_basis(bs)
-    cols = [product_vector(a, _jvec(jh)) for a in arcs]
+    cols = arcs_basis(bs).times(outer_symbol(bs, g, 0.5).eval, "J^1/2")
     mu = pair_power_gram(bs, cols, 8)
     for i in range(2):
         for j in range(2):
@@ -509,9 +498,11 @@ def test_pair_power_gram_mixed_exception_family(zeros):
     # mu[0,0] = mu[1,1] = delta_k0 and mu[0,1] = mu[1,0] = delta_k0 / sqrt(N)
     bs = build_branches(make_blaschke(zeros))
     n = bs.branch_count
-    jh = _jvec(outer_symbol(bs, CircleGrid(4096), 0.5))
-    family = [product_vector(constant(1.0), jh), product_vector(arcs_basis(bs)[0], jh)]
-    mu = pair_power_gram(bs, family, 8)
+    arcs = arcs_basis(bs)
+    pair = ModuleFamily(
+        ("1", arcs.labels[0]), lambda z: np.stack([np.ones(z.shape), arcs.values(z)[0]]), arcs.exceptions
+    )
+    mu = pair_power_gram(bs, pair.times(outer_symbol(bs, CircleGrid(4096), 0.5).eval, "J^1/2"), 8)
     expected = np.zeros(mu.shape)
     expected[:, :, 16] = [[1.0, 1 / np.sqrt(n)], [1 / np.sqrt(n), 1.0]]
     assert np.max(np.abs(mu - expected)) < 1e-10
@@ -519,9 +510,9 @@ def test_pair_power_gram_mixed_exception_family(zeros):
 
 def test_orthonormality_defect_of_moments(mixed):
     b, bs = mixed
-    assert orthonormality_defect(pair_power_gram(bs, canonical_basis(b).elements, 8)) < 1e-12
+    assert orthonormality_defect(pair_power_gram(bs, canonical_basis(b), 8)) < 1e-12
     # {1, 1} is not orthonormal: mu[0, 1] at k = 0 is 1 where delta_01 = 0
-    assert orthonormality_defect(pair_power_gram(bs, [constant(1.0), constant(1.0)], 8)) > 0.5
+    assert orthonormality_defect(pair_power_gram(bs, ones_basis(b), 8)) > 0.5
     mu = np.zeros((1, 1, 5), dtype=complex)
     mu[0, 0, 2] = 1.0
     assert orthonormality_defect(mu) == 0.0
@@ -535,18 +526,19 @@ def test_truncated_builders_agree_with_the_moments(mixed):
     # Gamma_b* Gamma_b and C_b* (pi(phi) C_b), the last sampled directly
     b, bs = mixed
     g, m, inner = CircleGrid(4096), 64, 32
-    basis = canonical_basis(b).elements
-    jh = _jvec(outer_symbol(bs, g, 0.5))
+    basis = canonical_basis(b)
+    jh = _j_half(bs, g)
     phi = FourierSeries(np.array([0.3, -0.2j, 0.5, 0.1, 0.25 + 0.1j]))
-    s = cuntz_family_matrices(bs, canonical_basis(b), m, g)
+    s = cuntz_family_matrices(bs, basis, m, g)
     cd = master_isometry_matrix_direct(bs, m, g)
-    phi_cb = weighted_composition_matrix(bs, synthesize_grid(phi, g).values * jh.evaluate(g.points), m, g)
+    phi_cb = weighted_composition_matrix(bs, synthesize_grid(phi, g).values * jh.values(g.points)[0], m, g)
     cases = [(s[i], s[j], basis, i, j) for i in range(2) for j in range(2)]
     gam = gamma_b_matrix(bs, m, g)
+    one_phi = ModuleFamily(("1", "phi"), lambda z: np.stack([np.ones(z.shape), synthesize(phi, z, analytic=None)]))
     cases += [
-        (cd, cd, [jh], 0, 0),
-        (gam, gam, [constant(1.0)], 0, 0),
-        (cd, phi_cb, [jh, product_vector(from_series(phi), jh)], 0, 1),
+        (cd, cd, jh, 0, 0),
+        (gam, gam, ModuleFamily(("1",), lambda z: np.ones((1,) + z.shape)), 0, 0),
+        (cd, phi_cb, one_phi.times(outer_symbol(bs, g, 0.5).eval, "J^1/2"), 0, 1),
     ]
     for left, right, family, i, j in cases:
         mu = pair_power_gram(bs, family, m)

@@ -9,6 +9,7 @@ versions, so its comparison is tested on fixed digests.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -57,3 +58,44 @@ def test_parity_digest_against_names_each_differing_payload(monkeypatch, tmp_pat
     saved.write_text(f"{'a' * 64}  verify z^2 w64\n{'d' * 64}  matrix cb two mixed m16\n{'e' * 64}  gone\n")
     assert parity.main(["--against", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines() == ["matrix cb two mixed m16", "decompose new g512", "gone"]
+
+
+def test_parity_digest_directory_reports_float_and_other_differences(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.delitem(sys.modules, "parity_digest", raising=False)
+    parity = importlib.import_module("parity_digest")
+    params = {"excluded_columns": [3], "zeros": [[0.5, 0.0]]}
+    report = {"relation": "r", "residual": 1.5e-14, "pass": True, "params": params}
+
+    def stub(*payloads):
+        monkeypatch.setattr(parity, "payloads", lambda: iter([(n, json.dumps(p)) for n, p in payloads]))
+
+    stub(("verify z^2 w64", [report]), ("matrix cb two mixed m16", {"re": [1.0, 2.0]}), ("gone", {}))
+    saved = tmp_path / "parent"
+    assert parity.main(["--save", str(saved)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    names = sorted(p.name for p in saved.iterdir())
+    assert names == ["gone.json", "matrix_cb_two_mixed_m16.json", "verify_z_2_w64.json"]
+    assert parity.main(["--against", str(saved)]) == 0
+    assert capsys.readouterr().out == ""
+    # a float moved by 2e-15 and a list shortened; one payload only this run
+    # has, one only the saved run has; then a flag and an excluded column
+    moved = {**report, "residual": 1.7e-14}
+    flagged = {**report, "pass": False, "params": {**params, "excluded_columns": [3, 4]}}
+    stub(("verify z^2 w64", [moved]), ("matrix cb two mixed m16", {"re": [1.0]}), ("decompose new g512", {}))
+    assert parity.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verify z^2 w64",
+        "  max |float difference| 2.000e-15; other fields differ: no",
+        "matrix cb two mixed m16",
+        "  max |float difference| 0.000e+00; other fields differ: yes at 1 path(s), first $.re (length 2 vs 1)",
+        "decompose new g512",
+        "gone.json",
+    ]
+    stub(("verify z^2 w64", [flagged]), ("matrix cb two mixed m16", {"re": [1.0, 2.0]}), ("gone", {}))
+    assert parity.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verify z^2 w64",
+        "  max |float difference| 0.000e+00; other fields differ: yes at 2 path(s),"
+        " first $[0].params.excluded_columns (length 1 vs 2)",
+    ]

@@ -12,22 +12,21 @@ from blaschkeops.circlefun import (
     sample,
 )
 from blaschkeops.transfer import (
+    ModuleVector,
     arcs_basis,
     compose_with_b,
-    constant,
     expansion_deviation,
     expansion_points,
     fibre_means,
     from_series,
     grid_fibre,
     module_gram_deviation,
-    product_vector,
     transfer_apply,
     transfer_values,
     transfer_vector,
 )
 
-from conftest import blaschke_zeros
+from conftest import blaschke_zeros, ones_basis
 from oracles import transfer_brute
 
 
@@ -35,19 +34,35 @@ def _series_vec(n, window=8):
     return from_series(exponential(n, window))
 
 
+def _constant(c):
+    return ModuleVector(label=f"const {c}", func=lambda z: np.full(np.shape(z), complex(c)))
+
+
+def _first_arc(bs, factor=None):
+    """sqrt(N) 1_A1 (times the vector `factor`) as a single vector, with the arcs' exception angles."""
+    arcs = arcs_basis(bs)
+
+    def rule(z):
+        first = arcs.values(z)[0]
+        return first if factor is None else first * factor.evaluate(z)
+
+    return ModuleVector(label=arcs.labels[0], func=rule, exceptions=arcs.exceptions)
+
+
 def _expectation(bs, f):
     """E(f) = beta(L(f)): the conditional expectation onto the range of composition."""
     return compose_with_b(bs, transfer_vector(bs, f))
 
 
-def _coefficients(basis, f, fib):
+def _coefficients(family, f, fib):
     """The module coefficients <m_i, f> = L(conj(m_i) f) at the image of the fibre."""
-    return fibre_means((np.conj(m.evaluate(fib)) for m in basis), f.evaluate(fib))
+    return fibre_means(np.conj(family.values(fib)), f.evaluate(fib))
 
 
 def _inner(bs, xi, eta, grid):
     """<xi, eta> = L(conj(xi) eta) on the grid, conjugate linear in the first slot."""
-    return _coefficients([xi], eta, grid_fibre(bs, grid))[0]
+    fib = grid_fibre(bs, grid)
+    return fibre_means(np.conj(xi.evaluate(fib))[None], eta.evaluate(fib))[0]
 
 
 # -- composition --------------------------------------------------------------
@@ -55,7 +70,7 @@ def _inner(bs, xi, eta, grid):
 
 def test_compose_constant(mixed, grid1024):
     _, bs = mixed
-    out = compose_with_b(bs, constant(1.0)).evaluate(grid1024.points)
+    out = compose_with_b(bs, _constant(1.0)).evaluate(grid1024.points)
     assert np.allclose(out, 1.0)
 
 
@@ -78,7 +93,7 @@ def test_compose_is_b_itself(half, grid1024):
 
 def test_transfer_unital(mixed, grid1024):
     _, bs = mixed
-    out = transfer_apply(bs, constant(1.0), grid1024)
+    out = transfer_apply(bs, _constant(1.0), grid1024)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
 
 
@@ -158,7 +173,7 @@ def test_transfer_maps_h2_into_h2(mixed, grid1024):
 
 def test_expectation_fixes_constants(mixed, grid1024):
     _, bs = mixed
-    out = _expectation(bs, constant(2.5)).evaluate(grid1024.points)
+    out = _expectation(bs, _constant(2.5)).evaluate(grid1024.points)
     assert np.max(np.abs(out - 2.5)) < 1e-12
 
 
@@ -193,7 +208,7 @@ def test_expectation_idempotent(zeros):
 
 def test_module_inner_of_ones(mixed, grid1024):
     _, bs = mixed
-    out = _inner(bs, constant(1.0), constant(1.0), grid1024)
+    out = _inner(bs, _constant(1.0), _constant(1.0), grid1024)
     assert np.max(np.abs(out - 1.0)) < 1e-12
 
 
@@ -202,7 +217,7 @@ def test_module_inner_conjugate_linear_first_slot(mixed, grid1024):
     alpha = 0.3 + 0.7j
     xi = _series_vec(1)
     eta = _series_vec(2)
-    scaled = product_vector(constant(alpha), xi)
+    scaled = ModuleVector(label="alpha*xi", func=lambda z: alpha * xi.evaluate(z))
     lhs = _inner(bs, scaled, eta, grid1024)
     rhs = np.conj(alpha) * _inner(bs, xi, eta, grid1024)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -221,8 +236,8 @@ def test_module_cauchy_schwarz(mixed, grid1024):
 def test_arcs_are_semicircles_for_squaring(z2):
     _, bs = z2
     arcs = arcs_basis(bs)
-    up = arcs[0].evaluate(np.exp(1j * np.array([0.5, 2.0])))
-    down = arcs[0].evaluate(np.exp(1j * np.array([3.5, 5.0])))
+    up = arcs.values(np.exp(1j * np.array([0.5, 2.0])))[0]
+    down = arcs.values(np.exp(1j * np.array([3.5, 5.0])))[0]
     assert np.allclose(up, np.sqrt(2))
     assert np.allclose(down, 0.0)
 
@@ -230,8 +245,24 @@ def test_arcs_are_semicircles_for_squaring(z2):
 def test_arcs_partition(mixed, grid1024):
     _, bs = mixed
     arcs = arcs_basis(bs)
-    total = sum(a.evaluate(grid1024.points) for a in arcs) / np.sqrt(bs.branch_count)
+    total = arcs.values(grid1024.points).sum(axis=0) / np.sqrt(bs.branch_count)
     assert np.max(np.abs(total - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("zeros", [[0, 0], [0.5, -0.3j], [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]])
+def test_arcs_rows_are_one_hot(zeros, grid1024):
+    # at every point exactly one row is sqrt(N), the branch whose arc holds it
+    bs = build_branches(make_blaschke(zeros))
+    n = bs.branch_count
+    arcs = arcs_basis(bs)
+    z = np.concatenate([grid1024.points, np.exp(1j * bs.arc_endpoints)])
+    vals = arcs.values(z)
+    assert vals.shape == (n, z.size)
+    assert arcs.labels == tuple(f"sqrt({n})*1_A{j}" for j in range(1, n + 1))
+    on = vals == np.sqrt(n)
+    assert np.all(on.sum(axis=0) == 1)
+    assert np.all(vals[~on] == 0.0)
+    assert np.array_equal(vals.sum(axis=0), np.full(z.size, np.sqrt(n)))
 
 
 def test_arcs_gram_identity(mixed, grid1024):
@@ -242,8 +273,8 @@ def test_arcs_gram_identity(mixed, grid1024):
 def test_module_expand_of_basis_element(z2, grid1024):
     _, bs = z2
     arcs = arcs_basis(bs)
-    _, fib = expansion_points(bs, grid1024, arcs[0].exceptions)
-    coeffs = _coefficients(arcs, arcs[0], fib)
+    _, fib = expansion_points(bs, grid1024, arcs.exceptions)
+    coeffs = _coefficients(arcs, _first_arc(bs), fib)
     assert np.max(np.abs(coeffs[0] - 1.0)) < 1e-10
     assert np.max(np.abs(coeffs[1])) < 1e-10
 
@@ -252,8 +283,8 @@ def test_module_expand_module_linearity(z2, grid1024):
     # f = m_1 * beta(g) has coefficients (g, 0), here at w = b(z)
     b, bs = z2
     arcs = arcs_basis(bs)
-    z, fib = expansion_points(bs, grid1024, arcs[0].exceptions)
-    f = product_vector(arcs[0], compose_with_b(bs, _series_vec(1)))
+    z, fib = expansion_points(bs, grid1024, arcs.exceptions)
+    f = _first_arc(bs, compose_with_b(bs, _series_vec(1)))
     coeffs = _coefficients(arcs, f, fib)
     assert np.max(np.abs(coeffs[0] - evaluate(b, z))) < 1e-10
     assert np.max(np.abs(coeffs[1])) < 1e-10
@@ -271,14 +302,12 @@ def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
     # f = sum_i m_i beta(<m_i, f>) pointwise: exact for the arcs basis, and off
     # by |2 L(f) o b - f| for the family [1, 1], which is no module basis
     _, bs = request.getfixturevalue(product)
-    fam = arcs_basis(bs) if basis_is_arcs else [constant(1.0), constant(1.0)]
-    z, fib = expansion_points(bs, grid1024, sorted({e for m in fam for e in m.exceptions}))
+    fam = arcs_basis(bs) if basis_is_arcs else ones_basis(bs.owner)
+    z, fib = expansion_points(bs, grid1024, sorted(fam.exceptions))
     assert fib.shape == (bs.branch_count, grid1024.size)
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
     f = from_series(FourierSeries(np.array(modes, dtype=complex)))
-    dev = expansion_deviation(
-        [m.evaluate(z) for m in fam], [np.conj(m.evaluate(fib)) for m in fam], [(f.evaluate(fib), f.evaluate(z))]
-    )
+    dev = expansion_deviation(fam.values(z), np.conj(fam.values(fib)), [(f.evaluate(fib), f.evaluate(z))])
     if basis_is_arcs:
         assert dev < 1e-10
     else:
@@ -288,7 +317,6 @@ def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
 def test_nudge_recorded_for_indicator_input(z2):
     _, bs = z2
     g = CircleGrid(512)
-    arcs = arcs_basis(bs)
-    out = transfer_apply(bs, arcs[0], g)
+    out = transfer_apply(bs, _first_arc(bs), g)
     assert "nudged_nodes" in out.meta
     assert 0 in out.meta["nudged_nodes"]

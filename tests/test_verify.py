@@ -22,7 +22,7 @@ from blaschkeops.operators import (
     uncertified_modes,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import arcs_basis, constant, outer_symbol
+from blaschkeops.transfer import arcs_basis, outer_symbol
 from blaschkeops.verify import (
     NORM_WINDOWS,
     RELATIONS,
@@ -35,8 +35,38 @@ from blaschkeops.verify import (
     verify_solution1,
 )
 
+from conftest import ones_basis
+
 FAST = RunConfig(grid_size=2048, mode_window=32)
 MID = RunConfig(grid_size=4096, mode_window=64)
+
+
+def test_family_evaluations_do_not_grow_with_the_degree(monkeypatch):
+    # each family is evaluated once per point set: the module basis takes one
+    # J^{-1/2} evaluation, not one per element, and the canonical values take
+    # N - 1 Moebius factors per evaluation, not N(N - 1)/2.  So one verify_all
+    # makes as many OuterFunction.eval calls, and as many model-space
+    # moebius_factor calls per factor, on three zeros as on six
+    import blaschkeops.model_space as model_space
+    from blaschkeops.circlefun import OuterFunction
+
+    calls = {"eval": 0, "moebius": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(OuterFunction, "eval", counted("eval", OuterFunction.eval))
+    monkeypatch.setattr(model_space, "moebius_factor", counted("moebius", model_space.moebius_factor))
+    seen = []
+    for zeros in ([0.5, -0.3j, 0.2 + 0.4j], [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]):
+        calls.update(eval=0, moebius=0)
+        verify_all(make_blaschke(zeros), RunConfig(grid_size=1024, mode_window=16))
+        seen.append((calls["eval"], calls["moebius"] / (len(zeros) - 1)))
+    assert seen[0] == seen[1], seen
 
 
 def test_all_relations_present_and_ordered():
@@ -134,8 +164,8 @@ def test_covariance_tails_match_direct_sampling_of_the_shifted_columns(mixed, sp
     s = cuntz_family_matrices(bs, basis, m, g)
     bvals = evaluate(b, g.points)
     h2 = restrict_to_h2 if space == "H2" else (lambda op: op)
-    for v, si in zip(basis.elements, s):
-        direct = h2(weighted_composition_matrix(bs, v.evaluate(g.points) * bvals, m, g))
+    for v, si in zip(basis.values(g.points), s):
+        direct = h2(weighted_composition_matrix(bs, v * bvals, m, g))
         source = _shift_columns(h2(si))
         got = uncertified_modes([source], cfg.eps_tail)
         want = uncertified_modes([direct], cfg.eps_tail)
@@ -278,8 +308,7 @@ def test_solution1_rejects_constant_family():
     # while S_i* S_j = pi(<m_i, m_j>) still holds: that identity is the theorem
     b = make_blaschke([0.3, -0.2])
     bs = build_branches(b)
-    fam = [constant(1.0), constant(1.0)]
-    rep = verify_solution1(bs, fam, FAST)
+    rep = verify_solution1(bs, ones_basis(b), FAST)
     assert not rep.passed
     assert not rep.params["family_is_onb"]
     assert rep.params["gram_deviation"] > 0.5
@@ -292,18 +321,19 @@ def test_solution1_accepts_symbol_twisted_basis():
     # twisting by the non-scalar unitary diag(e_1, e_0) in the module sense
     # sends {m_1, m_2} to {m_1 * b, m_2}, which must again solve the problem
     from blaschkeops import evaluate
-    from blaschkeops.transfer import ModuleVector
+    from blaschkeops.transfer import ModuleFamily
 
     b = make_blaschke([0.5, -0.3j])
     bs = build_branches(b)
     grid = CircleGrid(FAST.grid_size)
-    m1, m2 = induced_module_basis(bs, canonical_basis(b), grid)
+    mod = induced_module_basis(bs, canonical_basis(b), grid)
 
     def twisted(z):
-        z = np.asarray(z, dtype=complex)
-        return m1.evaluate(z) * evaluate(b, z)
+        vals = mod.values(z)
+        vals[0] *= evaluate(b, z)
+        return vals
 
-    fam = [ModuleVector(label="m1*b", func=twisted), m2]
+    fam = ModuleFamily(("m1*b", mod.labels[1]), twisted)
     rep = verify_solution1(bs, fam, FAST)
     assert rep.passed, rep.params
     assert rep.params["family_is_onb"]
