@@ -4,9 +4,9 @@
 The payloads are the `reports_to_json` of `verify_all` on the zoo of
 `run_verify.py` plus the single zero 0.8 (grid 4096, window 64) and on six
 zeros (window 128), the `matrix --which cb` and `matrix --which transfer`
-JSON of three products at `--modes 16` and `--modes 64`, and the `decompose`
-JSON of one seeded analytic series against the same three products at
-`--grid 512` and `--grid 4096`.  Save one checkout's output and compare the
+JSON of three products at `--modes 16` and `--modes 64`, and, for one seeded
+analytic series against the same three products, the `decompose` JSON at
+`--grid 512` and `--grid 4096` and the `transfer` JSON (`--modes 16`) and CSV.  Save one checkout's output and compare the
 other against it:
 
     PYTHONPATH=src python scripts/parity_digest.py > parent.txt
@@ -18,8 +18,9 @@ the saved one, or that only one side has, and exits 1 if there is any.
 `--save DIR` also writes each payload to DIR, one JSON file per payload.
 `--against DIR` compares with such a directory; for each differing payload it
 then prints the largest absolute difference between the floats at the same
-JSON path, and whether anything else differs: booleans, integers (such as
-`excluded_columns`), strings, keys or list lengths.
+JSON path (a CSV payload is read as a list of rows), and whether anything
+else differs: booleans, integers (such as `excluded_columns`), strings, keys or
+list lengths.
 
 The script runs OpenBLAS on one thread, as `perfbench` does: the matrix
 products, and so ten of the digests, change bits between one thread and two.
@@ -105,6 +106,8 @@ def payloads():
             path = write_product(zeros, workdir)
             for grid in DECOMPOSE_GRIDS:
                 yield f"decompose {name} g{grid}", cli_json(["decompose", path, series, "--grid", str(grid)])
+            yield f"transfer {name} m16", cli_json(["transfer", path, series, "--modes", "16"])
+            yield f"transfer csv {name}", cli_json(["transfer", path, series, "--format", "csv"])
 
 
 def file_name(name: str) -> str:
@@ -147,8 +150,16 @@ def json_diff(a, b, path: str = "$") -> tuple[float, list]:
     return 0.0, [] if a == b else [path]
 
 
+def parse_payload(text: str):
+    """A payload's JSON value; a CSV table (a header line, then rows of numbers) as a list of rows."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return [[float(x) for x in line.split(",")] for line in text.splitlines()[1:]]
+
+
 def describe_difference(saved_text: str, text: str) -> str:
-    worst, other = json_diff(json.loads(saved_text), json.loads(text))
+    worst, other = json_diff(parse_payload(saved_text), parse_payload(text))
     where = f"yes at {len(other)} path(s), first {other[0]}" if other else "no"
     return f"  max |float difference| {worst:.3e}; other fields differ: {where}"
 

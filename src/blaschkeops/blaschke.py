@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +70,11 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros)
+
+    @cached_property
+    def one_minus_abs2(self) -> tuple:
+        """1 - |a_j|^2 per zero, summed exactly from the float parts and rounded once (no cancellation)."""
+        return tuple(float(1 - Fraction(w.real) ** 2 - Fraction(w.imag) ** 2) for w in map(complex, self.zeros))
 
     def __call__(self, z):
         return evaluate(self, z)
@@ -133,8 +140,7 @@ def derivative(b: BlaschkeProduct, z):
         if w == 0:
             dfac[j] = 1.0
         else:
-            denom = 1.0 - np.conj(w) * pts
-            dfac[j] = _rotation(w) * (abs(w) ** 2 - 1.0) / denom**2
+            dfac[j] = -_rotation(w) * b.one_minus_abs2[j] / (1.0 - np.conj(w) * pts) ** 2
     # prefix/suffix products keep the formula finite at the zeros of b
     n = b.degree
     prefix = np.ones_like(fac)
@@ -160,11 +166,11 @@ def j0(b: BlaschkeProduct, t):
     scalar = tt.ndim == 0
     pts = np.exp(1j * np.atleast_1d(tt))
     acc = np.zeros(pts.shape, dtype=float)
-    for w in b.zeros:
+    for w, gap in zip(b.zeros, b.one_minus_abs2):
         if w == 0:
             acc += 1.0
         else:
-            acc += (1.0 - abs(w) ** 2) / np.abs(w - pts) ** 2
+            acc += gap / np.abs(w - pts) ** 2
     acc /= b.degree
     if scalar:
         return float(acc[0])

@@ -290,6 +290,7 @@ def outer_function(h: BoundaryFunction, power: float = 1.0, *, tail_tol: float =
     |g_n| > eps * max(1, max|g_n|) (eps the float64 machine epsilon).  The
     dropped mass, plus the Nyquist coefficient, is reported as `log_tail`,
     and a warning is attached to the boundary meta when it exceeds `tail_tol`.
+    A power that is not finite, or makes h^power overflow, is refused first.
     """
     vals = h.values
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
@@ -297,8 +298,11 @@ def outer_function(h: BoundaryFunction, power: float = 1.0, *, tail_tol: float =
     hr = vals.real
     if np.min(hr) <= 1e-12:
         raise ValueError(f"outer_function input must be positive, min = {np.min(hr):.3e}")
+    log_h = np.log(hr)
+    if not abs(power) * float(np.max(np.abs(log_h))) <= np.log(np.finfo(float).max):  # false for nan
+        raise ValueError(f"outer power {power} is not finite or overflows: |power * log h| > log(float max)")
     K = h.grid.size
-    g = power * np.log(hr)
+    g = power * log_h
     c = np.fft.fft(g) / K
     # analytic completion: c0 + 2*sum_{n>0} c_n e^{int}; conjugate symmetry holds for real g
     half = K // 2

@@ -147,7 +147,7 @@ def cmd_transfer(args) -> int:
     b = _load_blaschke(args.blaschke)
     bs = build_branches(b)
     grid = CircleGrid(args.grid)
-    out = transfer_apply(bs, from_series(_load_series(args.series)), grid)
+    (out,) = transfer_apply(bs, from_series(_load_series(args.series)), grid)
     if args.format == "csv":
         _emit(out.to_csv(), args.out)
     else:

@@ -65,7 +65,7 @@ def canonical_basis(b: BlaschkeProduct) -> ModelBasis:
         out = np.empty((len(zeros),) + z.shape, dtype=complex)
         partial = 1.0  # prod_{k<j} b_{a_k}(z), one more factor per zero
         for j, a in enumerate(zeros):
-            head = np.full(z.shape, np.sqrt(1.0 - abs(a) ** 2), dtype=complex)
+            head = np.full(z.shape, np.sqrt(b.one_minus_abs2[j]), dtype=complex)
             if a != 0:
                 head = head / (1.0 - np.conj(a) * z)
             out[j] = head * partial
@@ -137,8 +137,8 @@ def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) 
 # -- linking unitaries between module bases ---------------------------------
 
 
-def linking_unitary(bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid) -> list:
-    """The matrix u_ij = <A_i, B_j> linking two module bases, as boundary functions.
+def linking_unitary(bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid) -> np.ndarray:
+    """The matrix u_ij = <A_i, B_j> linking two module bases, on the grid: shape (n_a, n_b, K).
 
     Both families must pass the module Gram check, to MODULE_GRAM_TOL.
     Pointwise on the grid the matrix (u_ij(z)) is unitary, and
@@ -152,15 +152,13 @@ def linking_unitary(bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFa
         if dev > MODULE_GRAM_TOL:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
         vals.append(v)
-    u = fibre_gram(bs, *vals)
-    return [[BoundaryFunction(grid, u[i, j]) for j in range(family_b.size)] for i in range(family_a.size)]
+    return fibre_gram(bs, *vals)
 
 
-def pointwise_unitarity_deviation(u: list) -> float:
-    """sup over the grid of ||U(z)* U(z) - I||_max for a matrix of boundary functions."""
-    mat = np.stack([np.stack([f.values for f in row]) for row in u])  # (n, n, K)
-    prod = np.einsum("ijK,ikK->jkK", np.conj(mat), mat)
-    eye = np.eye(mat.shape[1])[:, :, None]
+def pointwise_unitarity_deviation(u: np.ndarray) -> float:
+    """sup over the grid of ||U(z)* U(z) - I||_max for a pointwise matrix of shape (n, n, K)."""
+    prod = np.einsum("ijK,ikK->jkK", np.conj(u), u)
+    eye = np.eye(u.shape[1])[:, :, None]
     return float(np.max(np.abs(prod - eye)))
 
 

@@ -9,8 +9,10 @@ the bounded-function algebra a Hilbert-module structure with inner product
 <xi, eta> = L(conj(xi) eta) and module action xi . a = xi * beta(a); the arcs
 indicators scaled by sqrt(N) form an orthonormal basis with N elements.
 
-All operations here are evaluated pointwise through the inverse branches, so
-identities hold to root-finding accuracy with no interpolation error.
+Module data has one type, ModuleFamily: a single element is a one-member
+family, and L and beta map families to families.  Everything is evaluated
+pointwise through the inverse branches, so identities hold to root-finding
+accuracy with no interpolation error.
 """
 
 from __future__ import annotations
@@ -39,43 +41,13 @@ MODULE_GRAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class ModuleVector:
-    """An element of the function module: a Fourier window or a pointwise rule.
-
-    Series-backed vectors are evaluated exactly by synthesis; callable-backed
-    ones (phi o b, L(xi)) by their rule.  `exceptions` lists circle angles
-    where the rule is only defined up to a null set.  Families of vectors,
-    such as bases, are ModuleFamily objects.
-    """
-
-    label: str
-    series: FourierSeries | None = None
-    func: object = None
-    exceptions: tuple = ()
-
-    def __post_init__(self):
-        if (self.series is None) == (self.func is None):
-            raise ValueError("exactly one of series/func must be given")
-
-    def evaluate(self, z) -> np.ndarray:
-        pts = np.asarray(z, dtype=complex)
-        if self.series is not None:
-            return np.asarray(synthesize(self.series, pts, analytic=None), dtype=complex)
-        return np.asarray(self.func(pts), dtype=complex)
-
-
-def from_series(s: FourierSeries, label: str = "series") -> ModuleVector:
-    return ModuleVector(label=label, series=s)
-
-
-@dataclass(frozen=True)
 class ModuleFamily:
-    """n module vectors evaluated together: values(z) has shape (n, *z.shape).
+    """n module elements evaluated together: values(z) has shape (n, *z.shape).
 
-    `rule` computes every member at once, so what the members share (a
-    running product, a symbol, a branch search) is computed once per point set;
-    it returns a new array, which callers may overwrite.  `exceptions` lists
-    circle angles where some member is only defined up to a null set.
+    A single element is a one-member family.  `rule` computes all members at
+    once, so what they share (a running product, a symbol, a branch search) is
+    computed once per point set, and returns a new array callers may overwrite.
+    `exceptions` lists angles where some member is defined only up to a null set.
     """
 
     labels: tuple
@@ -97,6 +69,12 @@ class ModuleFamily:
             return vals
 
         return ModuleFamily(tuple(f"{m}*{label}" for m in self.labels), rule, self.exceptions)
+
+
+def from_series(*series: FourierSeries) -> ModuleFamily:
+    """The family of Fourier windows, each evaluated exactly by synthesis."""
+    labels = tuple(f"series {i}" for i in range(len(series)))
+    return ModuleFamily(labels, lambda z: np.stack([synthesize(s, z, analytic=None) for s in series]))
 
 
 # -- fibre plumbing ---------------------------------------------------------
@@ -140,39 +118,29 @@ def fibre_power_means(fib: np.ndarray, window: int) -> np.ndarray:
     return acc
 
 
-def transfer_values(bs: BranchSystem, xi: ModuleVector, z) -> np.ndarray:
-    """(L xi) at arbitrary unit-modulus points, via the exact preimage fibre."""
-    pts = np.asarray(z, dtype=complex)
-    flat = np.atleast_1d(pts).reshape(-1)
-    vals = xi.evaluate(fibre(bs, np.angle(flat))).mean(axis=0)
-    return vals.reshape(pts.shape)
-
-
 # -- the operators ----------------------------------------------------------
 
 
-def compose_with_b(bs: BranchSystem, phi: ModuleVector) -> ModuleVector:
-    """beta(phi) = phi o b as a pointwise rule (e_n goes to b^n on series input)."""
-    b = bs.owner
+def compose_with_b(bs: BranchSystem, family: ModuleFamily) -> ModuleFamily:
+    """beta(m_i) = m_i o b for every member (e_n goes to b^n on series input)."""
+    exc = np.mod(bs.preimage_angles(family.exceptions), TWO_PI)  # (N, len(exceptions))
+    return ModuleFamily(
+        tuple(f"({m}) o b" for m in family.labels),
+        lambda z: family.values(evaluate(bs.owner, z)),
+        tuple(sorted(np.ravel(exc))),
+    )
+
+
+def transfer_family(bs: BranchSystem, family: ModuleFamily) -> ModuleFamily:
+    """L(m_i) for every member, on the circle, through the exact preimage fibre."""
+    imgs = evaluate(bs.owner, np.exp(1j * np.asarray(family.exceptions, dtype=float)))
+    exc = tuple(sorted(set(np.round(np.mod(np.angle(imgs), TWO_PI), 12))))
 
     def rule(z):
-        return phi.evaluate(evaluate(b, np.asarray(z, dtype=complex)))
+        vals = family.values(fibre(bs, np.angle(z.reshape(-1)))).mean(axis=1)
+        return vals.reshape((family.size,) + z.shape)
 
-    exc = []
-    for e in phi.exceptions:
-        exc.extend(np.mod(bs.preimage_angles(e)[:, 0], TWO_PI))
-    return ModuleVector(label=f"({phi.label}) o b", func=rule, exceptions=tuple(sorted(exc)))
-
-
-def transfer_vector(bs: BranchSystem, xi: ModuleVector) -> ModuleVector:
-    """L(xi) as a pointwise rule on the circle."""
-    exc = ()
-    if xi.exceptions:
-        imgs = evaluate(bs.owner, np.exp(1j * np.asarray(xi.exceptions)))
-        exc = tuple(sorted(set(np.round(np.mod(np.angle(imgs), TWO_PI), 12))))
-    return ModuleVector(
-        label=f"L({xi.label})", func=lambda z: transfer_values(bs, xi, z), exceptions=exc
-    )
+    return ModuleFamily(tuple(f"L({m})" for m in family.labels), rule, exc)
 
 
 def _nudged_angles(grid: CircleGrid, exception_angles) -> tuple[np.ndarray, list[int]]:
@@ -229,22 +197,20 @@ def expansion_deviation(a_z: np.ndarray, w_fib: np.ndarray, targets) -> float:
     return worst
 
 
-def transfer_apply(bs: BranchSystem, xi: ModuleVector, grid: CircleGrid) -> BoundaryFunction:
-    """Sample L(xi) on the grid.
+def transfer_apply(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> list[BoundaryFunction]:
+    """Sample L(m_i) on the grid, one boundary function per member.
 
-    Nodes falling on the (finitely many) angles where L(xi) is only defined up
-    to a null set are nudged by half a grid step; the indices are recorded in
-    the output meta.  Inputs without declared exceptions are sampled exactly,
-    the branch-point fibre being continuous for them.
+    Nodes on the (finitely many) angles where some L(m_i) is only defined up
+    to a null set are nudged by half a grid step for every member, and recorded
+    in each output's meta.  Families without declared exceptions are sampled
+    exactly, the branch-point fibre being continuous for them.
     """
-    lx = transfer_vector(bs, xi)
-    if lx.exceptions:
-        t, moved = _nudged_angles(grid, lx.exceptions)
-        vals = transfer_values(bs, xi, np.exp(1j * t))
-        meta = {"nudged_nodes": moved} if moved else {}
-        return BoundaryFunction(grid, vals, meta=meta)
-    fib = grid_fibre(bs, grid)
-    return BoundaryFunction(grid, xi.evaluate(fib).mean(axis=0))
+    lf = transfer_family(bs, family)
+    if not lf.exceptions:
+        return [BoundaryFunction(grid, v) for v in family.values(grid_fibre(bs, grid)).mean(axis=1)]
+    t, moved = _nudged_angles(grid, lf.exceptions)
+    meta = {"nudged_nodes": moved} if moved else {}
+    return [BoundaryFunction(grid, v, meta=dict(meta)) for v in lf.values(np.exp(1j * t))]
 
 
 # -- bases ------------------------------------------------------------------

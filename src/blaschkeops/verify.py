@@ -244,18 +244,15 @@ def _rel_implements_transfer(ctx: _Context):
     # c_{m-n}(L phi) there, so the moments are L phi's coefficients reversed.
     # The grid holds those up to lag (K - 1)/2, which may fall short of 2*window
     # but never of window, so the lags |n - m| <= window are always compared.
-    symbols = [exponential(0, 2), exponential(1, 2), exponential(2, 2), ctx.random_symbol()]
-    phis = ModuleFamily(
-        ("1", "e_0", "e_1", "e_2", "random"),
-        lambda z: np.stack([np.ones(z.shape)] + [synthesize(phi, z, analytic=None) for phi in symbols]),
-    )
+    # The first symbol, e_0 = 1, is also the moments' left factor.
+    phis = from_series(exponential(0, 2), exponential(1, 2), exponential(2, 2), ctx.random_symbol())
     mu = pair_power_gram(ctx.bs, _times_j_half(phis, ctx.bs, ctx.grid), ctx.window)
     lags = min(2 * ctx.window, (ctx.grid.size - 1) // 2)
     mid = 2 * ctx.window
     worst = 0.0
-    for s, phi in enumerate(symbols, start=1):
-        lphi = fourier_coeffs(transfer_apply(ctx.bs, from_series(phi), ctx.grid), lags)
-        worst = max(worst, float(np.max(np.abs(mu[0, s, mid - lags : mid + lags + 1] - lphi.coeffs[::-1]))))
+    for s, lphi in enumerate(transfer_apply(ctx.bs, phis, ctx.grid)):
+        coeffs = fourier_coeffs(lphi, lags).coeffs
+        worst = max(worst, float(np.max(np.abs(mu[0, s, mid - lags : mid + lags + 1] - coeffs[::-1]))))
     return worst, {"symbols": ["e_0", "e_1", "e_2", "random(window=8)"], "max_lag": lags, "excluded_columns": []}
 
 

@@ -173,7 +173,7 @@ def test_criterion_5_covariance():
     for n in (0, 1, 2):
         phi = exponential(n, m)
         lhs = compose(adjoint(c), compose(mult_operator(phi, m), c))
-        lphi = transfer_apply(bs, from_series(phi), grid)
+        (lphi,) = transfer_apply(bs, from_series(phi), grid)
         rhs = mult_operator(fourier_coeffs(lphi, m), m)
         middle = weighted_composition_matrix(bs, grid.points ** float(n) * jh, m, grid)
         r, _ = interior_residual(lhs, rhs, inner, tail_sources=[cd, middle])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ def test_outer_csv(inputs, capsys):
     first = out.splitlines()[1].split(",")
     # J(1) = 0.75/(1 - 0.5)^2 = 3
     assert float(first[1]) == pytest.approx(3.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("power, shown", [("nan", "nan"), ("inf", "inf"), ("1e308", "1e+308")])
+def test_outer_refuses_unusable_power(inputs, capsys, power, shown):
+    # refused before any transform: the power is named, and numpy warns of nothing
+    _, _, half, _ = inputs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["outer", str(half), "--power", power, "--grid", "256"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"math error: outer power {shown} ")
+    assert captured.out == ""
+    assert [str(w.message) for w in caught] == []
 
 
 def test_transfer_command(inputs, capsys):

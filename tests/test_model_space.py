@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from blaschkeops import build_branches, evaluate, make_blaschke
+from blaschkeops import build_branches, evaluate, j0, make_blaschke
 from blaschkeops.circlefun import CircleGrid
 from blaschkeops.errors import GramCheckError
 from blaschkeops.model_space import (
@@ -74,6 +74,25 @@ def test_canonical_values_match_mpmath(zeros):
     exact = canonical_basis_mpmath(zeros, z)
     assert vals.shape == (len(zeros), 64)
     assert np.max(np.abs(vals - exact)) / np.max(np.abs(exact)) < 1e-14
+
+
+@pytest.mark.parametrize("a", [0.999, 0.999 * np.exp(0.7j)], ids=["real", "rotated"])
+def test_near_circle_constants_match_mpmath(a):
+    # w_1(0) = sqrt(1 - |a|^2) and j0 at the zero's antipode, (1 - |a|^2) / |a - e^{it}|^2,
+    # to 1e-15 relative: 1 - |a|^2 must be formed without the float cancellation
+    import mpmath
+
+    b = make_blaschke([a])
+    t = float(np.angle(a) + np.pi)
+    w1, j0_t = complex(canonical_basis(b).values(0.0)[0]), j0(b, t)
+    assert w1.imag == 0.0
+    with mpmath.workdps(50):
+        am = mpmath.mpc(complex(a).real, complex(a).imag)
+        gap = 1 - abs(am) ** 2
+        exact_w1 = mpmath.sqrt(gap)
+        exact_j0 = gap / abs(am - mpmath.expj(t)) ** 2
+        assert abs(w1.real - exact_w1) / exact_w1 < 1e-15
+        assert abs(j0_t - exact_j0) / exact_j0 < 1e-15
 
 
 def test_family_values_keep_the_shape_of_the_points():
@@ -234,7 +253,7 @@ def test_linking_same_family_is_identity(mixed, grid1024):
     for i in range(2):
         for j in range(2):
             target = 1.0 if i == j else 0.0
-            assert np.max(np.abs(u[i][j].values - target)) < 1e-10
+            assert np.max(np.abs(u[i, j] - target)) < 1e-10
 
 
 def test_linking_scalar_rotation_gives_constants(mixed, grid1024):
@@ -251,8 +270,8 @@ def test_linking_scalar_rotation_gives_constants(mixed, grid1024):
     for i in range(2):
         for j in range(2):
             direct = fibre_means(np.conj(mod_a.values(fib)[i : i + 1]), mod_b.values(fib)[j])[0]
-            assert np.max(np.abs(u[i][j].values - direct)) < 1e-12
-            assert np.max(np.abs(u[i][j].values - scalar_u[j, i])) < 1e-8
+            assert np.max(np.abs(u[i, j] - direct)) < 1e-12
+            assert np.max(np.abs(u[i, j] - scalar_u[j, i])) < 1e-8
 
 
 def test_linking_canonical_to_arcs(z2, grid1024):

@@ -12,7 +12,7 @@ from blaschkeops.circlefun import (
     sample,
 )
 from blaschkeops.transfer import (
-    ModuleVector,
+    ModuleFamily,
     arcs_basis,
     compose_with_b,
     expansion_deviation,
@@ -22,8 +22,7 @@ from blaschkeops.transfer import (
     grid_fibre,
     module_gram_deviation,
     transfer_apply,
-    transfer_values,
-    transfer_vector,
+    transfer_family,
 )
 
 from conftest import blaschke_zeros, ones_basis
@@ -35,34 +34,46 @@ def _series_vec(n, window=8):
 
 
 def _constant(c):
-    return ModuleVector(label=f"const {c}", func=lambda z: np.full(np.shape(z), complex(c)))
+    return ModuleFamily((f"const {c}",), lambda z: np.full((1,) + z.shape, complex(c)))
 
 
 def _first_arc(bs, factor=None):
-    """sqrt(N) 1_A1 (times the vector `factor`) as a single vector, with the arcs' exception angles."""
+    """sqrt(N) 1_A1 (times the one-member `factor`) as a one-member family, with the arcs' exception angles."""
     arcs = arcs_basis(bs)
 
     def rule(z):
-        first = arcs.values(z)[0]
-        return first if factor is None else first * factor.evaluate(z)
+        first = arcs.values(z)[:1]
+        return first if factor is None else first * factor.values(z)
 
-    return ModuleVector(label=arcs.labels[0], func=rule, exceptions=arcs.exceptions)
+    return ModuleFamily(arcs.labels[:1], rule, arcs.exceptions)
+
+
+def _at(f, z):
+    """The values of the one-member family f at z."""
+    (vals,) = f.values(z)
+    return vals
 
 
 def _expectation(bs, f):
     """E(f) = beta(L(f)): the conditional expectation onto the range of composition."""
-    return compose_with_b(bs, transfer_vector(bs, f))
+    return compose_with_b(bs, transfer_family(bs, f))
 
 
 def _coefficients(family, f, fib):
     """The module coefficients <m_i, f> = L(conj(m_i) f) at the image of the fibre."""
-    return fibre_means(np.conj(family.values(fib)), f.evaluate(fib))
+    return fibre_means(np.conj(family.values(fib)), _at(f, fib))
 
 
 def _inner(bs, xi, eta, grid):
     """<xi, eta> = L(conj(xi) eta) on the grid, conjugate linear in the first slot."""
     fib = grid_fibre(bs, grid)
-    return fibre_means(np.conj(xi.evaluate(fib))[None], eta.evaluate(fib))[0]
+    return fibre_means(np.conj(xi.values(fib)), _at(eta, fib))[0]
+
+
+def _apply(bs, f, grid):
+    """L(f) on the grid for the one-member family f."""
+    (out,) = transfer_apply(bs, f, grid)
+    return out
 
 
 # -- composition --------------------------------------------------------------
@@ -70,14 +81,14 @@ def _inner(bs, xi, eta, grid):
 
 def test_compose_constant(mixed, grid1024):
     _, bs = mixed
-    out = compose_with_b(bs, _constant(1.0)).evaluate(grid1024.points)
+    out = _at(compose_with_b(bs, _constant(1.0)), grid1024.points)
     assert np.allclose(out, 1.0)
 
 
 def test_compose_mode_with_squaring(z2, grid1024):
     _, bs = z2
     comp = compose_with_b(bs, _series_vec(1))
-    s = fourier_coeffs(sample(comp.evaluate, grid1024), 4)
+    s = fourier_coeffs(sample(lambda z: _at(comp, z), grid1024), 4)
     assert abs(s.coeff(2) - 1.0) < 1e-13
     assert abs(s.coeff(1)) < 1e-13
 
@@ -85,7 +96,7 @@ def test_compose_mode_with_squaring(z2, grid1024):
 def test_compose_is_b_itself(half, grid1024):
     b, bs = half
     comp = compose_with_b(bs, _series_vec(1))
-    assert np.max(np.abs(comp.evaluate(grid1024.points) - evaluate(b, grid1024.points))) < 1e-13
+    assert np.max(np.abs(_at(comp, grid1024.points) - evaluate(b, grid1024.points))) < 1e-13
 
 
 # -- the transfer operator ------------------------------------------------------
@@ -93,14 +104,14 @@ def test_compose_is_b_itself(half, grid1024):
 
 def test_transfer_unital(mixed, grid1024):
     _, bs = mixed
-    out = transfer_apply(bs, _constant(1.0), grid1024)
+    out = _apply(bs, _constant(1.0), grid1024)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
 
 
 def test_transfer_halves_modes_under_squaring(z2, grid1024):
     _, bs = z2
     for n, target in [(0, {0: 1.0}), (1, {}), (4, {2: 1.0}), (-6, {-3: 1.0})]:
-        s = fourier_coeffs(transfer_apply(bs, _series_vec(n), grid1024), 8)
+        s = fourier_coeffs(_apply(bs, _series_vec(n), grid1024), 8)
         got = {int(m): c for m, c in zip(s.modes, s.coeffs) if abs(c) > 1e-11}
         assert set(got) == set(target)
         for k, v in target.items():
@@ -110,7 +121,7 @@ def test_transfer_halves_modes_under_squaring(z2, grid1024):
 def test_left_inverse_of_composition(mixed, grid1024):
     _, bs = mixed
     comp = compose_with_b(bs, _series_vec(1))
-    back = transfer_apply(bs, comp, grid1024)
+    back = _apply(bs, comp, grid1024)
     assert np.max(np.abs(back.values - grid1024.points)) < 1e-10
 
 
@@ -120,7 +131,7 @@ def test_left_inverse_on_modes(zeros, n):
     bs = build_branches(b)
     g = CircleGrid(256)
     comp = compose_with_b(bs, _series_vec(n))
-    back = transfer_apply(bs, comp, g)
+    back = _apply(bs, comp, g)
     assert np.max(np.abs(back.values - g.points ** float(n))) < 1e-10
 
 
@@ -133,7 +144,7 @@ def test_transfer_against_polyroot_oracle(zeros):
     s = FourierSeries(c / np.sum(np.abs(c)))
     vec = from_series(s)
     zpts = np.exp(1j * np.linspace(0.2, 6.0, 9))
-    got = transfer_values(bs, vec, zpts)
+    got = _at(transfer_family(bs, vec), zpts)
     expect = transfer_brute(zeros, lambda w: np.asarray(
         sum(s.coeff(n) * w ** float(n) for n in range(-4, 5))
     ), zpts)
@@ -144,9 +155,9 @@ def test_transfer_linearity_positivity(mixed, grid1024):
     _, bs = mixed
     f = _series_vec(1)
     g = _series_vec(2)
-    lf = transfer_apply(bs, f, grid1024).values
-    lg = transfer_apply(bs, g, grid1024).values
-    both = transfer_apply(
+    lf = _apply(bs, f, grid1024).values
+    lg = _apply(bs, g, grid1024).values
+    both = _apply(
         bs, from_series(FourierSeries(
             exponential(1, 8).coeffs * 2.0 + exponential(2, 8).coeffs * 1j
         )), grid1024
@@ -154,7 +165,7 @@ def test_transfer_linearity_positivity(mixed, grid1024):
     assert np.max(np.abs(both - (2.0 * lf + 1j * lg))) < 1e-12
     # positivity: nonnegative in, nonnegative out
     pos = from_series(FourierSeries(np.array([0.5, 1.0, 0.5], dtype=complex)))  # |1 + z|^2 / ...
-    out = transfer_apply(bs, pos, grid1024).values
+    out = _apply(bs, pos, grid1024).values
     assert np.min(out.real) > -1e-12
     assert np.max(np.abs(out.imag)) < 1e-12
 
@@ -163,7 +174,7 @@ def test_transfer_maps_h2_into_h2(mixed, grid1024):
     _, bs = mixed
     worst = 0.0
     for n in range(0, 33):
-        s = fourier_coeffs(transfer_apply(bs, _series_vec(n, window=33), grid1024), 256)
+        s = fourier_coeffs(_apply(bs, _series_vec(n, window=33), grid1024), 256)
         worst = max(worst, s.negative_energy())
     assert worst < 1e-8
 
@@ -173,20 +184,20 @@ def test_transfer_maps_h2_into_h2(mixed, grid1024):
 
 def test_expectation_fixes_constants(mixed, grid1024):
     _, bs = mixed
-    out = _expectation(bs, _constant(2.5)).evaluate(grid1024.points)
+    out = _at(_expectation(bs, _constant(2.5)), grid1024.points)
     assert np.max(np.abs(out - 2.5)) < 1e-12
 
 
 def test_expectation_fixes_range_of_composition(mixed, grid1024):
     _, bs = mixed
     f = compose_with_b(bs, _series_vec(1))
-    out = _expectation(bs, f).evaluate(grid1024.points)
-    assert np.max(np.abs(out - f.evaluate(grid1024.points))) < 1e-10
+    out = _at(_expectation(bs, f), grid1024.points)
+    assert np.max(np.abs(out - _at(f, grid1024.points))) < 1e-10
 
 
 def test_expectation_kills_odd_mode_under_squaring(z2, grid1024):
     _, bs = z2
-    out = _expectation(bs, _series_vec(1)).evaluate(grid1024.points)
+    out = _at(_expectation(bs, _series_vec(1)), grid1024.points)
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -198,8 +209,8 @@ def test_expectation_idempotent(zeros):
     rng = np.random.default_rng(5)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     f = from_series(FourierSeries(c / np.sum(np.abs(c))))
-    once = _expectation(bs, f).evaluate(g.points)
-    twice = _expectation(bs, _expectation(bs, f)).evaluate(g.points)
+    once = _at(_expectation(bs, f), g.points)
+    twice = _at(_expectation(bs, _expectation(bs, f)), g.points)
     assert np.max(np.abs(twice - once)) < 1e-9
 
 
@@ -217,7 +228,7 @@ def test_module_inner_conjugate_linear_first_slot(mixed, grid1024):
     alpha = 0.3 + 0.7j
     xi = _series_vec(1)
     eta = _series_vec(2)
-    scaled = ModuleVector(label="alpha*xi", func=lambda z: alpha * xi.evaluate(z))
+    scaled = ModuleFamily(("alpha*xi",), lambda z: alpha * xi.values(z))
     lhs = _inner(bs, scaled, eta, grid1024)
     rhs = np.conj(alpha) * _inner(bs, xi, eta, grid1024)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -307,7 +318,7 @@ def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
     assert fib.shape == (bs.branch_count, grid1024.size)
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
     f = from_series(FourierSeries(np.array(modes, dtype=complex)))
-    dev = expansion_deviation(fam.values(z), np.conj(fam.values(fib)), [(f.evaluate(fib), f.evaluate(z))])
+    dev = expansion_deviation(fam.values(z), np.conj(fam.values(fib)), [(_at(f, fib), _at(f, z))])
     if basis_is_arcs:
         assert dev < 1e-10
     else:
@@ -317,6 +328,29 @@ def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
 def test_nudge_recorded_for_indicator_input(z2):
     _, bs = z2
     g = CircleGrid(512)
-    out = transfer_apply(bs, _first_arc(bs), g)
+    out = _apply(bs, _first_arc(bs), g)
     assert "nudged_nodes" in out.meta
     assert 0 in out.meta["nudged_nodes"]
+
+
+@pytest.mark.parametrize("product, nudged", [("z2", True), ("mixed", False)])
+def test_transfer_apply_family_matches_members(request, product, nudged):
+    # one call over series members plus the first arc equals one call per
+    # member (each keeping the family's exception angles), bit for bit
+    _, bs = request.getfixturevalue(product)
+    g = CircleGrid(512)
+    series = from_series(exponential(1, 8), FourierSeries(np.array([0.2, 1.0, -0.4j], dtype=complex)))
+    arc = _first_arc(bs)
+    fam = ModuleFamily(
+        series.labels + arc.labels,
+        lambda z: np.concatenate([series.values(z), arc.values(z)]),
+        arc.exceptions,
+    )
+    together = transfer_apply(bs, fam, g)
+    assert len(together) == fam.size
+    for i, out in enumerate(together):
+        member = ModuleFamily(fam.labels[i : i + 1], lambda z, i=i: fam.values(z)[i : i + 1], fam.exceptions)
+        alone = _apply(bs, member, g)
+        assert np.array_equal(out.values, alone.values)
+        assert out.meta == alone.meta
+        assert ("nudged_nodes" in out.meta) == nudged
