@@ -157,20 +157,28 @@ def derivative(b: BlaschkeProduct, z):
     return vals.reshape(arr.shape)
 
 
-def j0(b: BlaschkeProduct, t):
+def j0(b: BlaschkeProduct, t, e=None):
     """Boundary symbol j0(e^{it}) = (1/N) sum_j (1-|a_j|^2)/|a_j - e^{it}|^2, strictly positive.
 
     Zero factors contribute the constant 1.  Equals Re(e^{it} b'(e^{it}) / (N b(e^{it}))).
+    `e`, when given, is exactly np.exp(1j * t) for a caller that has formed it already.
     """
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
-    pts = np.exp(1j * np.atleast_1d(tt))
+    pts = np.exp(1j * np.atleast_1d(tt)) if e is None else np.atleast_1d(e)
     acc = np.zeros(pts.shape, dtype=float)
+    diff = np.empty(pts.shape, dtype=complex)
+    term = np.empty(pts.shape, dtype=float)
     for w, gap in zip(b.zeros, b.one_minus_abs2):
         if w == 0:
             acc += 1.0
         else:
-            acc += gap / np.abs(w - pts) ** 2
+            # gap / |w - e^{it}|^2, one operation at a time into the two buffers
+            np.subtract(w, pts, out=diff)
+            np.abs(diff, out=term)
+            np.square(term, out=term)
+            np.divide(gap, term, out=term)
+            acc += term
     acc /= b.degree
     if scalar:
         return float(acc[0])
@@ -206,20 +214,32 @@ class BranchSystem:
 
     # -- the lift ----------------------------------------------------------
 
-    def theta(self, t):
-        """theta(t) for scalar or array t: the Moebius-argument sum, exact at t = 0."""
+    def theta(self, t, e=None):
+        """theta(t) for scalar or array t: the Moebius-argument sum, exact at t = 0.
+
+        `e`, when given, is exactly np.exp(1j * t) for a caller that has formed it already.
+        """
         tt = np.asarray(t, dtype=float)
-        e = np.exp(1j * tt)
+        if e is None:
+            e = np.exp(1j * tt)
         val = self.theta0 + self.branch_count * tt
+        q = np.empty(tt.shape, dtype=complex)
+        arg = np.empty(tt.shape)
         for w in self.owner.zeros:
             if w != 0:
                 cw = np.conj(w)
-                val = val - 2.0 * (np.angle(1.0 - cw * e) - np.angle(1.0 - cw))
+                # val - 2 (Arg(1 - cw e) - Arg(1 - cw)), one operation at a time into the buffers
+                np.multiply(cw, e, out=q)
+                np.subtract(1.0, q, out=q)
+                np.arctan2(q.imag, q.real, out=arg)
+                arg -= np.angle(1.0 - cw)
+                arg *= 2.0
+                val -= arg
         return float(val) if tt.ndim == 0 else val
 
-    def theta_prime(self, t):
-        """theta'(t) = N * j0(t), strictly positive."""
-        return self.owner.degree * j0(self.owner, t)
+    def theta_prime(self, t, e=None):
+        """theta'(t) = N * j0(t), strictly positive; `e` as in theta."""
+        return self.owner.degree * j0(self.owner, t, e)
 
     def theta_inv(self, s):
         """Solve theta(t) = s for t in [0, 2pi], vectorized safeguarded Newton.
@@ -243,19 +263,21 @@ class BranchSystem:
             if not active.size:
                 break
             ta = t[active]
-            f = self.theta(ta) - target[active]
+            e = np.exp(1j * ta)  # one exponential serves the lift and the slope
+            f = self.theta(ta, e) - target[active]
             conv = np.abs(f) < ROOT_TOL
             if conv.any():
                 active = active[~conv]
                 if not active.size:
                     break
                 ta = ta[~conv]
+                e = e[~conv]
                 f = f[~conv]
             la = lo[active]
             ha = hi[active]
             ha = np.where(f > 0, ta, ha)
             la = np.where(f <= 0, ta, la)
-            tn = ta - f / self.theta_prime(ta)
+            tn = ta - f / self.theta_prime(ta, e)
             out = (tn < la) | (tn > ha)
             tn = np.where(out, 0.5 * (la + ha), tn)
             t[active] = tn

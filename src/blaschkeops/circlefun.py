@@ -21,6 +21,11 @@ from .errors import AnalyticExtensionError, GridMismatchError
 TWO_PI = 2.0 * np.pi
 
 
+def complex_pairs(values: np.ndarray) -> list:
+    """[[re, im], ...] of a complex array in C order, as Python floats: one tolist() on a float view."""
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
 @dataclass(frozen=True)
 class CircleGrid:
     """Uniform grid of K = 2^k >= 4 nodes t_j = 2*pi*j/K on [0, 2*pi); fewer
@@ -63,10 +68,8 @@ class BoundaryFunction:
         object.__setattr__(self, "values", vals)
 
     def to_csv(self) -> str:
-        lines = ["t,re,im"]
-        for t, v in zip(self.grid.angles, self.values):
-            lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}")
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack((self.grid.angles, self.values.real, self.values.imag)).tolist()
+        return "t,re,im\n" + "".join(f"{t!r},{re!r},{im!r}\n" for t, re, im in rows)
 
 
 def boundary_from_csv(text: str) -> BoundaryFunction:
@@ -111,7 +114,7 @@ class FourierSeries:
 
     def to_json(self) -> str:
         return json.dumps(
-            {"min_n": -self.window, "coeffs": [[c.real, c.imag] for c in self.coeffs]}
+            {"min_n": -self.window, "coeffs": complex_pairs(self.coeffs)}
         )
 
 

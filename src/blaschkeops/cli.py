@@ -9,6 +9,7 @@ series as {"min_n": -M, "coeffs": [[re, im], ...]}), results go to stdout or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -219,7 +220,14 @@ def cmd_verify(args) -> int:
     return min(failures, 250)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no state between calls.
+
+    Subcommands carry no handler: main dispatches to the module's cmd_<name>
+    at call time, so a rebound cmd_<name> takes effect in a process whose
+    parser is already built.
+    """
     p = _Parser(prog="blaschkeops", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -234,47 +242,39 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("describe", help="summarize a Blaschke product")
     sp.add_argument("blaschke")
     common(sp)
-    sp.set_defaults(func=cmd_describe)
 
     sp = sub.add_parser("preimages", help="circle preimages of e^{i angle}")
     sp.add_argument("blaschke")
     sp.add_argument("--angle", type=float, required=True, help="target angle in radians")
     common(sp)
-    sp.set_defaults(func=cmd_preimages)
 
     sp = sub.add_parser("transfer", help="apply the transfer operator to a series")
     sp.add_argument("blaschke")
     sp.add_argument("series")
     common(sp)
-    sp.set_defaults(func=cmd_transfer)
 
     sp = sub.add_parser("outer", help="outer power J^p of the boundary symbol")
     sp.add_argument("blaschke")
     sp.add_argument("--power", type=float, default=1.0)
     common(sp)
-    sp.set_defaults(func=cmd_outer)
 
     sp = sub.add_parser("basis", help="canonical model-space basis as Fourier series")
     sp.add_argument("blaschke")
     common(sp)
-    sp.set_defaults(func=cmd_basis)
 
     sp = sub.add_parser("matrix", help="truncated operator matrices")
     sp.add_argument("blaschke")
     sp.add_argument("--which", required=True, help="gamma | cb | cuntz | transfer | mult:SERIES.json")
     common(sp)
-    sp.set_defaults(func=cmd_matrix)
 
     sp = sub.add_parser("decompose", help="Rochberg decomposition of a series")
     sp.add_argument("blaschke")
     sp.add_argument("series")
     common(sp)
-    sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("verify", help="run the certification suite; exit = failure count")
     sp.add_argument("blaschke")
     common(sp)
-    sp.set_defaults(func=cmd_verify)
     return p
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     try:
         _config(args)  # one rule for --grid, --modes and --tol on every command
         _check_format(args)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT

@@ -29,8 +29,8 @@ from .transfer import (
     expansion_deviation,
     expansion_points,
     fibre_gram,
+    fibre_values_and_gram,
     gram_deviation,
-    grid_fibre,
     outer_symbol,
 )
 
@@ -137,18 +137,20 @@ def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) 
 # -- linking unitaries between module bases ---------------------------------
 
 
-def linking_unitary(bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid) -> np.ndarray:
+def linking_unitary(
+    bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid, *, fibre_a: tuple | None = None
+) -> np.ndarray:
     """The matrix u_ij = <A_i, B_j> linking two module bases, on the grid: shape (n_a, n_b, K).
 
     Both families must pass the module Gram check, to MODULE_GRAM_TOL.
     Pointwise on the grid the matrix (u_ij(z)) is unitary, and
-    B_j = sum_i A_i * beta(u_ij).
+    B_j = sum_i A_i * beta(u_ij).  `fibre_a`, when given, is exactly
+    fibre_values_and_gram(bs, family_a, grid), for a caller that has formed it.
     """
-    fib = grid_fibre(bs, grid)
     vals = []  # each family evaluated once on the fibre serves its Gram check and u
-    for fam, name in ((family_a, "A"), (family_b, "B")):
-        v = fam.values(fib)  # (n, N, K)
-        dev = gram_deviation(fibre_gram(bs, v, v))
+    for fam, name, known in ((family_a, "A", fibre_a), (family_b, "B", None)):
+        v, gram = fibre_values_and_gram(bs, fam, grid) if known is None else known
+        dev = gram_deviation(gram)
         if dev > MODULE_GRAM_TOL:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
         vals.append(v)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BranchSystem, evaluate, j0
-from .circlefun import CircleGrid, FourierSeries, fourier_coeffs, integer_powers
+from .circlefun import CircleGrid, FourierSeries, complex_pairs, fourier_coeffs, integer_powers
 from .model_space import ModelBasis, validate_basis
 from .transfer import ModuleFamily, fibre_power_means, grid_fibre, outer_symbol
 
@@ -71,8 +71,8 @@ class TruncatedOperator:
                 "space": self.space,
                 "row_modes": list(self.row_modes),
                 "col_modes": list(self.col_modes),
-                "data": [[v.real, v.imag] for v in self.matrix.reshape(-1)],
-                "column_tail": list(map(float, self.column_tail)),
+                "data": complex_pairs(self.matrix),
+                "column_tail": self.column_tail.tolist(),
             }
         )
 
@@ -80,7 +80,7 @@ class TruncatedOperator:
         if plane not in ("re", "im"):
             raise ValueError("plane must be 're' or 'im'")
         part = self.matrix.real if plane == "re" else self.matrix.imag
-        return "\n".join(",".join(repr(float(x)) for x in row) for row in part) + "\n"
+        return "\n".join(",".join(map(repr, row)) for row in part.tolist()) + "\n"
 
 
 def operator_from_json(text: str) -> TruncatedOperator:
@@ -108,23 +108,25 @@ def identity_operator(window: int) -> TruncatedOperator:
 
 def mult_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
     """Toeplitz matrix of multiplication by phi on modes [-window, window]."""
-    if phi.window > window:
+    p = phi.window
+    if p > window:
         raise ValueError("symbol window exceeds the operator window")
-    modes = np.arange(-window, window + 1)
-    diff = modes[:, None] - modes[None, :]
-    mat = np.zeros(diff.shape, dtype=complex)
-    inside = np.abs(diff) <= phi.window
-    mat[inside] = phi.coeffs[diff[inside] + phi.window]
-    # per column: symbol mass pushed outside the row window.  Coefficient j
-    # lands on row j - phi.window + n, so the rows below -window are j < lo and
-    # those above window are j >= hi; phi.window <= window keeps lo below and hi
-    # above the symbol's length, so each bound is clipped on one side only
-    tails = np.empty(modes.size)
+    # entry (m, n) is c_{m - n}: row m of the reversed windows of the coefficients,
+    # zero-padded to the differences -2*window..2*window
+    padded = np.zeros(4 * window + 1, dtype=complex)
+    padded[2 * window - p : 2 * window + p + 1] = phi.coeffs
+    mat = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1)[:, ::-1].copy()
+    # per column: symbol mass pushed outside the row window.  In column n the
+    # coefficient j lands on row j - p + n, so the first p - window - n leave
+    # below -window and those from p + window - n + 1 on leave above window;
+    # p <= window keeps that to k outermost coefficients on one side, k = 1..p,
+    # in the p first and the p last columns
+    tails = np.zeros(2 * window + 1)
     c2 = np.abs(phi.coeffs) ** 2
-    for idx, n in enumerate(modes):
-        lo = max(phi.window - window - n, 0)
-        hi = min(phi.window + window - n + 1, c2.size)
-        tails[idx] = np.sqrt(np.sum(np.concatenate((c2[:lo], c2[hi:]))))
+    for k in range(1, p + 1):
+        tails[p - k] = np.add.reduce(c2[:k])
+        tails[2 * window - p + k] = np.add.reduce(c2[-k:])
+    np.sqrt(tails, out=tails)
     return TruncatedOperator(mat, (-window, window), (-window, window), "L2", tails)
 
 

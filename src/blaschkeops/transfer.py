@@ -249,10 +249,11 @@ def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.n
     return np.einsum("aNK,bNK->abK", np.conj(a_vals), b_vals) / bs.branch_count
 
 
-def gram_functions(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> np.ndarray:
-    """Pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K)."""
-    vals = family.values(grid_fibre(bs, grid))  # (n, N, K)
-    return fibre_gram(bs, vals, vals)
+def fibre_values_and_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> tuple:
+    """The family on the grid's preimage fibre, shape (n, N, K), and from those
+    values its pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K)."""
+    vals = family.values(grid_fibre(bs, grid))
+    return vals, fibre_gram(bs, vals, vals)
 
 
 def gram_deviation(g: np.ndarray) -> float:
@@ -263,4 +264,4 @@ def gram_deviation(g: np.ndarray) -> float:
 
 def module_gram_deviation(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> float:
     """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs."""
-    return gram_deviation(gram_functions(bs, family, grid))
+    return gram_deviation(fibre_values_and_gram(bs, family, grid)[1])

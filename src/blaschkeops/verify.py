@@ -63,9 +63,9 @@ from .transfer import (
     expansion_deviation,
     expansion_points,
     fibre_power_means,
+    fibre_values_and_gram,
     from_series,
     gram_deviation,
-    gram_functions,
     grid_fibre,
     module_gram_deviation,
     outer_symbol,
@@ -130,6 +130,11 @@ class _Context:
     @cached_property
     def module_basis(self):
         return induced_module_basis(self.bs, self.basis, self.grid)
+
+    @cached_property
+    def module_fibre(self):
+        """module_basis on the grid fibre and its pointwise Gram, shared by three relations."""
+        return fibre_values_and_gram(self.bs, self.module_basis, self.grid)
 
     @cached_property
     def cuntz(self):
@@ -361,8 +366,7 @@ def _rel_norm_formula(ctx: _Context):
 
 
 def _rel_module_onb(ctx: _Context):
-    dev = module_gram_deviation(ctx.bs, ctx.module_basis, ctx.grid)
-    return dev, {"family": "canonical v_i * J^{-1/2}"}
+    return gram_deviation(ctx.module_fibre[1]), {"family": "canonical v_i * J^{-1/2}"}
 
 
 def _rel_arcs_onb(ctx: _Context):
@@ -372,7 +376,7 @@ def _rel_arcs_onb(ctx: _Context):
 
 def _rel_linking_unitary(ctx: _Context):
     arcs = arcs_basis(ctx.bs)
-    u = linking_unitary(ctx.bs, ctx.module_basis, arcs, ctx.grid)
+    u = linking_unitary(ctx.bs, ctx.module_basis, arcs, ctx.grid, fibre_a=ctx.module_fibre)
     r1 = pointwise_unitarity_deviation(u)
     r2 = linking_reconstruction_deviation(ctx.bs, ctx.module_basis, arcs, ctx.grid)
     return max(r1, r2), {"unitarity_defect": r1, "reconstruction_defect": r2}
@@ -392,7 +396,7 @@ def _rel_rochberg_roundtrip(ctx: _Context):
 
 
 def _rel_solution1(ctx: _Context):
-    rep = verify_solution1(ctx.bs, ctx.module_basis, ctx.config, interior=ctx.interior)
+    rep = verify_solution1(ctx.bs, ctx.module_basis, ctx.config, interior=ctx.interior, fibre=ctx.module_fibre)
     return rep.residual, rep.params
 
 
@@ -465,6 +469,7 @@ def verify_solution1(
     config: RunConfig | None = None,
     *,
     interior: int | None = None,
+    fibre: tuple | None = None,
 ) -> VerificationReport:
     """Certify (or refute) that S_i = pi(m_i) C_b solves the covariance problem.
 
@@ -472,13 +477,15 @@ def verify_solution1(
     fails the module Gram check, the orthogonality and completeness failures
     mirror the Gram failure while the structural identity
     S_i* S_j = pi(<m_i, m_j>) still holds: that identity is the theorem.
+    `fibre`, when given, is exactly fibre_values_and_gram(bs, family, grid)
+    on the config's grid, for a caller that has formed it.
     """
     config = config or RunConfig()
     grid = CircleGrid(config.grid_size)
     inner = config.interior if interior is None else interior
     n = family.size
 
-    gram = gram_functions(bs, family, grid)  # <m_i, m_j> on the grid
+    _, gram = fibre_values_and_gram(bs, family, grid) if fibre is None else fibre  # <m_i, m_j> on the grid
     gram_dev = gram_deviation(gram)
     onb = bool(gram_dev < config.tol_operator)
 

@@ -142,6 +142,45 @@ def test_j0_mean_is_one_two_resolutions():
     assert abs(m2 - 1.0) < 1e-10
 
 
+def _written_out_theta(bs, t):
+    """theta as the Moebius-argument sum, one expression per zero."""
+    e = np.exp(1j * t)
+    val = bs.theta0 + bs.branch_count * t
+    for w in bs.owner.zeros:
+        if w != 0:
+            cw = np.conj(w)
+            val = val - 2.0 * (np.angle(1.0 - cw * e) - np.angle(1.0 - cw))
+    return val
+
+
+def _written_out_j0(b, t):
+    """j0 as the mean of (1 - |a_j|^2) / |a_j - e^{it}|^2, one expression per zero."""
+    pts = np.exp(1j * t)
+    acc = np.zeros(pts.shape)
+    for w, gap in zip(b.zeros, b.one_minus_abs2):
+        acc += 1.0 if w == 0 else gap / np.abs(w - pts) ** 2
+    return acc / b.degree
+
+
+@pytest.mark.parametrize("with_origin", [False, True], ids=["no-origin", "zero-at-origin"])
+def test_theta_and_j0_equal_their_written_out_formulas(with_origin):
+    rng = np.random.default_rng(11)
+    zeros = list(0.7 * np.sqrt(rng.uniform(size=5)) * np.exp(2j * np.pi * rng.uniform(size=5)))
+    if with_origin:
+        zeros[2] = 0
+    b = make_blaschke(zeros)
+    bs = build_branches(b)
+    t = rng.uniform(0.0, 2 * np.pi, 257)
+    t[0] = 0.0
+    e = np.exp(1j * t)
+    for got in (bs.theta(t), bs.theta(t, e)):
+        assert np.array_equal(got, _written_out_theta(bs, t))
+    for got in (j0(b, t), j0(b, t, e), bs.theta_prime(t, e) / b.degree):
+        assert np.array_equal(got, _written_out_j0(b, t))
+    assert bs.theta(t[5]) == _written_out_theta(bs, t[5])
+    assert j0(b, t[5]) == _written_out_j0(b, t[5:6])[0]
+
+
 # -- branch system ------------------------------------------------------------
 
 

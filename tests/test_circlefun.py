@@ -329,6 +329,33 @@ def test_series_json_round_trip():
     assert data["min_n"] == -1
 
 
+def _awkward_complex(size, seed=9):
+    """Seeded complex samples with signed zeros, subnormals and huge parts mixed in."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    x[::5] = complex(-0.0, 0.0)
+    x[1::5] = complex(5e-324, -0.0)
+    x[2::5] *= 1e-310
+    x[3::5] *= 1e300
+    return x
+
+
+def test_series_json_matches_per_entry_encoding():
+    s = FourierSeries(_awkward_complex(21))
+    expect = {"min_n": -10, "coeffs": [[c.real, c.imag] for c in s.coeffs]}
+    assert s.to_json() == json.dumps(expect)
+    strided = FourierSeries(_awkward_complex(42)[::2][:21])
+    assert strided.to_json() == json.dumps({"min_n": -10, "coeffs": [[c.real, c.imag] for c in strided.coeffs]})
+
+
+def test_boundary_csv_matches_per_entry_encoding():
+    f = BoundaryFunction(CircleGrid(32), _awkward_complex(32))
+    lines = ["t,re,im"] + [
+        f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}" for t, v in zip(f.grid.angles, f.values)
+    ]
+    assert f.to_csv() == "\n".join(lines) + "\n"
+
+
 def test_boundary_csv_round_trip():
     g = CircleGrid(8)
     f = sample(lambda z: z + 0.5j, g)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from blaschkeops import cli
 from blaschkeops.circlefun import series_from_json
 from blaschkeops.config import RunConfig
 from blaschkeops.cli import main
@@ -309,3 +310,25 @@ def test_usage_error_for_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_dispatch_reads_the_command_function_at_call_time(inputs, capsys, monkeypatch):
+    # the parser is built once per process; a cmd_<name> rebound after that
+    # (as a tracer wrapping the module attributes does) must still be called
+    _, z2, _, _ = inputs
+    assert _run(["describe", z2, "--grid", "512"], capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_describe", lambda args: seen.append(args.blaschke) or 7)
+    assert _run(["describe", z2, "--grid", "512"], capsys) == (7, "")
+    assert seen == [str(z2)]
+
+
+def test_csv_refusal_leaks_no_state_into_the_next_call(inputs, capsys):
+    _, z2, _, _ = inputs
+    argv = ["describe", z2, "--grid", "512"]
+    code, before = _run(argv, capsys)
+    assert code == 0
+    assert main([str(a) for a in argv] + ["--format", "csv"]) == 1
+    assert capsys.readouterr().err == "error: csv output is not available for describe\n"
+    assert _run(argv, capsys) == (0, before)
+    json.loads(before)

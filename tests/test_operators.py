@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ def test_mult_tails_match_mask_formula(symbol_window):
     for n, tail in zip(op.col_mode_array, op.column_tail):
         k = phi.modes + n
         assert tail == np.sqrt(np.sum(c2[(k < -window) | (k > window)]))
+
+
+@pytest.mark.parametrize("symbol_window", [0, 5, 16])
+def test_mult_matrix_matches_mode_difference_formula(symbol_window):
+    # reference: entry (m, n) is c_{m - n} where |m - n| <= symbol_window, else zero
+    rng = np.random.default_rng(4)
+    size = 2 * symbol_window + 1
+    phi = FourierSeries(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    window = 16
+    modes = np.arange(-window, window + 1)
+    diff = modes[:, None] - modes[None, :]
+    ref = np.zeros(diff.shape, dtype=complex)
+    inside = np.abs(diff) <= symbol_window
+    ref[inside] = phi.coeffs[diff[inside] + symbol_window]
+    assert np.array_equal(mult_operator(phi, window).matrix, ref)
 
 
 def test_mult_window_violation():
@@ -449,6 +466,33 @@ def test_operator_json_round_trip(z2):
     assert back.row_modes == op.row_modes
     assert back.space == op.space
     assert np.allclose(back.column_tail, op.column_tail)
+
+
+def _awkward_floats(rng, shape):
+    """Seeded floats with signed zeros, subnormals, integers and huge values mixed in."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[::7] = -0.0
+    flat[1::7] = 5e-324
+    flat[2::7] *= 1e-310
+    flat[3::7] = np.round(flat[3::7] * 1e3)
+    flat[4::7] *= 1e300
+    return x
+
+
+def test_operator_encoders_match_per_entry_encoding():
+    rng = np.random.default_rng(9)
+    # column-major storage, like the column builders' matrices
+    mat = (_awkward_floats(rng, (5, 7)) + 1j * _awkward_floats(rng, (5, 7))).T
+    tails = np.abs(_awkward_floats(rng, 5))
+    tails[[1, 3]] = np.inf
+    op = TruncatedOperator(mat, (-3, 3), (-2, 2), "L2", tails)
+    data = [[v.real, v.imag] for v in op.matrix.reshape(-1)]
+    expect = {"space": "L2", "row_modes": [-3, 3], "col_modes": [-2, 2], "data": data,
+              "column_tail": list(map(float, op.column_tail))}
+    assert op.to_json() == json.dumps(expect)
+    for plane, part in (("re", op.matrix.real), ("im", op.matrix.imag)):
+        assert op.to_csv(plane) == "\n".join(",".join(repr(float(x)) for x in row) for row in part) + "\n"
 
 
 # -- quadrature Gram ----------------------------------------------------------------

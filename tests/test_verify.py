@@ -6,7 +6,7 @@ import pytest
 from blaschkeops import build_branches, evaluate, make_blaschke
 from blaschkeops.circlefun import CircleGrid, exponential, fourier_coeffs
 from blaschkeops.config import RunConfig
-from blaschkeops.model_space import canonical_basis, induced_module_basis
+from blaschkeops.model_space import canonical_basis, induced_module_basis, linking_unitary
 from blaschkeops.operators import (
     adjoint,
     compose,
@@ -22,7 +22,7 @@ from blaschkeops.operators import (
     uncertified_modes,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import arcs_basis, outer_symbol
+from blaschkeops.transfer import arcs_basis, fibre_values_and_gram, module_gram_deviation, outer_symbol
 from blaschkeops.verify import (
     NORM_WINDOWS,
     RELATIONS,
@@ -301,6 +301,23 @@ def test_solution1_canonical_family():
     grid = CircleGrid(FAST.grid_size)
     rep = verify_solution1(bs, induced_module_basis(bs, canonical_basis(b), grid), FAST)
     assert rep.passed, rep.params
+
+
+def test_shared_module_fibre_gives_the_unshared_results():
+    # verify_all forms the module family's fibre values and Gram once for
+    # module_onb, linking_unitary and solution1_equivalence: the same bits as
+    # each relation forming its own
+    b = make_blaschke([0.5, -0.3j])
+    bs = build_branches(b)
+    grid = CircleGrid(FAST.grid_size)
+    mod = induced_module_basis(bs, canonical_basis(b), grid)
+    formed = fibre_values_and_gram(bs, mod, grid)
+    assert verify_relation(b, "module_onb", FAST).residual == module_gram_deviation(bs, mod, grid)
+    arcs = arcs_basis(bs)
+    assert np.array_equal(linking_unitary(bs, mod, arcs, grid, fibre_a=formed), linking_unitary(bs, mod, arcs, grid))
+    shared = verify_solution1(bs, mod, FAST, fibre=formed)
+    assert shared == verify_solution1(bs, mod, FAST)
+    assert verify_relation(b, "solution1_equivalence", FAST).residual == shared.residual
 
 
 def test_solution1_rejects_constant_family():
