@@ -147,29 +147,41 @@ def exponential(n: int, window: int | None = None) -> FourierSeries:
     return FourierSeries(c)
 
 
+def nonnegative_powers(z, top: int, out: np.ndarray | None = None) -> np.ndarray:
+    """z^n for n = 0..top, shape (top+1, len(z)); row n holds z^n.
+
+    Built by doubling, about one complex multiply per entry: rows
+    [2^h, 2^(h+1)) are rows [0, 2^h) times z^(2^h).  Row n does not depend on
+    `top`.  `out`, when given, is a (top+1, len(z)) complex array that
+    receives the rows and is returned.
+    """
+    z = np.asarray(z, dtype=complex)
+    if out is None:
+        out = np.empty((top + 1, z.size), dtype=complex)
+    out[0] = 1.0
+    if top:
+        out[1] = z
+    done = 2  # rows [0, done) are filled; done is a power of two
+    while done <= top:
+        count = min(done, top + 1 - done)
+        np.multiply(out[:count], out[done // 2] * out[done // 2], out=out[done : done + count])
+        done *= 2
+    return out
+
+
 def integer_powers(z, window: int) -> np.ndarray:
     """z^n for n = -window..window, shape (2*window+1, len(z)); row window + n holds z^n.
 
-    The rows n >= 0 are built by doubling, about one complex multiply per
-    entry: rows [2^h, 2^(h+1)) are rows [0, 2^h) times z^(2^h).  The negative
-    rows are reciprocals of the positive ones, not conjugates: samples of b are
-    unimodular only to a few ulps, which conj would carry into every row.  Row n
-    does not depend on the window, so a wider table holds a narrower one bit
-    for bit.
+    The rows n >= 0 are nonnegative_powers.  The negative rows are reciprocals
+    of the positive ones, not conjugates: samples of b are unimodular only to a
+    few ulps, which conj would carry into every row.  Row n does not depend on
+    the window, so a wider table holds a narrower one bit for bit.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     z = np.asarray(z, dtype=complex)
     out = np.empty((2 * window + 1, z.size), dtype=complex)
-    pos = out[window:]  # rows n = 0..window
-    pos[0] = 1.0
-    if window:
-        pos[1] = z
-    done = 2  # rows [0, done) are filled; done is a power of two
-    while done <= window:
-        count = min(done, window + 1 - done)
-        np.multiply(pos[:count], pos[done // 2] * pos[done // 2], out=pos[done : done + count])
-        done *= 2
+    pos = nonnegative_powers(z, window, out=out[window:])  # rows n = 0..window
     np.divide(1.0, pos[:0:-1], out=out[:window])
     return out
 
@@ -184,12 +196,17 @@ def fourier_coeffs(f: BoundaryFunction, window: int) -> FourierSeries:
 
     Exact for band-limited inputs whose band fits the grid (aliasing otherwise).
     """
-    K = f.grid.size
+    return FourierSeries(fourier_window(f.values, window))
+
+
+def fourier_window(values: np.ndarray, window: int) -> np.ndarray:
+    """fourier_coeffs of every row at once: the window n in [-window, window] of
+    samples on a grid along the last axis, shape values.shape[:-1] + (2*window+1,)."""
+    K = values.shape[-1]
     if 2 * window + 1 > K:
         raise ValueError(f"window {window} exceeds grid capacity {(K - 1) // 2}")
-    c = np.fft.fft(f.values) / K
     idx = np.mod(np.arange(-window, window + 1), K)
-    return FourierSeries(c[idx])
+    return np.fft.fft(values, axis=-1)[..., idx] / K
 
 
 def synthesize(s: FourierSeries, z, *, analytic: bool | None = None, tol: float = 1e-10):

@@ -25,6 +25,7 @@ from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_coef
 from .errors import GramCheckError
 from .transfer import (
     MODULE_GRAM_TOL,
+    POINT_BLOCK,
     ModuleFamily,
     expansion_deviation,
     expansion_points,
@@ -138,17 +139,24 @@ def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) 
 
 
 def linking_unitary(
-    bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid, *, fibre_a: tuple | None = None
+    bs: BranchSystem,
+    family_a: ModuleFamily,
+    family_b: ModuleFamily,
+    grid: CircleGrid,
+    *,
+    fibre_a: tuple | None = None,
+    fibre_b: tuple | None = None,
 ) -> np.ndarray:
     """The matrix u_ij = <A_i, B_j> linking two module bases, on the grid: shape (n_a, n_b, K).
 
     Both families must pass the module Gram check, to MODULE_GRAM_TOL.
     Pointwise on the grid the matrix (u_ij(z)) is unitary, and
-    B_j = sum_i A_i * beta(u_ij).  `fibre_a`, when given, is exactly
-    fibre_values_and_gram(bs, family_a, grid), for a caller that has formed it.
+    B_j = sum_i A_i * beta(u_ij).  `fibre_a` and `fibre_b`, when given, are
+    exactly fibre_values_and_gram(bs, family, grid) of their family, for a
+    caller that has formed them.
     """
     vals = []  # each family evaluated once on the fibre serves its Gram check and u
-    for fam, name, known in ((family_a, "A", fibre_a), (family_b, "B", None)):
+    for fam, name, known in ((family_a, "A", fibre_a), (family_b, "B", fibre_b)):
         v, gram = fibre_values_and_gram(bs, fam, grid) if known is None else known
         dev = gram_deviation(gram)
         if dev > MODULE_GRAM_TOL:
@@ -158,10 +166,19 @@ def linking_unitary(
 
 
 def pointwise_unitarity_deviation(u: np.ndarray) -> float:
-    """sup over the grid of ||U(z)* U(z) - I||_max for a pointwise matrix of shape (n, n, K)."""
-    prod = np.einsum("ijK,ikK->jkK", np.conj(u), u)
-    eye = np.eye(u.shape[1])[:, :, None]
-    return float(np.max(np.abs(prod - eye)))
+    """sup over the grid of ||U(z)* U(z) - I||_max for a pointwise matrix of shape (n, n, K).
+
+    One batched matrix product per POINT_BLOCK grid points; the deviation is a
+    running max, so no (n, n, K) product is formed.
+    """
+    eye = np.eye(u.shape[1])
+    worst = 0.0
+    for lo in range(0, u.shape[2], POINT_BLOCK):
+        m = np.ascontiguousarray(u[:, :, lo : lo + POINT_BLOCK].transpose(2, 0, 1))  # (points, n, n)
+        prod = np.conj(m).transpose(0, 2, 1) @ m
+        prod -= eye
+        worst = max(worst, float(np.max(np.abs(prod))))
+    return worst
 
 
 def linking_reconstruction_deviation(

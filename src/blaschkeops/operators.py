@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BranchSystem, evaluate, j0
-from .circlefun import CircleGrid, FourierSeries, complex_pairs, fourier_coeffs, integer_powers
+from .circlefun import (
+    CircleGrid,
+    FourierSeries,
+    complex_pairs,
+    fourier_coeffs,
+    integer_powers,
+    nonnegative_powers,
+)
 from .model_space import ModelBasis, validate_basis
 from .transfer import ModuleFamily, fibre_power_means, grid_fibre, outer_symbol
 
@@ -364,21 +371,19 @@ def interior_residual(
 PANEL_POINTS = 16  # Gauss-Legendre nodes per panel of pair_power_gram
 OVERSAMPLE = 6.0  # its quadrature points per period of the fastest oscillation
 NODE_BLOCK = 2048  # quadrature nodes per power table, which bounds its memory
+PAIR_ROWS = 256  # member pairs (i, j) per matrix product (at least one i's n pairs), which bounds its memory
 
 
-def pair_power_gram(bs: BranchSystem, family: ModuleFamily, window: int) -> np.ndarray:
-    """Power-Gram moments of a family by piecewise Gauss-Legendre, shape (n, n, 4*window+1).
+def moment_nodes(bs: BranchSystem, exceptions, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes t and weights w of pair_power_gram's rule: sum w g(t) ~ int g dt/2pi.
 
-    mu[i, j, k + 2*window] = int conj(f_i) f_j e^{ik theta(t)} dt/2pi for
-    |k| <= 2*window.  Since b = e^{i theta} on the circle, the Gram entry
-    (f_j b^n, f_i b^m) is mu[i, j, n - m + 2*window]: the matrix is Toeplitz in
-    n - m.  The panels break at the union of the family's exception angles, so
-    the quadrature stays spectrally accurate for indicator-type members where
-    grid quadrature and truncated matrix products lose O(1/M).  The verifier
-    certifies every Gram relation of the form (f b^n, g b^m) from these moments.
+    Piecewise Gauss-Legendre on [0, 2pi], with PANEL_POINTS nodes per panel.
+    The panels break at the `exceptions` angles, and each stretch between
+    breaks gets OVERSAMPLE points per period of e^{2i window theta}, at its
+    fastest slope.
     """
     two_pi = 2.0 * np.pi
-    breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for e in family.exceptions})
+    breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for e in exceptions})
     nodes_x, weights_x = np.polynomial.legendre.leggauss(PANEL_POINTS)
     max_slope = bs.branch_count * float(np.max(j0(bs.owner, np.linspace(0, two_pi, 1024))))
     ts, ws = [], []
@@ -393,19 +398,48 @@ def pair_power_gram(bs: BranchSystem, family: ModuleFamily, window: int) -> np.n
         half = 0.5 * (edges[1:] - edges[:-1])
         ts.append((mid[:, None] + half[:, None] * nodes_x[None, :]).reshape(-1))
         ws.append((half[:, None] * weights_x[None, :]).reshape(-1))
-    t = np.concatenate(ts)
-    w = np.concatenate(ws) / two_pi
+    return np.concatenate(ts), np.concatenate(ws) / two_pi
+
+
+def pair_power_gram(bs: BranchSystem, family: ModuleFamily, window: int) -> np.ndarray:
+    """Power-Gram moments of a family by piecewise Gauss-Legendre, shape (n, n, 4*window+1).
+
+    mu[i, j, k + 2*window] = int conj(f_i) f_j e^{ik theta(t)} dt/2pi for
+    |k| <= 2*window.  Since b = e^{i theta} on the circle, the Gram entry
+    (f_j b^n, f_i b^m) is mu[i, j, n - m + 2*window]: the matrix is Toeplitz in
+    n - m.  The panels break at the union of the family's exception angles, so
+    the quadrature stays spectrally accurate for indicator-type members where
+    grid quadrature and truncated matrix products lose O(1/M).  The verifier
+    certifies every Gram relation of the form (f b^n, g b^m) from these moments.
+
+    Per block of NODE_BLOCK nodes, the moments k >= 0 of about PAIR_ROWS member
+    pairs are one matrix product: the pair rows w conj(f_i) f_j, for a run of
+    i and every j, times the powers e^{ik theta}, k = 0..2*window, built by
+    doubling.  Both operands live in buffers reused from block to block, so
+    memory is O((max(PAIR_ROWS, n) + window) NODE_BLOCK) beside the values
+    and the moments.
+    """
+    t, w = moment_nodes(bs, family.exceptions, window)
     vals = family.values(np.exp(1j * t))  # (n, Q)
     phase = np.exp(1j * bs.theta(t))  # b on the nodes
-    mu = np.zeros((family.size, family.size, 4 * window + 1), dtype=complex)
+    n = family.size
+    mu = np.zeros((n, n, 4 * window + 1), dtype=complex)
+    step = max(1, PAIR_ROWS // max(n, 1))  # members i per product, each with all n members j
+    size = min(NODE_BLOCK, t.size)
+    pair_buf = np.empty(step * n * size, dtype=complex)
+    power_buf = np.empty((2 * window + 1, size), dtype=complex)
     for start in range(0, t.size, NODE_BLOCK):
         blk = slice(start, start + NODE_BLOCK)
-        # rows k = 0..2*window: e^{i window theta} times the powers -window..window
-        powers = integer_powers(phase[blk], window)
-        powers *= powers[-1].copy()
+        count = phase[blk].size
+        powers = nonnegative_powers(phase[blk], 2 * window, out=power_buf[:, :count])
+        wv = w[blk] * np.conj(vals[:, blk])  # w conj(f_i)
         v = vals[:, blk]
-        for i, fi in enumerate(v):  # one row at a time keeps memory O(n NODE_BLOCK)
-            mu[i, :, 2 * window:] += (w[blk] * np.conj(fi) * v) @ powers.T
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            rows = pair_buf[: (hi - lo) * n * count].reshape(hi - lo, n, count)
+            np.multiply(wv[lo:hi, None, :], v[None, :, :], out=rows)
+            prod = rows.reshape((hi - lo) * n, count) @ powers.T
+            mu[lo:hi, :, 2 * window:] += prod.reshape(hi - lo, n, -1)
     # mu[i, j, -k] = conj(mu[j, i, k])
     mu[:, :, :2 * window] = np.conj(mu[:, :, :2 * window:-1]).transpose(1, 0, 2)
     return mu

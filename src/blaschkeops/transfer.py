@@ -39,6 +39,10 @@ NUDGE_RADIUS = 1e-9
 #: not a module basis (model_space.linking_unitary)
 MODULE_GRAM_TOL = 1e-6
 
+#: grid points per batched matrix product of the pointwise Grams, which bounds
+#: their temporaries
+POINT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ModuleFamily:
@@ -244,9 +248,19 @@ def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.n
     """Pointwise module Gram <A_i, B_j>(z) from values on a fibre, shape (n_a, n_b, K).
 
     `a_vals` and `b_vals` hold each family member on the preimage fibre, shape
-    (n, N, K); the Gram is the branch average of conj(A_i) B_j.
+    (n, N, K); the Gram is the branch average of conj(A_i) B_j.  It is one
+    batched matrix product per POINT_BLOCK grid points, each point's
+    (n_a, N) @ (N, n_b).
     """
-    return np.einsum("aNK,bNK->abK", np.conj(a_vals), b_vals) / bs.branch_count
+    n_a, _, size = a_vals.shape
+    out = np.empty((n_a, b_vals.shape[0], size), dtype=complex)
+    for lo in range(0, size, POINT_BLOCK):
+        blk = slice(lo, lo + POINT_BLOCK)
+        b = np.ascontiguousarray(b_vals[:, :, blk].transpose(2, 0, 1))  # (points, n_b, N)
+        a = b if a_vals is b_vals else np.ascontiguousarray(a_vals[:, :, blk].transpose(2, 0, 1))
+        out[:, :, blk] = (np.conj(a) @ b.transpose(0, 2, 1)).transpose(1, 2, 0)
+    out /= bs.branch_count
+    return out
 
 
 def fibre_values_and_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> tuple:
@@ -262,6 +276,12 @@ def gram_deviation(g: np.ndarray) -> float:
     return float(np.max(np.abs(g - eye)))
 
 
-def module_gram_deviation(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> float:
-    """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs."""
-    return gram_deviation(fibre_values_and_gram(bs, family, grid)[1])
+def module_gram_deviation(
+    bs: BranchSystem, family: ModuleFamily, grid: CircleGrid, *, fibre: tuple | None = None
+) -> float:
+    """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs.
+
+    `fibre`, when given, is exactly fibre_values_and_gram(bs, family, grid),
+    for a caller that has formed it; only its Gram is read.
+    """
+    return gram_deviation((fibre_values_and_gram(bs, family, grid) if fibre is None else fibre)[1])

@@ -25,6 +25,7 @@ from .circlefun import (
     FourierSeries,
     exponential,
     fourier_coeffs,
+    fourier_window,
     synthesize,
 )
 from .config import RunConfig
@@ -133,8 +134,27 @@ class _Context:
 
     @cached_property
     def module_fibre(self):
-        """module_basis on the grid fibre and its pointwise Gram, shared by three relations."""
+        """module_basis on the grid fibre and its pointwise Gram: module_onb and
+        linking_unitary read both, solution1_equivalence only the Gram."""
         return fibre_values_and_gram(self.bs, self.module_basis, self.grid)
+
+    @cached_property
+    def arcs(self):
+        return arcs_basis(self.bs)
+
+    @cached_property
+    def arcs_fibre(self):
+        """arcs on the grid fibre and its pointwise Gram, read by arcs_onb and linking_unitary."""
+        return fibre_values_and_gram(self.bs, self.arcs, self.grid)
+
+    def release_fibre_values(self):
+        """Free the fibre arrays that linking_unitary, their last reader, has read.
+
+        Only the module Gram stays, for solution1_equivalence.
+        """
+        if "module_fibre" in self.__dict__:
+            self.module_fibre = (None, self.module_fibre[1])
+        self.__dict__.pop("arcs_fibre", None)
 
     @cached_property
     def cuntz(self):
@@ -366,19 +386,25 @@ def _rel_norm_formula(ctx: _Context):
 
 
 def _rel_module_onb(ctx: _Context):
-    return gram_deviation(ctx.module_fibre[1]), {"family": "canonical v_i * J^{-1/2}"}
+    dev = module_gram_deviation(ctx.bs, ctx.module_basis, ctx.grid, fibre=ctx.module_fibre)
+    return dev, {"family": "canonical v_i * J^{-1/2}"}
 
 
 def _rel_arcs_onb(ctx: _Context):
-    dev = module_gram_deviation(ctx.bs, arcs_basis(ctx.bs), ctx.grid)
+    dev = module_gram_deviation(ctx.bs, ctx.arcs, ctx.grid, fibre=ctx.arcs_fibre)
     return dev, {"family": "sqrt(N) arc indicators"}
 
 
 def _rel_linking_unitary(ctx: _Context):
-    arcs = arcs_basis(ctx.bs)
-    u = linking_unitary(ctx.bs, ctx.module_basis, arcs, ctx.grid, fibre_a=ctx.module_fibre)
+    try:
+        u = linking_unitary(
+            ctx.bs, ctx.module_basis, ctx.arcs, ctx.grid, fibre_a=ctx.module_fibre, fibre_b=ctx.arcs_fibre
+        )
+    finally:
+        ctx.release_fibre_values()
     r1 = pointwise_unitarity_deviation(u)
-    r2 = linking_reconstruction_deviation(ctx.bs, ctx.module_basis, arcs, ctx.grid)
+    del u  # (n, N, K): freed before the reconstruction evaluates the families on a fibre
+    r2 = linking_reconstruction_deviation(ctx.bs, ctx.module_basis, ctx.arcs, ctx.grid)
     return max(r1, r2), {"unitarity_defect": r1, "reconstruction_defect": r2}
 
 
@@ -477,13 +503,13 @@ def verify_solution1(
     fails the module Gram check, the orthogonality and completeness failures
     mirror the Gram failure while the structural identity
     S_i* S_j = pi(<m_i, m_j>) still holds: that identity is the theorem.
-    `fibre`, when given, is exactly fibre_values_and_gram(bs, family, grid)
-    on the config's grid, for a caller that has formed it.
+    `fibre`, when given, is fibre_values_and_gram(bs, family, grid) on the
+    config's grid, for a caller that has formed it; only its Gram is read, so
+    its values may be None.
     """
     config = config or RunConfig()
     grid = CircleGrid(config.grid_size)
     inner = config.interior if interior is None else interior
-    n = family.size
 
     _, gram = fibre_values_and_gram(bs, family, grid) if fibre is None else fibre  # <m_i, m_j> on the grid
     gram_dev = gram_deviation(gram)
@@ -495,11 +521,7 @@ def verify_solution1(
     mu = pair_power_gram(bs, columns, inner)
     orth = orthonormality_defect(mu)
     # S_i* S_j = pi(<m_i, m_j>): the moments reversed are the symbol's coefficients
-    consistency = 0.0
-    for i in range(n):
-        for j in range(n):
-            sym = fourier_coeffs(BoundaryFunction(grid, gram[i, j]), 2 * inner)
-            consistency = max(consistency, float(np.max(np.abs(mu[i, j, ::-1] - sym.coeffs))))
+    consistency = float(np.max(np.abs(mu[:, :, ::-1] - fourier_window(gram, 2 * inner))))
 
     # completeness through the action on band-limited test vectors
     rng = np.random.default_rng(config.seed)

@@ -74,3 +74,11 @@ def ones_basis(b):
 
     n = b.degree
     return ModelBasis(labels=("1",) * n, rule=lambda z: np.ones((n,) + z.shape), owner=b, kind="user")
+
+
+def seeded_zeros(n, radius):
+    """n zeros r e^{it}, r = radius sqrt(U), t uniform, from default_rng(1)."""
+    rng = np.random.default_rng(1)
+    r = radius * np.sqrt(rng.uniform(size=n))
+    t = rng.uniform(0, 2 * np.pi, n)
+    return list(r * np.exp(1j * t))

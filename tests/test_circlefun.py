@@ -16,6 +16,7 @@ from blaschkeops.circlefun import (
     integer_powers,
     l2_inner,
     l2_norm,
+    nonnegative_powers,
     outer_function,
     sample,
     series_from_json,
@@ -144,6 +145,13 @@ def test_integer_powers_rows(window):
     # row n does not depend on the window
     wide = integer_powers(z, 130)
     assert np.array_equal(wide[130 - window : 131 + window], p)
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 3, 64, 128, 256])
+def test_integer_powers_positive_rows_are_the_doubling_helper(window):
+    # pair_power_gram builds its powers with nonnegative_powers directly
+    z = evaluate(make_blaschke(SIX_ZEROS), CircleGrid(512).points)
+    assert np.array_equal(integer_powers(z, window)[window:], nonnegative_powers(z, window))
 
 
 def test_integer_powers_rejects_negative_window():

@@ -16,18 +16,18 @@ from blaschkeops.model_space import (
     validate_basis,
 )
 from blaschkeops.operators import orthonormality_defect, pair_power_gram
-from blaschkeops.transfer import arcs_basis, fibre_means, grid_fibre, module_gram_deviation, outer_symbol
+from blaschkeops.transfer import (
+    POINT_BLOCK,
+    arcs_basis,
+    fibre_gram,
+    fibre_means,
+    grid_fibre,
+    module_gram_deviation,
+    outer_symbol,
+)
 
-from conftest import blaschke_zeros, ones_basis
+from conftest import blaschke_zeros, ones_basis, seeded_zeros
 from oracles import canonical_basis_mpmath
-
-
-def _seeded_zeros(n, radius):
-    """n zeros r e^{it}, r = radius sqrt(U), t uniform, from default_rng(1)."""
-    rng = np.random.default_rng(1)
-    r = radius * np.sqrt(rng.uniform(size=n))
-    t = rng.uniform(0, 2 * np.pi, n)
-    return list(r * np.exp(1j * t))
 
 
 def _disc_points():
@@ -59,7 +59,7 @@ def test_canonical_closed_form_for_half():
 @pytest.mark.parametrize(
     "zeros",
     [
-        pytest.param(_seeded_zeros(32, 0.5), id="32-zeros"),
+        pytest.param(seeded_zeros(32, 0.5), id="32-zeros"),
         pytest.param([0.999], id="near-circle"),
         pytest.param([0.5, 0.5, 0.5], id="repeated"),
     ],
@@ -154,7 +154,7 @@ def test_rotate_by_quarter_turn(z2, grid4096):
 
 
 def test_rotated_values_are_u_times_the_canonical_values():
-    b = make_blaschke(_seeded_zeros(4, 0.7))
+    b = make_blaschke(seeded_zeros(4, 0.7))
     rng = np.random.default_rng(4)
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     basis = canonical_basis(b)
@@ -297,6 +297,26 @@ def test_linking_unitarity_generic(zeros):
     mod = induced_module_basis(bs, canonical_basis(b), g)
     u = linking_unitary(bs, mod, arcs_basis(bs), g)
     assert pointwise_unitarity_deviation(u) < 1e-6
+
+
+def test_blocked_pointwise_grams_match_einsum():
+    # both take POINT_BLOCK grid points per batched matrix product; a K that is
+    # no multiple of it leaves a short last block
+    rng = np.random.default_rng(5)
+    size = 3 * POINT_BLOCK + 37
+
+    def values(*shape):
+        return rng.standard_normal(shape + (size,)) + 1j * rng.standard_normal(shape + (size,))
+
+    bs = build_branches(make_blaschke([0.5, -0.3j, 0.2 + 0.4j, 0.1]))
+    a, b = values(3, 4), values(5, 4)
+    for x, y in ((a, b), (b, b)):
+        ref = np.einsum("aNK,bNK->abK", np.conj(x), y) / 4
+        assert np.max(np.abs(fibre_gram(bs, x, y) - ref)) < 1e-14
+    u = values(3, 5)
+    prod = np.einsum("ijK,ikK->jkK", np.conj(u), u)
+    ref = float(np.max(np.abs(prod - np.eye(5)[:, :, None])))
+    assert abs(pointwise_unitarity_deviation(u) - ref) < 1e-14
 
 
 def test_basis_series_export(z2, grid1024):

@@ -16,6 +16,7 @@ from blaschkeops.circlefun import (
 )
 from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
+    PAIR_ROWS,
     TruncatedOperator,
     _columns_from_samples,
     _power_samples,
@@ -28,6 +29,7 @@ from blaschkeops.operators import (
     interior_residual,
     master_isometry_matrix,
     master_isometry_matrix_direct,
+    moment_nodes,
     mult_operator,
     operator_from_json,
     operator_norm,
@@ -39,8 +41,9 @@ from blaschkeops.operators import (
     weighted_composition_matrix,
 )
 from blaschkeops.transfer import ModuleFamily, arcs_basis, grid_fibre, outer_symbol
+from blaschkeops.verify import _ONE
 
-from conftest import ones_basis
+from conftest import ones_basis, seeded_zeros
 from oracles import grid_mean
 
 
@@ -562,6 +565,41 @@ def test_orthonormality_defect_of_moments(mixed):
     assert orthonormality_defect(mu) == 0.0
     mu[0, 0, 3] = 0.25j
     assert orthonormality_defect(mu) == 0.25
+
+
+SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
+
+
+def _direct_moments(bs, families, window):
+    """The moments of each family as the direct sum over pair_power_gram's nodes of
+    w conj(f_i) f_j e^{ik theta}, every phase a separate np.exp, k = -2W..2W."""
+    t, w = moment_nodes(bs, families[0].exceptions, window)
+    theta = bs.theta(t)
+    ks = np.arange(-2 * window, 2 * window + 1)
+    sums = [np.zeros((f.size**2, ks.size), dtype=complex) for f in families]
+    for start in range(0, t.size, 4096):
+        blk = slice(start, start + 4096)
+        phases = np.exp(1j * np.outer(theta[blk], ks))
+        for f, acc in zip(families, sums):
+            v = f.values(np.exp(1j * t[blk]))
+            acc += (w[blk] * np.conj(v)[:, None, :] * v[None, :, :]).reshape(f.size**2, -1) @ phases
+    return [acc.reshape(f.size, f.size, -1) for f, acc in zip(families, sums)]
+
+
+@pytest.mark.parametrize("window", [8, 64, 128])
+def test_pair_power_gram_matches_the_direct_sum(window):
+    # the same nodes, but no doubled powers and no matrix product over pairs:
+    # {1} and the canonical basis of six zeros (36 pair rows), and a 20-member
+    # canonical basis, whose 400 pair rows take more than one PAIR_ROWS chunk
+    six = build_branches(make_blaschke(SIX_ZEROS))
+    twenty = make_blaschke(seeded_zeros(20, 0.5))
+    assert 20 * 20 > PAIR_ROWS
+    cases = [(six, [_ONE, canonical_basis(six.owner)]), (build_branches(twenty), [canonical_basis(twenty)])]
+    for bs, families in cases:
+        for family, direct in zip(families, _direct_moments(bs, families, window)):
+            mu = pair_power_gram(bs, family, window)
+            assert mu.shape == direct.shape
+            assert np.max(np.abs(mu - direct)) < 1e-13
 
 
 def test_truncated_builders_agree_with_the_moments(mixed):

@@ -26,6 +26,8 @@ from blaschkeops.transfer import arcs_basis, fibre_values_and_gram, module_gram_
 from blaschkeops.verify import (
     NORM_WINDOWS,
     RELATIONS,
+    _Context,
+    _run,
     _shift_columns,
     convergence_csv,
     convergence_study,
@@ -318,6 +320,18 @@ def test_shared_module_fibre_gives_the_unshared_results():
     shared = verify_solution1(bs, mod, FAST, fibre=formed)
     assert shared == verify_solution1(bs, mod, FAST)
     assert verify_relation(b, "solution1_equivalence", FAST).residual == shared.residual
+
+
+def test_linking_unitary_releases_the_fibre_values():
+    # linking_unitary is the last reader of the module and arcs fibre values:
+    # after it only the module Gram stays, which solution1_equivalence reads
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    ctx = _Context(b, FAST)
+    shared = [_run(ctx, name) for name in ("module_onb", "arcs_onb", "linking_unitary")]
+    assert ctx.module_fibre[0] is None and "arcs_fibre" not in vars(ctx)
+    shared.append(_run(ctx, "solution1_equivalence"))
+    for rep in shared:
+        assert rep == verify_relation(b, rep.relation, FAST)
 
 
 def test_solution1_rejects_constant_family():
