@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Time verify_all on seeded products of high degree, with its peak memory.
+"""Time verify_all on one seeded product of high degree, with its peak memory.
 
 Usage:
-    python scripts/degree_scale.py [16 32 64] [--radius 0.5] [--grid 4096] [--modes 64]
+    python scripts/degree_scale.py N [--radius 0.5]
 
-Product N has the zeros r e^{it}, r = radius sqrt(U) and t uniform, both drawn
-from default_rng(1) (the N radii first, then the N angles).  Each degree runs
-in a fresh process, so its peak resident set (ru_maxrss) is its own.  For each
-degree the script prints the pass count, the wall time of verify_all and its
-peak RSS, then for each relation its wall time, verdict, residual and the peak
-RSS so far.  OpenBLAS runs on one thread, as in perfbench.  The exit code is 0
-whether relations pass or not: the numbers are a report, not a gate.
+The product has the N zeros r e^{it}, r = radius sqrt(U) and t uniform, both
+drawn from default_rng(1) (the N radii first, then the N angles).  verify_all
+runs on grid GRID with window WINDOW.  The script prints the pass count, the
+wall time of verify_all and its peak RSS (ru_maxrss), then for each relation
+its wall time, verdict, residual and the peak RSS so far.  One degree per
+call, so the peak is that degree's own.  OpenBLAS runs on one thread, as in
+perfbench.  The exit code is 0 whether relations pass or not: the numbers
+are a report, not a gate.
 """
 
 import os
@@ -19,11 +20,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import resource
-import subprocess
 import sys
 import time
 
 import numpy as np
+
+GRID = 4096
+WINDOW = 64
 
 
 def seeded_zeros(n: int, radius: float) -> list:
@@ -37,7 +40,7 @@ def max_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
-def run_one(n: int, radius: float, grid: int, modes: int) -> None:
+def run(n: int, radius: float) -> None:
     from blaschkeops import RunConfig, make_blaschke, verify
     from blaschkeops.verify import verify_all
 
@@ -58,10 +61,10 @@ def run_one(n: int, radius: float, grid: int, modes: int) -> None:
     for name, fn in list(verify._RELATION_FUNCS.items()):
         verify._RELATION_FUNCS[name] = timed(name, fn)
     start = time.perf_counter()
-    reports = verify_all(make_blaschke(seeded_zeros(n, radius)), RunConfig(grid_size=grid, mode_window=modes))
+    reports = verify_all(make_blaschke(seeded_zeros(n, radius)), RunConfig(grid_size=GRID, mode_window=WINDOW))
     wall = time.perf_counter() - start
     passed = sum(r.passed for r in reports)
-    print(f"N={n} radius<={radius} grid={grid} window={modes}: {passed}/{len(reports)} pass, "
+    print(f"N={n} radius<={radius} grid={GRID} window={WINDOW}: {passed}/{len(reports)} pass, "
           f"verify_all {wall:.2f} s, ru_maxrss {max_rss_mb():.0f} MB", flush=True)
     for r in reports:
         verdict = "pass" if r.passed else ("error" if "error" in r.params else "FAIL")
@@ -70,19 +73,11 @@ def run_one(n: int, radius: float, grid: int, modes: int) -> None:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="verify_all time and peak RSS on seeded high-degree products.")
-    ap.add_argument("degrees", nargs="*", type=int, default=[16, 32])
+    ap = argparse.ArgumentParser(description="verify_all time and peak RSS on a seeded high-degree product.")
+    ap.add_argument("degree", type=int)
     ap.add_argument("--radius", type=float, default=0.5)
-    ap.add_argument("--grid", type=int, default=4096)
-    ap.add_argument("--modes", type=int, default=64)
-    ap.add_argument("--one", action="store_true", help=argparse.SUPPRESS)  # run the first degree in-process
     args = ap.parse_args(argv)
-    if args.one:
-        run_one(args.degrees[0], args.radius, args.grid, args.modes)
-        return 0
-    for n in args.degrees:
-        opts = ["--radius", str(args.radius), "--grid", str(args.grid), "--modes", str(args.modes)]
-        subprocess.run([sys.executable, __file__, str(n), "--one", *opts], check=True)
+    run(args.degree, args.radius)
     return 0
 
 

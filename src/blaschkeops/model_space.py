@@ -25,7 +25,6 @@ from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_coef
 from .errors import GramCheckError
 from .transfer import (
     MODULE_GRAM_TOL,
-    POINT_BLOCK,
     ModuleFamily,
     expansion_deviation,
     expansion_points,
@@ -166,19 +165,10 @@ def linking_unitary(
 
 
 def pointwise_unitarity_deviation(u: np.ndarray) -> float:
-    """sup over the grid of ||U(z)* U(z) - I||_max for a pointwise matrix of shape (n, n, K).
-
-    One batched matrix product per POINT_BLOCK grid points; the deviation is a
-    running max, so no (n, n, K) product is formed.
-    """
-    eye = np.eye(u.shape[1])
-    worst = 0.0
-    for lo in range(0, u.shape[2], POINT_BLOCK):
-        m = np.ascontiguousarray(u[:, :, lo : lo + POINT_BLOCK].transpose(2, 0, 1))  # (points, n, n)
-        prod = np.conj(m).transpose(0, 2, 1) @ m
-        prod -= eye
-        worst = max(worst, float(np.max(np.abs(prod))))
-    return worst
+    """sup over the grid of ||U(z)* U(z) - I||_max for a pointwise matrix of shape (n, n, K)."""
+    prod = np.einsum("ijK,ikK->jkK", np.conj(u), u)
+    eye = np.eye(u.shape[1])[:, :, None]
+    return float(np.max(np.abs(prod - eye)))
 
 
 def linking_reconstruction_deviation(

@@ -39,10 +39,6 @@ NUDGE_RADIUS = 1e-9
 #: not a module basis (model_space.linking_unitary)
 MODULE_GRAM_TOL = 1e-6
 
-#: grid points per batched matrix product of the pointwise Grams, which bounds
-#: their temporaries
-POINT_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class ModuleFamily:
@@ -248,19 +244,9 @@ def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.n
     """Pointwise module Gram <A_i, B_j>(z) from values on a fibre, shape (n_a, n_b, K).
 
     `a_vals` and `b_vals` hold each family member on the preimage fibre, shape
-    (n, N, K); the Gram is the branch average of conj(A_i) B_j.  It is one
-    batched matrix product per POINT_BLOCK grid points, each point's
-    (n_a, N) @ (N, n_b).
+    (n, N, K); the Gram is the branch average of conj(A_i) B_j.
     """
-    n_a, _, size = a_vals.shape
-    out = np.empty((n_a, b_vals.shape[0], size), dtype=complex)
-    for lo in range(0, size, POINT_BLOCK):
-        blk = slice(lo, lo + POINT_BLOCK)
-        b = np.ascontiguousarray(b_vals[:, :, blk].transpose(2, 0, 1))  # (points, n_b, N)
-        a = b if a_vals is b_vals else np.ascontiguousarray(a_vals[:, :, blk].transpose(2, 0, 1))
-        out[:, :, blk] = (np.conj(a) @ b.transpose(0, 2, 1)).transpose(1, 2, 0)
-    out /= bs.branch_count
-    return out
+    return np.einsum("aNK,bNK->abK", np.conj(a_vals), b_vals) / bs.branch_count
 
 
 def fibre_values_and_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> tuple:

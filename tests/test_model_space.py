@@ -16,15 +16,7 @@ from blaschkeops.model_space import (
     validate_basis,
 )
 from blaschkeops.operators import orthonormality_defect, pair_power_gram
-from blaschkeops.transfer import (
-    POINT_BLOCK,
-    arcs_basis,
-    fibre_gram,
-    fibre_means,
-    grid_fibre,
-    module_gram_deviation,
-    outer_symbol,
-)
+from blaschkeops.transfer import arcs_basis, fibre_means, grid_fibre, module_gram_deviation, outer_symbol
 
 from conftest import blaschke_zeros, ones_basis, seeded_zeros
 from oracles import canonical_basis_mpmath
@@ -297,26 +289,6 @@ def test_linking_unitarity_generic(zeros):
     mod = induced_module_basis(bs, canonical_basis(b), g)
     u = linking_unitary(bs, mod, arcs_basis(bs), g)
     assert pointwise_unitarity_deviation(u) < 1e-6
-
-
-def test_blocked_pointwise_grams_match_einsum():
-    # both take POINT_BLOCK grid points per batched matrix product; a K that is
-    # no multiple of it leaves a short last block
-    rng = np.random.default_rng(5)
-    size = 3 * POINT_BLOCK + 37
-
-    def values(*shape):
-        return rng.standard_normal(shape + (size,)) + 1j * rng.standard_normal(shape + (size,))
-
-    bs = build_branches(make_blaschke([0.5, -0.3j, 0.2 + 0.4j, 0.1]))
-    a, b = values(3, 4), values(5, 4)
-    for x, y in ((a, b), (b, b)):
-        ref = np.einsum("aNK,bNK->abK", np.conj(x), y) / 4
-        assert np.max(np.abs(fibre_gram(bs, x, y) - ref)) < 1e-14
-    u = values(3, 5)
-    prod = np.einsum("ijK,ikK->jkK", np.conj(u), u)
-    ref = float(np.max(np.abs(prod - np.eye(5)[:, :, None])))
-    assert abs(pointwise_unitarity_deviation(u) - ref) < 1e-14
 
 
 def test_basis_series_export(z2, grid1024):
