@@ -202,10 +202,11 @@ class BranchSystem:
     def __post_init__(self):
         # idempotent memo of per-grid inputs shared by every builder: the
         # preimage fibre, J^p, one read-only b^n table per grid, grown to the
-        # widest window asked for (16.8 MB at window 128, grid 4096), and one
-        # read-only Gamma_b per (grid, window) (1.1 MB at window 128);
-        # concurrent recompute is harmless, so shared read-mostly use from
-        # many threads is safe
+        # widest window asked for (16.8 MB at window 128, grid 4096), one
+        # read-only Gamma_b per (grid, window) (1.1 MB at window 128) and one
+        # read-only module Gram per (family, grid) (n^2 K complex entries,
+        # 64 MiB for 32 zeros on grid 4096); concurrent recompute is
+        # harmless, so shared read-mostly use from many threads is safe
         object.__setattr__(self, "_grid_cache", {})
 
     @property

@@ -29,8 +29,9 @@ from .transfer import (
     expansion_deviation,
     expansion_points,
     fibre_gram,
-    fibre_values_and_gram,
     gram_deviation,
+    grid_fibre,
+    module_gram_deviation,
     outer_symbol,
 )
 
@@ -138,37 +139,27 @@ def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) 
 
 
 def linking_unitary(
-    bs: BranchSystem,
-    family_a: ModuleFamily,
-    family_b: ModuleFamily,
-    grid: CircleGrid,
-    *,
-    fibre_a: tuple | None = None,
-    fibre_b: tuple | None = None,
+    bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid
 ) -> np.ndarray:
     """The matrix u_ij = <A_i, B_j> linking two module bases, on the grid: shape (n_a, n_b, K).
 
-    Both families must pass the module Gram check, to MODULE_GRAM_TOL.
-    Pointwise on the grid the matrix (u_ij(z)) is unitary, and
-    B_j = sum_i A_i * beta(u_ij).  `fibre_a` and `fibre_b`, when given, are
-    exactly fibre_values_and_gram(bs, family, grid) of their family, for a
-    caller that has formed them.
+    Both families must pass the module Gram check, to MODULE_GRAM_TOL, on
+    their memoised transfer.module_gram.  Pointwise on the grid the matrix
+    (u_ij(z)) is unitary, and B_j = sum_i A_i * beta(u_ij).  Both families are
+    evaluated on the grid fibre again to form u, since module_gram keeps no
+    values.
     """
-    vals = []  # each family evaluated once on the fibre serves its Gram check and u
-    for fam, name, known in ((family_a, "A", fibre_a), (family_b, "B", fibre_b)):
-        v, gram = fibre_values_and_gram(bs, fam, grid) if known is None else known
-        dev = gram_deviation(gram)
+    for fam, name in ((family_a, "A"), (family_b, "B")):
+        dev = module_gram_deviation(bs, fam, grid)
         if dev > MODULE_GRAM_TOL:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
-        vals.append(v)
-    return fibre_gram(bs, *vals)
+    fib = grid_fibre(bs, grid)
+    return fibre_gram(bs, family_a.values(fib), family_b.values(fib))
 
 
 def pointwise_unitarity_deviation(u: np.ndarray) -> float:
     """sup over the grid of ||U(z)* U(z) - I||_max for a pointwise matrix of shape (n, n, K)."""
-    prod = np.einsum("ijK,ikK->jkK", np.conj(u), u)
-    eye = np.eye(u.shape[1])[:, :, None]
-    return float(np.max(np.abs(prod - eye)))
+    return gram_deviation(np.einsum("ijK,ikK->jkK", np.conj(u), u))
 
 
 def linking_reconstruction_deviation(

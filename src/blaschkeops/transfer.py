@@ -249,11 +249,20 @@ def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.n
     return np.einsum("aNK,bNK->abK", np.conj(a_vals), b_vals) / bs.branch_count
 
 
-def fibre_values_and_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> tuple:
-    """The family on the grid's preimage fibre, shape (n, N, K), and from those
-    values its pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K)."""
-    vals = family.values(grid_fibre(bs, grid))
-    return vals, fibre_gram(bs, vals, vals)
+def module_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> np.ndarray:
+    """Pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K).
+
+    Formed from the family's values on the grid fibre, which are not kept, and
+    cached read-only on the branch system, once per (family, grid).
+    """
+    key = ("gram", family, grid.size)
+    cache = bs._grid_cache
+    if key not in cache:
+        vals = family.values(grid_fibre(bs, grid))
+        gram = fibre_gram(bs, vals, vals)
+        gram.flags.writeable = False
+        cache[key] = gram
+    return cache[key]
 
 
 def gram_deviation(g: np.ndarray) -> float:
@@ -262,12 +271,6 @@ def gram_deviation(g: np.ndarray) -> float:
     return float(np.max(np.abs(g - eye)))
 
 
-def module_gram_deviation(
-    bs: BranchSystem, family: ModuleFamily, grid: CircleGrid, *, fibre: tuple | None = None
-) -> float:
-    """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs.
-
-    `fibre`, when given, is exactly fibre_values_and_gram(bs, family, grid),
-    for a caller that has formed it; only its Gram is read.
-    """
-    return gram_deviation((fibre_values_and_gram(bs, family, grid) if fibre is None else fibre)[1])
+def module_gram_deviation(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> float:
+    """sup over the grid of |<m_i, m_j> - delta_ij|, maximized over pairs."""
+    return gram_deviation(module_gram(bs, family, grid))

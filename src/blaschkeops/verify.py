@@ -64,10 +64,10 @@ from .transfer import (
     expansion_deviation,
     expansion_points,
     fibre_power_means,
-    fibre_values_and_gram,
     from_series,
     gram_deviation,
     grid_fibre,
+    module_gram,
     module_gram_deviation,
     outer_symbol,
     transfer_apply,
@@ -133,28 +133,8 @@ class _Context:
         return induced_module_basis(self.bs, self.basis, self.grid)
 
     @cached_property
-    def module_fibre(self):
-        """module_basis on the grid fibre and its pointwise Gram: module_onb and
-        linking_unitary read both, solution1_equivalence only the Gram."""
-        return fibre_values_and_gram(self.bs, self.module_basis, self.grid)
-
-    @cached_property
     def arcs(self):
         return arcs_basis(self.bs)
-
-    @cached_property
-    def arcs_fibre(self):
-        """arcs on the grid fibre and its pointwise Gram, read by arcs_onb and linking_unitary."""
-        return fibre_values_and_gram(self.bs, self.arcs, self.grid)
-
-    def release_fibre_values(self):
-        """Free the fibre arrays that linking_unitary, their last reader, has read.
-
-        Only the module Gram stays, for solution1_equivalence.
-        """
-        if "module_fibre" in self.__dict__:
-            self.module_fibre = (None, self.module_fibre[1])
-        self.__dict__.pop("arcs_fibre", None)
 
     @cached_property
     def cuntz(self):
@@ -167,10 +147,6 @@ class _Context:
     @cached_property
     def c_direct(self):
         return master_isometry_matrix_direct(self.bs, self.window, self.grid)
-
-    @cached_property
-    def gamma(self):
-        return gamma_b_matrix(self.bs, self.window, self.grid)
 
     @cached_property
     def transfer_op(self):
@@ -321,10 +297,11 @@ def _rel_transfer_h2_invariance(ctx: _Context):
 
 def _rel_left_inverse(ctx: _Context):
     t = ctx.transfer_op
-    r1, excl1 = _certify(ctx, [(compose(t, ctx.gamma), identity_operator(ctx.window), [t, ctx.gamma])])
+    gam = gamma_b_matrix(ctx.bs, ctx.window, ctx.grid)
+    r1, excl1 = _certify(ctx, [(compose(t, gam), identity_operator(ctx.window), [t, gam])])
     j0inv = BoundaryFunction(ctx.grid, (1.0 / j0(ctx.b, ctx.grid.angles)).astype(complex))
     pj0inv = mult_operator(fourier_coeffs(j0inv, ctx.window), ctx.window)
-    r2, excl2 = _certify(ctx, [(compose(t, pj0inv), adjoint(ctx.gamma), [t, pj0inv])])
+    r2, excl2 = _certify(ctx, [(compose(t, pj0inv), adjoint(gam), [t, pj0inv])])
     return max(r1, r2), {
         "left_inverse_defect": r1,
         "adjoint_identity_defect": r2,
@@ -386,23 +363,19 @@ def _rel_norm_formula(ctx: _Context):
 
 
 def _rel_module_onb(ctx: _Context):
-    return gram_deviation(ctx.module_fibre[1]), {"family": "canonical v_i * J^{-1/2}"}
+    dev = module_gram_deviation(ctx.bs, ctx.module_basis, ctx.grid)
+    return dev, {"family": "canonical v_i * J^{-1/2}"}
 
 
 def _rel_arcs_onb(ctx: _Context):
-    dev = module_gram_deviation(ctx.bs, ctx.arcs, ctx.grid, fibre=ctx.arcs_fibre)
+    dev = module_gram_deviation(ctx.bs, ctx.arcs, ctx.grid)
     return dev, {"family": "sqrt(N) arc indicators"}
 
 
 def _rel_linking_unitary(ctx: _Context):
-    try:
-        u = linking_unitary(
-            ctx.bs, ctx.module_basis, ctx.arcs, ctx.grid, fibre_a=ctx.module_fibre, fibre_b=ctx.arcs_fibre
-        )
-    finally:
-        ctx.release_fibre_values()
+    u = linking_unitary(ctx.bs, ctx.module_basis, ctx.arcs, ctx.grid)
     r1 = pointwise_unitarity_deviation(u)
-    del u  # (n, N, K): freed before the reconstruction evaluates the families on a fibre
+    del u  # (n, n, K): freed before the reconstruction evaluates the families on a fibre
     r2 = linking_reconstruction_deviation(ctx.bs, ctx.module_basis, ctx.arcs, ctx.grid)
     return max(r1, r2), {"unitarity_defect": r1, "reconstruction_defect": r2}
 
@@ -421,7 +394,7 @@ def _rel_rochberg_roundtrip(ctx: _Context):
 
 
 def _rel_solution1(ctx: _Context):
-    rep = verify_solution1(ctx.bs, ctx.module_basis, ctx.config, interior=ctx.interior, fibre=ctx.module_fibre)
+    rep = verify_solution1(ctx.bs, ctx.module_basis, ctx.config, interior=ctx.interior)
     return rep.residual, rep.params
 
 
@@ -494,7 +467,6 @@ def verify_solution1(
     config: RunConfig | None = None,
     *,
     interior: int | None = None,
-    fibre: tuple | None = None,
 ) -> VerificationReport:
     """Certify (or refute) that S_i = pi(m_i) C_b solves the covariance problem.
 
@@ -502,15 +474,14 @@ def verify_solution1(
     fails the module Gram check, the orthogonality and completeness failures
     mirror the Gram failure while the structural identity
     S_i* S_j = pi(<m_i, m_j>) still holds: that identity is the theorem.
-    `fibre`, when given, is fibre_values_and_gram(bs, family, grid) on the
-    config's grid, for a caller that has formed it; only its Gram is read, so
-    its values may be None.
+    The Gram is module_gram on the config's grid, so a verify_all run reads
+    the one that module_onb formed.
     """
     config = config or RunConfig()
     grid = CircleGrid(config.grid_size)
     inner = config.interior if interior is None else interior
 
-    _, gram = fibre_values_and_gram(bs, family, grid) if fibre is None else fibre  # <m_i, m_j> on the grid
+    gram = module_gram(bs, family, grid)  # <m_i, m_j> on the grid
     gram_dev = gram_deviation(gram)
     onb = bool(gram_dev < config.tol_operator)
 

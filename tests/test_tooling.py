@@ -2,8 +2,10 @@
 
 perfbench/tracing.py wraps each name in TRACED by looking it up in a
 blaschkeops module, so deleting or renaming one breaks the traced benchmark;
-its test reads TRACED without running the benchmark.  `from blaschkeops
-import *` reads `__all__`, so every name listed there must resolve, once.
+its test reads TRACED without running the benchmark.  A refactor can also
+keep every name but stop calling one, so one traced verify_all must record
+every span the benchmark requires.  `from blaschkeops import *` reads
+`__all__`, so every name listed there must resolve, once.
 `scripts/parity_digest.py --against` is the byte-parity check between two
 versions, so its comparison is tested on fixed digests.
 """
@@ -32,6 +34,19 @@ def test_traced_names_resolve_in_the_library(monkeypatch):
             if not callable(owner):
                 missing.append(f"{module_name}.{attr}")
     assert tracing.TRACED and not missing, missing
+
+
+def test_traced_verify_all_records_every_required_span(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tracing = importlib.import_module("tracing")
+    from blaschkeops import RELATIONS, make_blaschke, verify_all
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        verify_all(make_blaschke([0.5, -0.3j]))
+    assert tracing.missing_spans(tracer, "verify_zoo", RELATIONS) == []
 
 
 def test_package_exports_resolve_once():

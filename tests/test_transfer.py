@@ -17,9 +17,11 @@ from blaschkeops.transfer import (
     compose_with_b,
     expansion_deviation,
     expansion_points,
+    fibre_gram,
     fibre_means,
     from_series,
     grid_fibre,
+    module_gram,
     module_gram_deviation,
     transfer_apply,
     transfer_family,
@@ -279,6 +281,22 @@ def test_arcs_rows_are_one_hot(zeros, grid1024):
 def test_arcs_gram_identity(mixed, grid1024):
     _, bs = mixed
     assert module_gram_deviation(bs, arcs_basis(bs), grid1024) < 1e-6
+
+
+def test_module_gram_is_memoised_read_only_per_family(grid1024):
+    # the Gram is formed once per (family, grid) from values on the grid fibre
+    # and shared read-only; another family gets its own entry
+    bs = build_branches(make_blaschke([0.5, -0.3j]))
+    arcs, ones = arcs_basis(bs), ones_basis(bs.owner)
+    gram = module_gram(bs, arcs, grid1024)
+    assert module_gram(bs, arcs, grid1024) is gram
+    assert not gram.flags.writeable
+    vals = arcs.values(grid_fibre(bs, grid1024))
+    assert np.array_equal(gram, fibre_gram(bs, vals, vals))
+    other = module_gram(bs, ones, grid1024)
+    assert other is not gram and module_gram(bs, ones, grid1024) is other
+    assert np.all(other == 1.0)  # <1, 1> = 1 for every pair
+    assert sum(isinstance(k, tuple) and k[0] == "gram" for k in bs._grid_cache) == 2
 
 
 def test_module_expand_of_basis_element(z2, grid1024):

@@ -6,7 +6,7 @@ import pytest
 from blaschkeops import build_branches, evaluate, make_blaschke
 from blaschkeops.circlefun import CircleGrid, exponential, fourier_coeffs
 from blaschkeops.config import RunConfig
-from blaschkeops.model_space import canonical_basis, induced_module_basis, linking_unitary
+from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
     adjoint,
     compose,
@@ -22,12 +22,10 @@ from blaschkeops.operators import (
     uncertified_modes,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import arcs_basis, fibre_values_and_gram, module_gram_deviation, outer_symbol
+from blaschkeops.transfer import arcs_basis, module_gram_deviation, outer_symbol
 from blaschkeops.verify import (
     NORM_WINDOWS,
     RELATIONS,
-    _Context,
-    _run,
     _shift_columns,
     convergence_csv,
     convergence_study,
@@ -305,33 +303,16 @@ def test_solution1_canonical_family():
     assert rep.passed, rep.params
 
 
-def test_shared_module_fibre_gives_the_unshared_results():
-    # verify_all forms the module family's fibre values and Gram once for
-    # module_onb, linking_unitary and solution1_equivalence: the same bits as
-    # each relation forming its own
-    b = make_blaschke([0.5, -0.3j])
-    bs = build_branches(b)
-    grid = CircleGrid(FAST.grid_size)
-    mod = induced_module_basis(bs, canonical_basis(b), grid)
-    formed = fibre_values_and_gram(bs, mod, grid)
-    assert verify_relation(b, "module_onb", FAST).residual == module_gram_deviation(bs, mod, grid)
-    arcs = arcs_basis(bs)
-    assert np.array_equal(linking_unitary(bs, mod, arcs, grid, fibre_a=formed), linking_unitary(bs, mod, arcs, grid))
-    shared = verify_solution1(bs, mod, FAST, fibre=formed)
-    assert shared == verify_solution1(bs, mod, FAST)
-    assert verify_relation(b, "solution1_equivalence", FAST).residual == shared.residual
-
-
-def test_linking_unitary_releases_the_fibre_values():
-    # linking_unitary is the last reader of the module and arcs fibre values:
-    # after it only the module Gram stays, which solution1_equivalence reads
+def test_verify_all_shares_the_module_grams_with_the_same_results():
+    # one verify_all forms each family's module Gram once, for module_onb,
+    # arcs_onb, linking_unitary and solution1_equivalence: the same reports as
+    # each relation on a fresh context forming its own
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
-    ctx = _Context(b, FAST)
-    shared = [_run(ctx, name) for name in ("module_onb", "arcs_onb", "linking_unitary")]
-    assert ctx.module_fibre[0] is None and "arcs_fibre" not in vars(ctx)
-    shared.append(_run(ctx, "solution1_equivalence"))
-    for rep in shared:
-        assert rep == verify_relation(b, rep.relation, FAST)
+    shared = {"module_onb", "arcs_onb", "linking_unitary", "solution1_equivalence"}
+    reports = [rep for rep in verify_all(b, FAST) if rep.relation in shared]
+    assert len(reports) == len(shared)
+    for rep in reports:
+        assert rep.to_dict() == verify_relation(b, rep.relation, FAST).to_dict()
 
 
 def test_solution1_rejects_constant_family():
