@@ -27,7 +27,6 @@ from .circlefun import (
     outer_function,
     sample,
     synthesize,
-    synthesize_grid,
 )
 from .config import RunConfig
 from .model_space import (
@@ -111,7 +110,6 @@ __all__ = [
     "rotate_basis",
     "sample",
     "synthesize",
-    "synthesize_grid",
     "toeplitz_operator",
     "transfer_apply",
     "transfer_matrix",

@@ -22,7 +22,7 @@ N t.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -199,15 +199,16 @@ class BranchSystem:
     theta_table: np.ndarray  # theta at max(4096, 64*N) + 1 uniform nodes on [0, 2pi]
     arc_endpoints: np.ndarray  # t_0 = 0 < t_1 < ... < t_N = 2pi
 
-    def __post_init__(self):
-        # idempotent memo of per-grid inputs shared by every builder: the
-        # preimage fibre, J^p, one read-only b^n table per grid, grown to the
-        # widest window asked for (16.8 MB at window 128, grid 4096), one
-        # read-only Gamma_b per (grid, window) (1.1 MB at window 128) and one
-        # read-only module Gram per (family, grid) (n^2 K complex entries,
-        # 64 MiB for 32 zeros on grid 4096); concurrent recompute is
-        # harmless, so shared read-mostly use from many threads is safe
-        object.__setattr__(self, "_grid_cache", {})
+    _grid_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key, build):
+        """The shared input under `key`, built by `build()` on first use, every array
+        in it (also inside dataclasses) read-only so no caller can change it.  Not
+        locked: threads that miss together each build and return their own value."""
+        value = self._grid_cache.get(key)
+        if value is None:
+            value = self._grid_cache[key] = _read_only(build())
+        return value
 
     @property
     def branch_count(self) -> int:
@@ -307,6 +308,16 @@ class BranchSystem:
         offsets = self.theta0 + TWO_PI * np.arange(self.branch_count)
         targets = rep[None, :] + offsets[:, None]
         return self.theta_inv(targets)
+
+
+def _read_only(value):
+    """`value`, with every array in it, also inside nested dataclasses, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif is_dataclass(value):
+        for f in fields(value):
+            _read_only(getattr(value, f.name))
+    return value
 
 
 def build_branches(b: BlaschkeProduct) -> BranchSystem:

@@ -20,6 +20,12 @@ from .errors import AnalyticExtensionError, GridMismatchError
 
 TWO_PI = 2.0 * np.pi
 
+#: synthesize refuses the analytic extension of a series with more negative-mode energy
+ANALYTIC_TOL = 1e-10
+
+#: outer_function warns in the boundary meta when the dropped log-coefficient mass is larger
+OUTER_TAIL_TOL = 1e-12
+
 
 def complex_pairs(values: np.ndarray) -> list:
     """[[re, im], ...] of a complex array in C order, as Python floats: one tolist() on a float view."""
@@ -209,12 +215,12 @@ def fourier_window(values: np.ndarray, window: int) -> np.ndarray:
     return np.fft.fft(values, axis=-1)[..., idx] / K
 
 
-def synthesize(s: FourierSeries, z, *, analytic: bool | None = None, tol: float = 1e-10):
+def synthesize(s: FourierSeries, z, *, analytic: bool | None = None):
     """Evaluate the finite sum sum c_n z^n at points on the circle or inside the disc.
 
     For strictly interior z the series is evaluated as its analytic extension
     (nonnegative modes only); this is refused if the negative-mode energy
-    exceeds `tol`.  On the circle, z^{-n} = conj(z)^n.
+    exceeds ANALYTIC_TOL.  On the circle, z^{-n} = conj(z)^n.
     """
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
@@ -222,9 +228,9 @@ def synthesize(s: FourierSeries, z, *, analytic: bool | None = None, tol: float 
     interior = np.abs(pts) < 1.0 - 1e-12
     want_analytic = bool(np.any(interior)) if analytic is None else analytic
     m = s.window
-    if want_analytic and s.negative_energy() > tol:
+    if want_analytic and s.negative_energy() > ANALYTIC_TOL:
         raise AnalyticExtensionError(
-            f"negative-mode energy {s.negative_energy():.3e} exceeds {tol:.1e}"
+            f"negative-mode energy {s.negative_energy():.3e} exceeds {ANALYTIC_TOL:.1e}"
         )
     # Horner on nonnegative modes; negative modes via conj(z)^n, valid on the circle
     pos = np.zeros_like(pts)
@@ -241,17 +247,6 @@ def synthesize(s: FourierSeries, z, *, analytic: bool | None = None, tol: float 
     if scalar:
         return complex(vals[0])
     return vals.reshape(arr.shape)
-
-
-def synthesize_grid(s: FourierSeries, grid: CircleGrid) -> BoundaryFunction:
-    """Exact synthesis on a full grid via zero-padded inverse FFT."""
-    K = grid.size
-    if 2 * s.window + 1 > K:
-        return sample(lambda z: synthesize(s, z, analytic=False), grid)
-    c = np.zeros(K, dtype=complex)
-    idx = np.mod(s.modes, K)
-    np.add.at(c, idx, s.coeffs)
-    return BoundaryFunction(grid, np.fft.ifft(c) * K)
 
 
 def l2_inner(f: BoundaryFunction, g: BoundaryFunction) -> complex:
@@ -301,7 +296,7 @@ class OuterFunction:
         return self.eval(z)
 
 
-def outer_function(h: BoundaryFunction, power: float = 1.0, *, tail_tol: float = 1e-12) -> OuterFunction:
+def outer_function(h: BoundaryFunction, power: float = 1.0) -> OuterFunction:
     """Outer function with boundary modulus h^power, positive at the origin.
 
     h must be strictly positive (real part taken; imaginary part must be
@@ -309,7 +304,7 @@ def outer_function(h: BoundaryFunction, power: float = 1.0, *, tail_tol: float =
     use every log coefficient; the series kept for `eval` is cut after the last
     |g_n| > eps * max(1, max|g_n|) (eps the float64 machine epsilon).  The
     dropped mass, plus the Nyquist coefficient, is reported as `log_tail`,
-    and a warning is attached to the boundary meta when it exceeds `tail_tol`.
+    and a warning is attached to the boundary meta when it exceeds OUTER_TAIL_TOL.
     A power that is not finite, or makes h^power overflow, is refused first.
     """
     vals = h.values
@@ -340,8 +335,8 @@ def outer_function(h: BoundaryFunction, power: float = 1.0, *, tail_tol: float =
     big = np.nonzero(mags > np.finfo(float).eps * max(1.0, float(np.max(mags))))[0]
     keep = int(big[-1]) + 1 if big.size else 1
     tail = float(np.sum(mags[keep:])) + float(abs(c[half]))
-    if tail > tail_tol:
-        boundary.meta["accuracy_warning"] = f"log-coefficient tail {tail:.3e} exceeds {tail_tol:.1e}"
+    if tail > OUTER_TAIL_TOL:
+        boundary.meta["accuracy_warning"] = f"log-coefficient tail {tail:.3e} exceeds {OUTER_TAIL_TOL:.1e}"
     return OuterFunction(
         boundary=boundary,
         log_c0=float(c[0].real),

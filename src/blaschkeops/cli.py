@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _config(args)  # one rule for --grid, --modes and --tol on every command
+        _config(args)  # one rule for --grid, --modes, --tol and --seed on every command
         _check_format(args)
         return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:

@@ -15,7 +15,7 @@ class RunConfig:
     tol_operator governs identities of truncated matrices on interior blocks;
     tol_function governs pointwise/boundary-function identities.  Both must be
     finite and positive.  eps_tail must be positive; inf turns tail-based
-    column exclusion off.
+    column exclusion off.  seed, which seeds the randomized checks, must be >= 0.
     """
 
     grid_size: int = 4096
@@ -37,6 +37,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.eps_tail > 0:
             raise ValueError(f"eps_tail must be positive, got {self.eps_tail}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def interior(self) -> int:

@@ -178,17 +178,16 @@ def _columns_from_samples(
 def _power_samples(bs: BranchSystem, grid: CircleGrid, window: int) -> np.ndarray:
     """b^n on the grid for n = -window..window, shape (2*window+1, K), read-only.
 
-    One table per grid is kept on the branch system and grown to the widest
-    window asked for; a narrower window gets a view of its central rows.
+    One memoised table per grid is grown to the widest window asked for: a
+    narrower table is dropped and the wider one built in its place.  A
+    narrower window gets a view of the central rows.
     """
     key = ("powers", grid.size)
     table = bs._grid_cache.get(key)
-    if table is None or table.shape[0] < 2 * window + 1:
-        table = None  # drop both references to a narrower table before building
-        bs._grid_cache.pop(key, None)
-        table = integer_powers(evaluate(bs.owner, grid.points), window)
-        table.flags.writeable = False
-        bs._grid_cache[key] = table
+    if table is not None and table.shape[0] < 2 * window + 1:
+        table = None  # drop both references to the narrower table before building
+        del bs._grid_cache[key]
+    table = bs.memo(key, lambda: integer_powers(evaluate(bs.owner, grid.points), window))
     mid = table.shape[0] // 2
     return table[mid - window : mid + window + 1]
 
@@ -210,18 +209,13 @@ def weighted_composition_matrix(
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
     """Composition operator: column n is the Fourier window of b^n.
 
-    One operator per (grid, window) is kept on the branch system, its matrix
-    and tails read-only like the b^n table, so every caller at that window
-    shares one transform.
+    Memoised per (grid, window), matrix and tails read-only, so every caller
+    at that window shares one transform of the b^n table.
     """
-    key = ("gamma", grid.size, window)
-    op = bs._grid_cache.get(key)
-    if op is None:
-        op = _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
-        op.matrix.flags.writeable = False
-        op.column_tail.flags.writeable = False
-        bs._grid_cache[key] = op
-    return op
+    def build():
+        return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+
+    return bs.memo(("gamma", grid.size, window), build)
 
 
 def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
@@ -235,9 +229,14 @@ def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> T
 
 
 def master_isometry_matrix_direct(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """C_b with column n sampled directly as J^{1/2} b^n (cross-check construction)."""
-    jh = outer_symbol(bs, grid, 0.5).boundary.values
-    return weighted_composition_matrix(bs, jh, window, grid)
+    """C_b with column n sampled directly as J^{1/2} b^n (cross-check construction).
+
+    Memoised per (grid, window), matrix and tails read-only, as gamma_b_matrix.
+    """
+    def build():
+        return weighted_composition_matrix(bs, outer_symbol(bs, grid, 0.5).boundary.values, window, grid)
+
+    return bs.memo(("c_direct", grid.size, window), build)
 
 
 def cuntz_family_matrices(

@@ -81,13 +81,11 @@ def from_series(*series: FourierSeries) -> ModuleFamily:
 
 
 def outer_symbol(bs: BranchSystem, grid: CircleGrid, power: float) -> OuterFunction:
-    """J^power: the outer function with boundary modulus j0^power, cached per grid."""
-    key = ("outer", grid.size, float(power))
-    cache = bs._grid_cache
-    if key not in cache:
-        h = BoundaryFunction(grid, j0(bs.owner, grid.angles).astype(complex))
-        cache[key] = outer_function(h, power)
-    return cache[key]
+    """J^power: the outer function with boundary modulus j0^power, memoised per grid."""
+    def build():
+        return outer_function(BoundaryFunction(grid, j0(bs.owner, grid.angles).astype(complex)), power)
+
+    return bs.memo(("outer", grid.size, float(power)), build)
 
 
 def fibre(bs: BranchSystem, angles) -> np.ndarray:
@@ -96,12 +94,8 @@ def fibre(bs: BranchSystem, angles) -> np.ndarray:
 
 
 def grid_fibre(bs: BranchSystem, grid: CircleGrid) -> np.ndarray:
-    """Preimage points of all grid nodes, shape (N, K); cached on the branch system."""
-    cache = bs._grid_cache
-    key = grid.size
-    if key not in cache:
-        cache[key] = fibre(bs, grid.angles)
-    return cache[key]
+    """Preimage points of all grid nodes, shape (N, K); memoised on the branch system."""
+    return bs.memo(("fibre", grid.size), lambda: fibre(bs, grid.angles))
 
 
 def fibre_power_means(fib: np.ndarray, window: int) -> np.ndarray:
@@ -253,16 +247,13 @@ def module_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> np.
     """Pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K).
 
     Formed from the family's values on the grid fibre, which are not kept, and
-    cached read-only on the branch system, once per (family, grid).
+    memoised on the branch system, once per (family, grid).
     """
-    key = ("gram", family, grid.size)
-    cache = bs._grid_cache
-    if key not in cache:
+    def build():
         vals = family.values(grid_fibre(bs, grid))
-        gram = fibre_gram(bs, vals, vals)
-        gram.flags.writeable = False
-        cache[key] = gram
-    return cache[key]
+        return fibre_gram(bs, vals, vals)
+
+    return bs.memo(("gram", family, grid.size), build)
 
 
 def gram_deviation(g: np.ndarray) -> float:

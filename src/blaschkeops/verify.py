@@ -102,7 +102,12 @@ def reports_to_json(reports: list) -> str:
 
 
 class _Context:
-    """Per-run lazy cache of the shared objects (matrices, bases, symbols)."""
+    """One run's settings and the objects tied to its bases, each built once on first use.
+
+    The module Gram memo is keyed by the family object, so the bases are held
+    here, one object per run.  Every other shared input (fibre, J^p, the b^n
+    table, Gamma_b, C_b) is memoised on the branch system by its builder.
+    """
 
     def __init__(self, b: BlaschkeProduct, config: RunConfig, interior: int | None = None):
         self.b = b
@@ -139,22 +144,6 @@ class _Context:
     @cached_property
     def cuntz(self):
         return cuntz_family_matrices(self.bs, self.basis, self.window, self.grid)
-
-    @cached_property
-    def c_matrix(self):
-        return master_isometry_matrix(self.bs, self.window, self.grid)
-
-    @cached_property
-    def c_direct(self):
-        return master_isometry_matrix_direct(self.bs, self.window, self.grid)
-
-    @cached_property
-    def transfer_op(self):
-        return transfer_matrix(self.bs, self.window, self.grid)
-
-    @cached_property
-    def b_series(self):
-        return fourier_coeffs(BoundaryFunction(self.grid, evaluate(self.b, self.grid.points)), self.window)
 
     def random_symbol(self) -> FourierSeries:
         """A seeded symbol on modes |k| <= 8, normalised to unit l1 norm."""
@@ -219,9 +208,12 @@ def _shift_columns(op: TruncatedOperator) -> TruncatedOperator:
     return replace(op, matrix=shifted, column_tail=np.append(op.column_tail[1:], np.inf))
 
 
-def _covariance(ctx: _Context, restrict, pb: TruncatedOperator):
+def _covariance(ctx: _Context, restrict, symbol_operator):
     # S_i pi(e_1) = pi(b) S_i, or R_i T(e_1) = T(b) R_i on H2: column n is
-    # certified by the tails of S_i (R_i) at n and n + 1
+    # certified by the tails of S_i (R_i) at n and n + 1.  The Fourier window
+    # of b is column n = 1 of Gamma_b, since Gamma_b e_1 = b
+    b_series = FourierSeries(gamma_b_matrix(ctx.bs, ctx.window, ctx.grid).matrix[:, ctx.window + 1])
+    pb = symbol_operator(b_series, ctx.window)
     checks = []
     for si in ctx.cuntz:
         ri = restrict(si)
@@ -232,11 +224,11 @@ def _covariance(ctx: _Context, restrict, pb: TruncatedOperator):
 
 
 def _rel_covariance_l2(ctx: _Context):
-    return _covariance(ctx, lambda op: op, mult_operator(ctx.b_series, ctx.window))
+    return _covariance(ctx, lambda op: op, mult_operator)
 
 
 def _rel_covariance_h2(ctx: _Context):
-    return _covariance(ctx, restrict_to_h2, toeplitz_operator(ctx.b_series, ctx.window))
+    return _covariance(ctx, restrict_to_h2, toeplitz_operator)
 
 
 def _rel_implements_transfer(ctx: _Context):
@@ -261,7 +253,8 @@ def _rel_master_isometry(ctx: _Context):
     # C_b e_n = J^{1/2} b^n: C_b* C_b = I from the moments; the two truncated
     # constructions of C_b are compared on the certified interior columns
     iso = orthonormality_defect(pair_power_gram(ctx.bs, _times_j_half(_ONE, ctx.bs, ctx.grid), ctx.window))
-    cross, excl = _certify(ctx, [(ctx.c_matrix, ctx.c_direct, [ctx.c_direct])])
+    direct = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid)
+    cross, excl = _certify(ctx, [(master_isometry_matrix(ctx.bs, ctx.window, ctx.grid), direct, [direct])])
     return max(iso, cross), {
         "isometry_defect": iso,
         "construction_agreement": cross,
@@ -270,7 +263,7 @@ def _rel_master_isometry(ctx: _Context):
 
 
 def _rel_h2_reduction(ctx: _Context):
-    c = ctx.c_direct
+    c = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid)
     m, inner = ctx.window, ctx.interior
     lower = block(c, (-m, -1), (0, inner))  # analytic columns leaking downward
     upper = block(c, (0, m), (-inner, -1))  # co-analytic columns leaking upward
@@ -296,7 +289,7 @@ def _rel_transfer_h2_invariance(ctx: _Context):
 
 
 def _rel_left_inverse(ctx: _Context):
-    t = ctx.transfer_op
+    t = transfer_matrix(ctx.bs, ctx.window, ctx.grid)
     gam = gamma_b_matrix(ctx.bs, ctx.window, ctx.grid)
     r1, excl1 = _certify(ctx, [(compose(t, gam), identity_operator(ctx.window), [t, gam])])
     j0inv = BoundaryFunction(ctx.grid, (1.0 / j0(ctx.b, ctx.grid.angles)).astype(complex))

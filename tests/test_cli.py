@@ -137,6 +137,17 @@ def test_every_command_validates_settings_like_run_config(inputs, capsys, comman
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_refuses_a_negative_seed(inputs, capsys, command):
+    _, z2, _, e3 = inputs
+    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
+    code = main(argv + ["--grid", "256", "--modes", "8", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "math error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 CSV_REFUSED = {
     "describe": "describe",
     "preimages": "preimages",

@@ -12,7 +12,6 @@ from blaschkeops.circlefun import (
     fourier_coeffs,
     sample,
     synthesize,
-    synthesize_grid,
 )
 from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
@@ -40,7 +39,7 @@ from blaschkeops.operators import (
     transfer_matrix,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import ModuleFamily, arcs_basis, grid_fibre, outer_symbol
+from blaschkeops.transfer import ModuleFamily, arcs_basis, grid_fibre, module_gram, outer_symbol
 from blaschkeops.verify import _ONE
 
 from conftest import ones_basis, seeded_zeros
@@ -161,6 +160,39 @@ def test_power_table_is_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+def test_shared_inputs_are_memoised_read_only():
+    # each input the builders share is built once per branch system and key,
+    # and an in-place write by any caller that shares it is refused
+    bs = build_branches(make_blaschke([0.5, -0.3j]))
+    grid, m = CircleGrid(1024), 16
+    arcs = arcs_basis(bs)
+    builders = {
+        "grid_fibre": lambda: grid_fibre(bs, grid),
+        "outer_symbol": lambda: outer_symbol(bs, grid, 0.5),
+        "_power_samples": lambda: _power_samples(bs, grid, m).base,  # a view of the one table
+        "gamma_b_matrix": lambda: gamma_b_matrix(bs, m, grid),
+        "master_isometry_matrix_direct": lambda: master_isometry_matrix_direct(bs, m, grid),
+        "module_gram": lambda: module_gram(bs, arcs, grid),
+    }
+    for name, build in builders.items():
+        assert build() is build(), name
+    arrays = {
+        "fibre": grid_fibre(bs, grid),
+        "J^1/2 boundary values": outer_symbol(bs, grid, 0.5).boundary.values,
+        "J^1/2 log coefficients": outer_symbol(bs, grid, 0.5).log_coeffs,
+        "b^n table": _power_samples(bs, grid, m),
+        "Gamma_b matrix": gamma_b_matrix(bs, m, grid).matrix,
+        "Gamma_b tails": gamma_b_matrix(bs, m, grid).column_tail,
+        "C_b matrix": master_isometry_matrix_direct(bs, m, grid).matrix,
+        "C_b tails": master_isometry_matrix_direct(bs, m, grid).column_tail,
+        "module Gram": module_gram(bs, arcs, grid),
+    }
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.0
+        assert not array.flags.writeable, name
 
 
 def test_power_table_grown_once_serves_narrower_windows_exactly():
@@ -613,7 +645,7 @@ def test_truncated_builders_agree_with_the_moments(mixed):
     phi = FourierSeries(np.array([0.3, -0.2j, 0.5, 0.1, 0.25 + 0.1j]))
     s = cuntz_family_matrices(bs, basis, m, g)
     cd = master_isometry_matrix_direct(bs, m, g)
-    phi_cb = weighted_composition_matrix(bs, synthesize_grid(phi, g).values * jh.values(g.points)[0], m, g)
+    phi_cb = weighted_composition_matrix(bs, synthesize(phi, g.points, analytic=False) * jh.values(g.points)[0], m, g)
     cases = [(s[i], s[j], basis, i, j) for i in range(2) for j in range(2)]
     gam = gamma_b_matrix(bs, m, g)
     one_phi = ModuleFamily(("1", "phi"), lambda z: np.stack([np.ones(z.shape), synthesize(phi, z, analytic=None)]))

@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps each name in TRACED by looking it up in a
 blaschkeops module, so deleting or renaming one breaks the traced benchmark;
 its test reads TRACED without running the benchmark.  A refactor can also
-keep every name but stop calling one, so one traced verify_all must record
-every span the benchmark requires.  `from blaschkeops import *` reads
+keep every name but stop calling one, so one traced verify_all, and one
+traced run of the CLI benchmark's commands, must record every span the
+benchmark requires.  `from blaschkeops import *` reads
 `__all__`, so every name listed there must resolve, once.
 `scripts/parity_digest.py --against` is the byte-parity check between two
 versions, so its comparison is tested on fixed digests.
@@ -47,6 +48,32 @@ def test_traced_verify_all_records_every_required_span(monkeypatch):
     with tracing.installed(tracer):
         verify_all(make_blaschke([0.5, -0.3j]))
     assert tracing.missing_spans(tracer, "verify_zoo", RELATIONS) == []
+
+
+def test_traced_cli_commands_record_every_required_span(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tracing = importlib.import_module("tracing")
+    from blaschkeops import RELATIONS, cli
+
+    b, s = tmp_path / "b.json", tmp_path / "s.json"
+    b.write_text(json.dumps({"zeros": [[0.5, 0.0], [0.0, -0.3]]}))
+    s.write_text(json.dumps({"min_n": -2, "coeffs": [[0, 0], [0, 0], [1, 0], [0.5, 0], [0, 0.25]]}))
+    small = ["--grid", "256", "--modes", "16"]
+    commands = [
+        ["describe", str(b)],
+        ["preimages", str(b), "--angle", "0.3"],  # b(1) is at angle 2.15
+        ["outer", str(b), "--power", "-0.5"],
+        ["transfer", str(b), str(s)],
+        ["decompose", str(b), str(s)],
+        ["matrix", str(b), "--which", "transfer"],
+    ]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        codes = [cli.main(argv + small + ["--out", str(tmp_path / "out")]) for argv in commands]
+    assert codes == [0] * len(commands)
+    assert tracing.missing_spans(tracer, "cli_calculus", RELATIONS) == []
 
 
 def test_package_exports_resolve_once():

@@ -219,7 +219,7 @@ def test_verify_all_weighted_composition_call_count(mixed, monkeypatch):
 
 
 def test_verify_all_operator_norm_call_count(mixed, monkeypatch):
-    # master_isometry_matrix's tail bound for ctx.c_matrix, and the three norms
+    # master_isometry_matrix's tail bound in master_isometry, and the three norms
     # norm_formula reports; no SVD for a tail bound that nothing reads
     from blaschkeops import operators, verify
 
