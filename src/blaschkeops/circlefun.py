@@ -215,18 +215,17 @@ def fourier_window(values: np.ndarray, window: int) -> np.ndarray:
     return np.fft.fft(values, axis=-1)[..., idx] / K
 
 
-def synthesize(s: FourierSeries, z, *, analytic: bool | None = None):
+def synthesize(s: FourierSeries, z):
     """Evaluate the finite sum sum c_n z^n at points on the circle or inside the disc.
 
-    For strictly interior z the series is evaluated as its analytic extension
-    (nonnegative modes only); this is refused if the negative-mode energy
-    exceeds ANALYTIC_TOL.  On the circle, z^{-n} = conj(z)^n.
+    If any z is strictly interior the series is evaluated as its analytic
+    extension (nonnegative modes only); this is refused if the negative-mode
+    energy exceeds ANALYTIC_TOL.  On the circle, z^{-n} = conj(z)^n.
     """
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     pts = np.atleast_1d(arr)
-    interior = np.abs(pts) < 1.0 - 1e-12
-    want_analytic = bool(np.any(interior)) if analytic is None else analytic
+    want_analytic = bool(np.any(np.abs(pts) < 1.0 - 1e-12))
     m = s.window
     if want_analytic and s.negative_energy() > ANALYTIC_TOL:
         raise AnalyticExtensionError(

@@ -69,6 +69,11 @@ class TruncatedOperator:
     def col_mode_array(self) -> np.ndarray:
         return np.arange(self.col_modes[0], self.col_modes[1] + 1)
 
+    def submatrix(self, row_modes: tuple, col_modes: tuple) -> np.ndarray:
+        """A view of the entries on the inclusive mode intervals, which must lie inside the operator's."""
+        r0, c0 = self.row_modes[0], self.col_modes[0]
+        return self.matrix[row_modes[0] - r0 : row_modes[1] - r0 + 1, col_modes[0] - c0 : col_modes[1] - c0 + 1]
+
     def entry(self, m: int, n: int) -> complex:
         return complex(self.matrix[m - self.row_modes[0], n - self.col_modes[0]])
 
@@ -144,9 +149,9 @@ def toeplitz_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
 
 
 def _columns_from_samples(
-    rows: np.ndarray, grid: CircleGrid, window: int, col_modes: tuple, weight: np.ndarray | None = None
+    rows: np.ndarray, grid: CircleGrid, window: int, weight: np.ndarray | None = None
 ) -> TruncatedOperator:
-    """Operator whose column j is the Fourier window of weight * rows[j] (length-K rows).
+    """Operator whose column j - c is the Fourier window of weight * rows[j] (2c+1 rows of length K).
 
     `rows` is only read: unweighted, it is transformed out of place; weighted,
     the samples are formed in one fresh buffer, which the transform overwrites.
@@ -172,7 +177,8 @@ def _columns_from_samples(
     np.abs(outside, out=mass)
     np.square(mass, out=mass)
     tails = np.sqrt(np.sum(mass, axis=1))
-    return TruncatedOperator(mat, (-window, window), col_modes, "L2", tails)
+    c = rows.shape[0] // 2
+    return TruncatedOperator(mat, (-window, window), (-c, c), "L2", tails)
 
 
 def _power_samples(bs: BranchSystem, grid: CircleGrid, window: int) -> np.ndarray:
@@ -203,7 +209,7 @@ def weighted_composition_matrix(
     w = np.asarray(weight, dtype=complex)
     if w.shape != (grid.size,):
         raise ValueError("weight must be sampled on the grid")
-    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window), w)
+    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, w)
 
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
@@ -213,7 +219,7 @@ def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> Truncated
     at that window shares one transform of the b^n table.
     """
     def build():
-        return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+        return _columns_from_samples(_power_samples(bs, grid, window), grid, window)
 
     return bs.memo(("gamma", grid.size, window), build)
 
@@ -256,7 +262,7 @@ def cuntz_family_matrices(
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
     """Transfer operator: column n is the Fourier window of L(e_n), the fibre mean of z^n."""
     means = fibre_power_means(grid_fibre(bs, grid), window)
-    return _columns_from_samples(means, grid, window, (-window, window))
+    return _columns_from_samples(means, grid, window)
 
 
 # -- dense algebra -------------------------------------------------------------
@@ -316,29 +322,11 @@ def restrict_to_h2(op: TruncatedOperator) -> TruncatedOperator:
 # -- certification helpers ------------------------------------------------------
 
 
-def interior_block(op: TruncatedOperator, inner: int) -> TruncatedOperator:
-    """The certified sub-operator on modes |n| <= inner (or [0, inner] on H2)."""
-    lo = 0 if op.space == "H2" else -inner
-    return block(op, (max(lo, op.row_modes[0]), min(inner, op.row_modes[1])),
-                 (max(lo, op.col_modes[0]), min(inner, op.col_modes[1])))
-
-
-def uncertified_modes(tail_sources: list, eps_tail: float = 1e-10) -> set:
-    """Column modes whose recorded tail exceeds eps_tail in any source operator.
-
-    The sources should be the sampled/constructed operators entering an
-    identity (their tails are measured discarded mass, not bounds).
-    """
-    bad: set = set()
-    for op in tail_sources:
-        modes = op.col_mode_array
-        bad.update(int(m) for m in modes[op.column_tail > eps_tail])
-    return bad
-
-
 def excluded_mask(cols: np.ndarray, tail_sources: list, eps_tail: float) -> np.ndarray:
-    """True where a tail source leaves the column mode uncertified; raises if that is all of `cols`."""
-    mask = np.isin(cols, list(uncertified_modes(tail_sources, eps_tail)))
+    """True where any tail source's tail at that column mode exceeds eps_tail; raises if that is all of `cols`."""
+    mask = np.zeros(len(cols), dtype=bool)
+    for op in tail_sources:
+        mask |= np.isin(cols, op.col_mode_array[op.column_tail > eps_tail])
     if mask.all():  # a check that excludes every column it names is vacuous, not a pass
         raise ValueError(
             "no certified column remains on the interior block; "
@@ -347,24 +335,29 @@ def excluded_mask(cols: np.ndarray, tail_sources: list, eps_tail: float) -> np.n
     return mask
 
 
+def _interior_modes(op: TruncatedOperator, inner: int) -> tuple:
+    """op's row and column intervals clipped to |n| <= inner (to [0, inner] on H2)."""
+    lo = 0 if op.space == "H2" else -inner
+    return tuple((max(lo, first), min(inner, last)) for first, last in (op.row_modes, op.col_modes))
+
+
 def interior_residual(
     a: TruncatedOperator, b: TruncatedOperator, inner: int, *, tail_sources: list, eps_tail: float = 1e-10
 ) -> tuple[float, list[int]]:
-    """max |a - b| entrywise on the shared interior block.
+    """max |a - b| entrywise on the shared interior block, sliced in place.
 
     Columns whose recorded tail exceeds eps_tail in any tail source (the
     sampled operators the identity is built from) are excluded from the max
     and returned for reporting (excluded_mask, which raises if none remains).
     """
-    ba = interior_block(a, inner)
-    bb = interior_block(b, inner)
-    if ba.row_modes != bb.row_modes or ba.col_modes != bb.col_modes:
+    rows, cols = _interior_modes(a, inner)
+    if _interior_modes(b, inner) != (rows, cols):
         raise ValueError("operators do not share the interior block")
-    cols = np.arange(ba.col_modes[0], ba.col_modes[1] + 1)
-    mask = excluded_mask(cols, tail_sources, eps_tail)
-    diff = np.abs(ba.matrix - bb.matrix)
+    modes = np.arange(cols[0], cols[1] + 1)
+    mask = excluded_mask(modes, tail_sources, eps_tail)
+    diff = np.abs(a.submatrix(rows, cols) - b.submatrix(rows, cols))
     diff[:, mask] = 0.0
-    return float(diff.max()), [int(c) for c in cols[mask]]
+    return float(diff.max()), [int(c) for c in modes[mask]]
 
 
 PANEL_POINTS = 16  # Gauss-Legendre nodes per panel of pair_power_gram

@@ -73,7 +73,7 @@ def decompose(
 
     # one shared preimage fibre serves every coefficient
     fib = grid_fibre(bs, grid)
-    f_fib = synthesize(f, fib, analytic=False)
+    f_fib = synthesize(f, fib)
     weight = f_fib / j0(bs.owner, np.angle(fib))
 
     w_fib = basis.values(fib)  # (N, N, K)
@@ -87,7 +87,7 @@ def decompose(
         coeff_series.append(trim_series(s, floor=3e-14))
 
     recon = reconstruct(bs, basis, coeff_series, grid)
-    residual = float(np.max(np.abs(recon.values - synthesize(f, grid.points, analytic=False))))
+    residual = float(np.max(np.abs(recon.values - synthesize(f, grid.points))))
     return Decomposition(
         owner=bs.owner,
         basis_kind=basis.kind,
@@ -109,5 +109,5 @@ def reconstruct(
         raise ValueError("one coefficient series per basis element required")
     z = grid.points
     bz = evaluate(bs.owner, z)
-    total = expansion_sum(basis.values(z), (synthesize(s, bz, analytic=False) for s in coefficients))
+    total = expansion_sum(basis.values(z), (synthesize(s, bz) for s in coefficients))
     return BoundaryFunction(grid, total)

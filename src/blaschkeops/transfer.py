@@ -74,7 +74,7 @@ class ModuleFamily:
 def from_series(*series: FourierSeries) -> ModuleFamily:
     """The family of Fourier windows, each evaluated exactly by synthesis."""
     labels = tuple(f"series {i}" for i in range(len(series)))
-    return ModuleFamily(labels, lambda z: np.stack([synthesize(s, z, analytic=None) for s in series]))
+    return ModuleFamily(labels, lambda z: np.stack([synthesize(s, z) for s in series]))
 
 
 # -- fibre plumbing ---------------------------------------------------------

@@ -104,7 +104,7 @@ def test_synthesis_round_trip_on_nodes():
     g = CircleGrid(16)
     f = sample(lambda z: z**3, g)
     s = fourier_coeffs(f, 7)
-    back = synthesize(s, g.points, analytic=False)
+    back = synthesize(s, g.points)
     assert np.max(np.abs(back - f.values)) < 1e-14
 
 
@@ -116,7 +116,7 @@ def test_negative_mode_synthesis_matches_powers():
     c = rng.standard_normal(17) + 1j * rng.standard_normal(17)
     s = FourierSeries(c)
     direct = sum(s.coeff(n) * w ** float(n) for n in range(-8, 9))
-    assert np.max(np.abs(synthesize(s, w, analytic=False) - direct)) < 1e-13
+    assert np.max(np.abs(synthesize(s, w) - direct)) < 1e-13
 
 
 def test_analytic_extension_guard():

@@ -23,6 +23,7 @@ from blaschkeops.operators import (
     block,
     compose,
     cuntz_family_matrices,
+    excluded_mask,
     gamma_b_matrix,
     identity_operator,
     interior_residual,
@@ -226,7 +227,7 @@ def test_columns_from_samples_tails_match_mask_formula(size, window):
     weight = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     for w, samples in ((None, rows), (weight, weight[None, :] * rows)):
         before = rows.copy()
-        op = _columns_from_samples(rows, CircleGrid(size), window, (-4, 4), w)
+        op = _columns_from_samples(rows, CircleGrid(size), window, w)
         assert np.array_equal(rows, before)  # the caller's rows are only read
         # reference: the discarded modes picked out by a boolean mask
         coef = np.fft.fft(samples, axis=1) / size
@@ -391,7 +392,7 @@ def _transfer_matrix_by_modes(bs, window, grid):
     # the reference: each mode's fibre power formed on its own with numpy's **
     fib = grid_fibre(bs, grid)
     samples = np.stack([(fib**n).mean(axis=0) for n in range(-window, window + 1)])
-    return _columns_from_samples(samples, grid, window, (-window, window))
+    return _columns_from_samples(samples, grid, window)
 
 
 @pytest.mark.parametrize(
@@ -491,6 +492,32 @@ def test_interior_residual_requires_tail_sources():
     op = identity_operator(4)
     with pytest.raises(TypeError):
         interior_residual(op, op, 2)
+
+
+def _tailed(col_modes, tails):
+    """An operator on the given column modes whose column tails are `tails`."""
+    n = col_modes[1] - col_modes[0] + 1
+    return TruncatedOperator(np.zeros((n, n)), col_modes, col_modes, "L2", np.array(tails, dtype=float))
+
+
+def test_excluded_mask_is_the_union_over_the_sources_by_mode():
+    cols = np.arange(-2, 3)
+    left = _tailed((-2, 2), [1.0, 0, 0, 0, 1e-11])  # mode -2 over the threshold
+    right = _tailed((0, 2), [0, 2e-10, 0])  # mode 1, on fewer columns
+    assert excluded_mask(cols, [left, right], 1e-10).tolist() == [True, False, False, True, False]
+
+
+def test_excluded_mask_refuses_a_product_as_its_only_source():
+    op = mult_operator(exponential(1), 4)
+    with pytest.raises(ValueError, match="no certified column remains"):
+        excluded_mask(np.arange(-2, 3), [compose(op, op)], 1e-10)  # every tail inf
+
+
+def test_excluded_mask_of_an_empty_union_certifies_every_column():
+    cols = np.arange(-2, 3)
+    assert not excluded_mask(cols, [_tailed((-2, 2), [1e-11] * 5)], 1e-10).any()
+    assert not excluded_mask(cols, [_tailed((-2, 2), [1.0] * 5)], np.inf).any()  # exclusion off
+    assert not excluded_mask(cols, [], 1e-10).any()
 
 
 def test_operator_json_round_trip(z2):
@@ -645,10 +672,10 @@ def test_truncated_builders_agree_with_the_moments(mixed):
     phi = FourierSeries(np.array([0.3, -0.2j, 0.5, 0.1, 0.25 + 0.1j]))
     s = cuntz_family_matrices(bs, basis, m, g)
     cd = master_isometry_matrix_direct(bs, m, g)
-    phi_cb = weighted_composition_matrix(bs, synthesize(phi, g.points, analytic=False) * jh.values(g.points)[0], m, g)
+    phi_cb = weighted_composition_matrix(bs, synthesize(phi, g.points) * jh.values(g.points)[0], m, g)
     cases = [(s[i], s[j], basis, i, j) for i in range(2) for j in range(2)]
     gam = gamma_b_matrix(bs, m, g)
-    one_phi = ModuleFamily(("1", "phi"), lambda z: np.stack([np.ones(z.shape), synthesize(phi, z, analytic=None)]))
+    one_phi = ModuleFamily(("1", "phi"), lambda z: np.stack([np.ones(z.shape), synthesize(phi, z)]))
     cases += [
         (cd, cd, jh, 0, 0),
         (gam, gam, ModuleFamily(("1",), lambda z: np.ones((1,) + z.shape)), 0, 0),

@@ -60,7 +60,7 @@ def test_half_involution_closed_form(half, grid4096):
     assert dec.residual < 1e-8
     bz = evaluate(b, grid4096.points)
     expected = bz * (1 - 0.5 * bz) / np.sqrt(0.75)
-    got = synthesize(dec.coefficients[0], grid4096.points, analytic=False)
+    got = synthesize(dec.coefficients[0], grid4096.points)
     assert np.max(np.abs(got - expected)) < 1e-9
 
 
@@ -107,11 +107,11 @@ def test_consistency_with_module_expand(mixed, grid1024):
     f = exponential(1, 8)
     dec = decompose(bs, basis, f, grid1024)
     fib = grid_fibre(bs, grid1024)
-    g_fib = synthesize(f, fib, analytic=False) * outer_symbol(bs, grid1024, -0.5).eval(fib)
+    g_fib = synthesize(f, fib) * outer_symbol(bs, grid1024, -0.5).eval(fib)
     mod = induced_module_basis(bs, basis, grid1024)
     coeffs = fibre_means(np.conj(mod.values(fib)), g_fib)
     for s, c in zip(dec.coefficients, coeffs):
-        direct = synthesize(s, grid1024.points, analytic=False)
+        direct = synthesize(s, grid1024.points)
         assert np.max(np.abs(direct - c)) < 1e-9
 
 
@@ -154,11 +154,11 @@ def _recovery_error(bs, basis, coefficients, grid):
     fib = grid_fibre(bs, grid)
     bz_fib = evaluate(bs.owner, fib)
     v_fib = basis.values(fib)
-    g_fib = expansion_sum(v_fib, (synthesize(s, bz_fib, analytic=False) for s in coefficients))
+    g_fib = expansion_sum(v_fib, (synthesize(s, bz_fib) for s in coefficients))
     weight = g_fib / j0(bs.owner, np.angle(fib))
     recovered = fibre_means(np.conj(v_fib), weight)
     return max(
-        float(np.max(np.abs(r - synthesize(s, grid.points, analytic=False))))
+        float(np.max(np.abs(r - synthesize(s, grid.points))))
         for r, s in zip(recovered, coefficients)
     )
 

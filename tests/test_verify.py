@@ -6,6 +6,7 @@ import pytest
 from blaschkeops import build_branches, evaluate, make_blaschke
 from blaschkeops.circlefun import CircleGrid, exponential, fourier_coeffs
 from blaschkeops.config import RunConfig
+from blaschkeops.errors import MATH_ERRORS
 from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
     adjoint,
@@ -19,7 +20,6 @@ from blaschkeops.operators import (
     operator_norm,
     restrict_to_h2,
     toeplitz_operator,
-    uncertified_modes,
     weighted_composition_matrix,
 )
 from blaschkeops.transfer import arcs_basis, module_gram_deviation, outer_symbol
@@ -167,8 +167,8 @@ def test_covariance_tails_match_direct_sampling_of_the_shifted_columns(mixed, sp
     for v, si in zip(basis.values(g.points), s):
         direct = h2(weighted_composition_matrix(bs, v * bvals, m, g))
         source = _shift_columns(h2(si))
-        got = uncertified_modes([source], cfg.eps_tail)
-        want = uncertified_modes([direct], cfg.eps_tail)
+        got = set(source.col_mode_array[source.column_tail > cfg.eps_tail].tolist())
+        want = set(direct.col_mode_array[direct.column_tail > cfg.eps_tail].tolist())
         assert m in got
         assert 0 < len(want - {m}) < len(source.col_mode_array) - 1  # some excluded, some not
         assert got - {m} == want - {m}
@@ -304,15 +304,20 @@ def test_solution1_canonical_family():
 
 
 def test_verify_all_shares_the_module_grams_with_the_same_results():
-    # one verify_all forms each family's module Gram once, for module_onb,
-    # arcs_onb, linking_unitary and solution1_equivalence: the same reports as
-    # each relation on a fresh context forming its own
+    # one verify_all shares its bases, module Grams and memos between the
+    # relations, and every randomized check draws afresh from the seed: each
+    # report, or error, is the one its relation gives alone on a fresh context
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
-    shared = {"module_onb", "arcs_onb", "linking_unitary", "solution1_equivalence"}
-    reports = [rep for rep in verify_all(b, FAST) if rep.relation in shared]
-    assert len(reports) == len(shared)
-    for rep in reports:
-        assert rep.to_dict() == verify_relation(b, rep.relation, FAST).to_dict()
+    for config in (FAST, RunConfig()):
+        reports = verify_all(b, config)
+        assert [rep.relation for rep in reports] == list(RELATIONS)
+        for rep in reports:
+            try:
+                alone = verify_relation(b, rep.relation, config)
+            except MATH_ERRORS as exc:
+                assert rep.params["error"] == f"{type(exc).__name__}: {exc}"
+            else:
+                assert rep.to_dict() == alone.to_dict(), rep.relation
 
 
 def test_solution1_rejects_constant_family():
