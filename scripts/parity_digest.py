@@ -4,10 +4,12 @@
 The payloads are the `reports_to_json` of `verify_all` on the zoo of
 `run_verify.py` plus the single zero 0.8 (grid 4096, window 64) and on six
 zeros (window 128), the `matrix --which cb` and `matrix --which transfer`
-JSON of three products at `--modes 16` and `--modes 64`, and, for one seeded
-analytic series against the same three products, the `decompose` JSON at
-`--grid 512` and `--grid 4096` and the `transfer` JSON (`--modes 16`) and CSV.  Save one checkout's output and compare the
-other against it:
+JSON of three products at `--modes 16` and `--modes 64`, the `outer` JSON of
+the same three products at `--power 0.5` and `-0.5` (`--modes 16`, grid 4096),
+and, for one seeded analytic series against the same three products, the
+`decompose` JSON at `--grid 512` and `--grid 4096` and the `transfer` JSON
+(`--modes 16`) and CSV.  Save one checkout's output and compare the other
+against it:
 
     PYTHONPATH=src python scripts/parity_digest.py > parent.txt
     PYTHONPATH=src python scripts/parity_digest.py --against parent.txt
@@ -57,6 +59,7 @@ MATRIX_CASES = {"two mixed": [0.5, -0.3j], "single 0.8": [0.8], "six zeros": SIX
 MATRIX_KINDS = ("cb", "transfer")
 MATRIX_MODES = (16, 64)
 DECOMPOSE_GRIDS = (512, 4096)
+OUTER_POWERS = ("0.5", "-0.5")
 
 
 def digest(text: str) -> str:
@@ -104,6 +107,9 @@ def payloads():
             fh.write(analytic_series().to_json())
         for name, zeros in MATRIX_CASES.items():
             path = write_product(zeros, workdir)
+            for power in OUTER_POWERS:
+                argv = ["outer", path, "--power", power, "--modes", "16", "--grid", "4096"]
+                yield f"outer {name} p{power}", cli_json(argv)
             for grid in DECOMPOSE_GRIDS:
                 yield f"decompose {name} g{grid}", cli_json(["decompose", path, series, "--grid", str(grid)])
             yield f"transfer {name} m16", cli_json(["transfer", path, series, "--modes", "16"])

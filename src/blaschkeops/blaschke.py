@@ -22,6 +22,7 @@ N t.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,6 +76,39 @@ class BlaschkeProduct:
     def one_minus_abs2(self) -> tuple:
         """1 - |a_j|^2 per zero, summed exactly from the float parts and rounded once (no cancellation)."""
         return tuple(float(1 - Fraction(w.real) ** 2 - Fraction(w.imag) ** 2) for w in map(complex, self.zeros))
+
+    @cached_property
+    def critical_points(self) -> np.ndarray:
+        """The N - 1 zeros of b' in the disc, with multiplicity: m - 1 at each zero of b of
+        multiplicity m, then the zeros in the disc of b'/b = sum_a m_a [1/(z - a) + conj(a)/(1 - conj(a) z)]
+        over the distinct zeros a (the form that stays finite for tiny a).
+
+        Seeds are eigenvalues.  b'/b = sum_k r_k / D_k(z), with D = (a - z, 1 - conj(a) z) and
+        r = (-m, m conj(a)), vanishes where the arrowhead pencil [[0, r], [1, diag(D(z))]] = A0 - z B
+        is singular.  b'/b has no zero on the circle, so z = 1 + 1/mu turns the zeros into the
+        eigenvalues mu of (A0 - B)^{-1} B; Re mu < -1/2 is |z| < 1, and drops mu = 0 before the
+        division.  Newton steps on b'/b polish the seeds.
+        """
+        distinct = Counter(self.zeros)  # in order of first appearance
+        a, m = np.array(list(distinct), dtype=complex), np.array(list(distinct.values()), dtype=float)
+        ca = np.conj(a)
+        e = np.concatenate(([0.0], np.ones(a.size), ca))  # the diagonal of B
+        pencil = np.diag(np.concatenate(([0.0], a, np.ones(a.size))) - e)
+        pencil[0, 1:] = np.concatenate((-m, m * ca))
+        pencil[1:, 0] = 1.0
+        mu = np.linalg.eigvals(np.linalg.solve(pencil, np.diag(e)))
+        z = 1.0 + 1.0 / mu[mu.real < -0.5]
+        with np.errstate(all="ignore"):  # a seed within 1e-154 of a zero has no finite step: it stays
+            for _ in range(8):
+                u, v = 1.0 / (z - a[:, None]), ca[:, None] / (1.0 - ca[:, None] * z)
+                step = (m @ (u + v)) / (m @ (v * v - u * u))
+                step[~np.isfinite(step)] = 0.0
+                z = z - step
+                if np.max(np.abs(step), initial=0.0) <= 4 * np.finfo(float).eps:
+                    break
+        if z.size != a.size - 1 or not np.all(np.abs(z) < 1.0):
+            raise RuntimeError(f"found {z.size} critical points in the disc from {a.size} distinct zeros")
+        return np.concatenate((np.repeat(a, m.astype(int) - 1), z))
 
     def __call__(self, z):
         return evaluate(self, z)

@@ -4,9 +4,9 @@ Functions on the unit circle live either as samples on a uniform power-of-two
 grid (BoundaryFunction) or as a finite two-sided Fourier window (FourierSeries).
 Normalized Lebesgue measure is used throughout: means, not sums.
 
-The outer-function construction turns a positive boundary modulus h into the
-analytic, zero-free function with |O| = h^power on the circle and O(0) > 0, by
-doubling the positive log-modulus modes (Riesz projection) and exponentiating.
+Outer functions of a rational modulus are products of principal powers
+(1 - conj(c) z)^{2p} over finitely many points c of the open disc, one formula
+on the grid and off it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ TWO_PI = 2.0 * np.pi
 #: synthesize refuses the analytic extension of a series with more negative-mode energy
 ANALYTIC_TOL = 1e-10
 
-#: outer_function warns in the boundary meta when the dropped log-coefficient mass is larger
-OUTER_TAIL_TOL = 1e-12
-
 
 def complex_pairs(values: np.ndarray) -> list:
     """[[re, im], ...] of a complex array in C order, as Python floats: one tolist() on a float view."""
@@ -34,8 +31,8 @@ def complex_pairs(values: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform grid of K = 2^k >= 4 nodes t_j = 2*pi*j/K on [0, 2*pi); fewer
-    leave an outer function no analytic log modes (1 .. K/2 - 1)."""
+    """Uniform grid of K = 2^k >= 4 nodes t_j = 2*pi*j/K on [0, 2*pi): a Fourier
+    window of at least 1 needs 3 nodes, and grids are powers of two."""
 
     size: int
 
@@ -261,84 +258,57 @@ def l2_norm(f: BoundaryFunction) -> float:
 
 @dataclass(frozen=True)
 class OuterFunction:
-    """Outer function O with |O| = h^power on the circle and O(0) > 0.
+    """J = scale^p prod_r (1 - conj(r) z)^{2p} / prod_q (1 - conj(q) z)^{2p}, p = power, r and q in the disc.
 
-    `boundary` holds the grid samples; `eval` extends analytically to the
-    closed disc through the truncated log-series exp(c0 + sum_{n>=1} g_n z^n).
-    The series ends at the last g_n above the float64 rounding floor,
-    |g_n| > eps * max(1, max|g_n|); what lies below is FFT noise.
-    `log_tail` bounds the dropped log-coefficient mass (sup-norm of the error
-    of log O, hence a relative error bound on O itself).
+    Each factor has positive real part on the closed disc, so its principal power is
+    the analytic branch for every real p: J is outer, J(0) = scale^p > 0.  One formula
+    gives `boundary` (J on the grid) and `eval` (J anywhere on the closed disc).
     """
 
     boundary: BoundaryFunction
-    log_c0: float
-    log_coeffs: np.ndarray  # g_n for n = 1..len, coefficients of log O
-    log_tail: float
+    scale: float
+    roots: np.ndarray
+    poles: np.ndarray
+    power: float
 
     def at_zero(self) -> float:
-        return float(np.exp(self.log_c0))
+        return float(self.scale**self.power)
 
     def eval(self, z):
-        arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        pts = np.atleast_1d(arr)
-        acc = np.zeros_like(pts)
-        for g in self.log_coeffs[::-1]:
-            acc = (acc + g) * pts
-        vals = np.exp(self.log_c0 + acc)
-        if scalar:
-            return complex(vals[0])
-        return vals.reshape(arr.shape)
+        """J at z: two running products of factors to the power |2p| (swapped if p < 0), one division."""
+        z = np.asarray(z, dtype=complex)
+        q = abs(2.0 * self.power)
+        top = np.full(z.shape, self.scale ** abs(self.power), dtype=complex)
+        bottom = np.ones(z.shape, dtype=complex)
+        fac = np.empty(z.shape, dtype=complex)
+        for points, acc in ((self.roots, top), (self.poles, bottom)):
+            for c in points:
+                np.multiply(np.conj(c), z, out=fac)
+                np.subtract(1.0, fac, out=fac)
+                if q != 1.0:
+                    np.power(fac, q, out=fac)
+                acc *= fac
+        if self.power < 0:
+            top, bottom = bottom, top
+        top /= bottom
+        return complex(top) if z.ndim == 0 else top
 
-    def __call__(self, z):
-        return self.eval(z)
 
+def outer_function(grid: CircleGrid, scale: float, roots, poles, power: float) -> OuterFunction:
+    """The OuterFunction of (scale, roots, poles, power), its boundary sampled on `grid`.
 
-def outer_function(h: BoundaryFunction, power: float = 1.0) -> OuterFunction:
-    """Outer function with boundary modulus h^power, positive at the origin.
-
-    h must be strictly positive (real part taken; imaginary part must be
-    negligible).  Spectral accuracy requires smooth h.  The boundary samples
-    use every log coefficient; the series kept for `eval` is cut after the last
-    |g_n| > eps * max(1, max|g_n|) (eps the float64 machine epsilon).  The
-    dropped mass, plus the Nyquist coefficient, is reported as `log_tail`,
-    and a warning is attached to the boundary meta when it exceeds OUTER_TAIL_TOL.
-    A power that is not finite, or makes h^power overflow, is refused first.
+    The scale must be finite and positive and every root and pole inside the disc.  A power that is
+    not finite, or lets J overflow on the closed disc (|log J| <= |p| (|log scale| + 2 sum -log(1 - |c|))
+    over roots and poles), is refused.
     """
-    vals = h.values
-    if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
-        raise ValueError("outer_function input must be real and positive")
-    hr = vals.real
-    if np.min(hr) <= 1e-12:
-        raise ValueError(f"outer_function input must be positive, min = {np.min(hr):.3e}")
-    log_h = np.log(hr)
-    if not abs(power) * float(np.max(np.abs(log_h))) <= np.log(np.finfo(float).max):  # false for nan
-        raise ValueError(f"outer power {power} is not finite or overflows: |power * log h| > log(float max)")
-    K = h.grid.size
-    g = power * log_h
-    c = np.fft.fft(g) / K
-    # analytic completion: c0 + 2*sum_{n>0} c_n e^{int}; conjugate symmetry holds for real g
-    half = K // 2
-    sym_defect = np.max(np.abs(c[1:half] - np.conj(c[-1:-half:-1])))
-    if sym_defect > 1e-8:
-        raise ValueError("log-modulus coefficients are not conjugate symmetric")
-    doubled = np.zeros(K, dtype=complex)
-    doubled[0] = c[0]
-    doubled[1:half] = 2.0 * c[1:half]
-    log_boundary = np.fft.ifft(doubled) * K
-    boundary = BoundaryFunction(h.grid, np.exp(log_boundary))
-
-    coeffs = doubled[1:half]
-    mags = np.abs(coeffs)
-    big = np.nonzero(mags > np.finfo(float).eps * max(1.0, float(np.max(mags))))[0]
-    keep = int(big[-1]) + 1 if big.size else 1
-    tail = float(np.sum(mags[keep:])) + float(abs(c[half]))
-    if tail > OUTER_TAIL_TOL:
-        boundary.meta["accuracy_warning"] = f"log-coefficient tail {tail:.3e} exceeds {OUTER_TAIL_TOL:.1e}"
-    return OuterFunction(
-        boundary=boundary,
-        log_c0=float(c[0].real),
-        log_coeffs=coeffs[:keep],
-        log_tail=tail,
-    )
+    roots, poles = np.asarray(roots, dtype=complex), np.asarray(poles, dtype=complex)
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"outer scale must be finite and positive, got {scale}")
+    radii = np.abs(np.concatenate((roots, poles)))
+    if np.any(radii >= 1.0):
+        raise ValueError("outer roots and poles must lie inside the unit disc")
+    if not abs(power) * (abs(np.log(scale)) - 2.0 * np.sum(np.log1p(-radii))) <= np.log(np.finfo(float).max):
+        raise ValueError(f"outer power {power} is not finite or overflows: |power * log J| > log(float max)")
+    o = OuterFunction(None, float(scale), roots, poles, float(power))  # boundary set below, from eval
+    object.__setattr__(o, "boundary", BoundaryFunction(grid, o.eval(grid.points)))
+    return o

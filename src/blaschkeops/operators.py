@@ -144,8 +144,7 @@ def mult_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
 
 def toeplitz_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
     """Compression of mult_operator to the analytic modes [0, window]."""
-    full = mult_operator(phi, window)
-    return block(full, (0, window), (0, window), space="H2")
+    return restrict_to_h2(mult_operator(phi, window))
 
 
 def _columns_from_samples(
@@ -336,9 +335,8 @@ def excluded_mask(cols: np.ndarray, tail_sources: list, eps_tail: float) -> np.n
 
 
 def _interior_modes(op: TruncatedOperator, inner: int) -> tuple:
-    """op's row and column intervals clipped to |n| <= inner (to [0, inner] on H2)."""
-    lo = 0 if op.space == "H2" else -inner
-    return tuple((max(lo, first), min(inner, last)) for first, last in (op.row_modes, op.col_modes))
+    """op's row and column intervals clipped to |n| <= inner (an H2 operator has no negative modes)."""
+    return tuple((max(-inner, first), min(inner, last)) for first, last in (op.row_modes, op.col_modes))
 
 
 def interior_residual(

@@ -81,9 +81,17 @@ def from_series(*series: FourierSeries) -> ModuleFamily:
 
 
 def outer_symbol(bs: BranchSystem, grid: CircleGrid, power: float) -> OuterFunction:
-    """J^power: the outer function with boundary modulus j0^power, memoised per grid."""
+    """J^power, J the outer function with |J| = j0 = |b'|/N on the circle, memoised per grid.
+
+    On the circle |b'| is a constant times |prod_c (1 - conj(c) z)|^2 / |prod_j (1 - conj(a_j) z)|^2,
+    c over the critical points of b in the disc, so J = C prod_c (1 - conj(c) z)^2 / prod_j
+    (1 - conj(a_j) z)^2 with C = j0(1) prod_j |1 - a_j|^2 / prod_c |1 - c|^2.
+    """
     def build():
-        return outer_function(BoundaryFunction(grid, j0(bs.owner, grid.angles).astype(complex)), power)
+        b = bs.owner
+        crit, zeros = b.critical_points, np.asarray(b.zeros, dtype=complex)
+        scale = j0(b, 0.0) * np.prod(np.abs(1.0 - zeros) ** 2) / np.prod(np.abs(1.0 - crit) ** 2)
+        return outer_function(grid, scale, crit, zeros, power)
 
     return bs.memo(("outer", grid.size, float(power)), build)
 

@@ -56,7 +56,6 @@ from .operators import (
     orthonormality_defect,
     pair_power_gram,
     restrict_to_h2,
-    toeplitz_operator,
     transfer_matrix,
 )
 from .rochberg import decompose
@@ -215,12 +214,12 @@ def _shift_columns(op: TruncatedOperator) -> TruncatedOperator:
     return replace(op, matrix=shifted, column_tail=np.append(op.column_tail[1:], np.inf))
 
 
-def _covariance(ctx: _Context, restrict, symbol_operator):
+def _covariance(ctx: _Context, restrict):
     # S_i pi(e_1) = pi(b) S_i, or R_i T(e_1) = T(b) R_i on H2: column n is
     # certified by the tails of S_i (R_i) at n and n + 1.  The Fourier window
     # of b is column n = 1 of Gamma_b, since Gamma_b e_1 = b
     b_series = FourierSeries(gamma_b_matrix(ctx.bs, ctx.window, ctx.grid).matrix[:, ctx.window + 1])
-    pb = symbol_operator(b_series, ctx.window)
+    pb = restrict(mult_operator(b_series, ctx.window))
     checks = []
     for si in ctx.cuntz:
         ri = restrict(si)
@@ -231,11 +230,11 @@ def _covariance(ctx: _Context, restrict, symbol_operator):
 
 
 def _rel_covariance_l2(ctx: _Context):
-    return _covariance(ctx, lambda op: op, mult_operator)
+    return _covariance(ctx, lambda op: op)
 
 
 def _rel_covariance_h2(ctx: _Context):
-    return _covariance(ctx, restrict_to_h2, toeplitz_operator)
+    return _covariance(ctx, restrict_to_h2)
 
 
 def _rel_implements_transfer(ctx: _Context):
@@ -501,7 +500,7 @@ def verify_solution1(
     z, fib = expansion_points(bs, grid, sorted(set(family.exceptions)))
     w_fib = family.values(fib)
     np.conjugate(w_fib, out=w_fib)
-    w_fib *= 1.0 / outer_symbol(bs, grid, 0.5).eval(fib)
+    w_fib *= outer_symbol(bs, grid, -0.5).eval(fib)
     targets = ((synthesize(s, fib), synthesize(s, z)) for s in tests)
     completeness = expansion_deviation(columns.values(z), w_fib, targets)
 

@@ -3,7 +3,8 @@
 Everything here avoids the library's own branch machinery: preimages come from
 polynomial root finding on the numerator of b(w) - z*den(w), derivatives from
 central differences, means from plain quadrature at two resolutions, and J^p
-from the critical points of b, found as polynomial roots.
+from the critical points of b, found as polynomial roots.  The *_mpmath
+references work at 50 digits with the same polynomials (mpmath is test-only).
 """
 
 import numpy as np
@@ -135,4 +136,57 @@ def canonical_basis_mpmath(zeros, z, dps=50):
                 a = mpmath.mpc(a.real, a.imag)
                 out[j, k] = complex(mpmath.sqrt(1 - abs(a) ** 2) / (1 - mpmath.conj(a) * x) * partial)
                 partial *= x if a == 0 else abs(a) / a * (a - x) / (1 - mpmath.conj(a) * x)
+    return out
+
+
+def _critical_points_mp(zeros, dps):
+    """The critical points of b in the disc as mpmath numbers (call inside workdps(dps)):
+    mpmath.polyroots of num' den - num den', built from the float zeros at dps digits and
+    started from numpy's double-precision roots of the same polynomial."""
+    import mpmath
+
+    def mul(p, q):
+        return [mpmath.fsum(p[i] * q[k - i] for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1))
+                for k in range(len(p) + len(q) - 1)]
+
+    num, den = [mpmath.mpc(1)], [mpmath.mpc(1)]
+    for a in map(complex, zeros):
+        a = mpmath.mpc(a.real, a.imag)
+        num, den = mul(num, [a, -1]), mul(den, [1, -mpmath.conj(a)])  # ascending; the rotations drop out
+    der = lambda p: [k * c for k, c in enumerate(p)][1:]
+    w = [x - y for x, y in zip(mul(der(num), den), mul(num, der(den)))]
+    while abs(w[-1]) < mpmath.mpf(10) ** (5 - dps) * max(map(abs, w)):  # a root at infinity
+        w.pop()
+    init = np.polynomial.polynomial.polyroots(np.array([complex(c) for c in w]))
+    roots = mpmath.polyroots(w[::-1], maxsteps=2000, extraprec=4 * dps, roots_init=[mpmath.mpc(r) for r in init])
+    inside = [r for r in roots if abs(r) < 1]
+    assert len(inside) == len(zeros) - 1, "mpmath critical points are not N-1 in the disc"
+    return inside
+
+
+def critical_points_mpmath(zeros, dps=50):
+    """The N-1 critical points of b in the disc, found at `dps` digits and rounded to complex."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return np.array([complex(c) for c in _critical_points_mp(zeros, dps)])
+
+
+def outer_half_mpmath(zeros, z, dps=50):
+    """J^{1/2} = sqrt(C) prod_c (1 - conj(c) z) / prod_j (1 - conj(a_j) z) at the points z,
+    evaluated at `dps` digits from the critical points c of _critical_points_mp; C as in
+    closed_form_outer_symbol.  J^{-1/2} is its reciprocal."""
+    import mpmath
+
+    out = np.empty(len(z), dtype=complex)
+    with mpmath.workdps(dps):
+        conj_crit = [mpmath.conj(c) for c in _critical_points_mp(zeros, dps)]
+        conj_zeros = [mpmath.mpc(a.real, -a.imag) for a in map(complex, zeros)]
+        j0_at_one = mpmath.fsum((1 - abs(a) ** 2) / abs(1 - a) ** 2 for a in conj_zeros) / len(zeros)
+        c_const = j0_at_one * mpmath.fprod(abs(1 - a) ** 2 for a in conj_zeros)
+        root = mpmath.sqrt(c_const / mpmath.fprod(abs(1 - c) ** 2 for c in conj_crit))
+        for k, p in enumerate(map(complex, z)):
+            x = mpmath.mpc(p.real, p.imag)
+            num = mpmath.fprod(1 - c * x for c in conj_crit)
+            out[k] = complex(root * num / mpmath.fprod(1 - a * x for a in conj_zeros))
     return out

@@ -15,7 +15,6 @@ from blaschkeops.circlefun import (
     FourierSeries,
     exponential,
     fourier_coeffs,
-    outer_function,
 )
 from blaschkeops.cli import main as cli_main
 from blaschkeops.config import RunConfig
@@ -115,8 +114,7 @@ def test_criterion_2_mean_of_boundary_symbol():
 def test_criterion_3_outer_function_oracle():
     b = make_blaschke([0.5])
     grid = CircleGrid(4096)
-    h = BoundaryFunction(grid, j0(b, grid.angles).astype(complex))
-    o = outer_function(h, 1.0)
+    o = outer_symbol(build_branches(b), grid, 1.0)
     target = 0.75 / (1.0 - 0.5 * grid.points) ** 2
     sup = float(np.max(np.abs(o.boundary.values - target)))
     at0 = abs(o.at_zero() - 0.75)

@@ -12,10 +12,12 @@ from blaschkeops import (
     make_blaschke,
     preimages,
 )
+from blaschkeops.circlefun import CircleGrid
 from blaschkeops.errors import BranchPointError
+from blaschkeops.transfer import outer_symbol
 
 from conftest import blaschke_zeros, circle_angles
-from oracles import blaschke_value, central_difference, grid_mean, preimage_roots
+from oracles import blaschke_value, central_difference, critical_points_mpmath, grid_mean, preimage_roots
 
 
 # -- construction -------------------------------------------------------------
@@ -211,6 +213,51 @@ def test_high_degree_builds_and_matches_polyroot_oracle(degree):
         # each preimage is its nearest oracle root, and no root is missed
         assert np.max(np.min(np.abs(got[:, None] - expect[None, :]), axis=1)) < 1e-12
         assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(expect))) < 1e-12
+
+
+def _seeded_zeros(degree, radius, seed=0):
+    rng = np.random.default_rng(seed)
+    return list(radius * np.sqrt(rng.uniform(0, 1, degree)) * np.exp(2j * np.pi * rng.uniform(0, 1, degree)))
+
+
+def _matched_distance(got, want):
+    """The largest distance in a greedy one-to-one matching of `want` to `got` (equal sizes)."""
+    assert len(got) == len(want)
+    rest, worst = list(got), 0.0
+    for w in want:
+        k = int(np.argmin(np.abs(np.array(rest) - w)))
+        worst = max(worst, abs(rest.pop(k) - w))
+    return worst
+
+
+CRITICAL_CASES = {
+    "triple zero": [0.5, 0.5, 0.5],
+    "two doubles and the origin": [0.5, 0.5, -0.3j, -0.3j, 0],
+    "zeros 1e-9 apart": [0.5, 0.5 + 1e-9, 0.2j],
+    "double zero at the origin": [0, 0, 0.5],
+    "near the circle": [0.99, 0.99j, -0.99, 0.5],
+    "opposite near the circle": [0.999, -0.999],
+    "32 zeros": _seeded_zeros(32, 0.9, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", list(CRITICAL_CASES))
+def test_critical_points_match_mpmath(name):
+    # N - 1 zeros of b' in the disc, repeated zeros counted m - 1 times
+    zeros = CRITICAL_CASES[name]
+    got = make_blaschke(zeros).critical_points
+    assert _matched_distance(got, critical_points_mpmath(zeros)) < 1e-13
+
+
+@pytest.mark.parametrize("degree", [64, 65, 100, 128])
+def test_high_degree_critical_points_give_the_outer_modulus(degree):
+    # no oracle at these degrees: the count, and |J^{1/2}|^2 = j0 on the circle
+    b = make_blaschke(_seeded_zeros(degree, 0.5))
+    assert b.critical_points.shape == (degree - 1,)
+    grid = CircleGrid(4096)
+    j_half = outer_symbol(build_branches(b), grid, 0.5).boundary.values
+    h = j0(b, grid.angles)
+    assert np.max(np.abs(np.abs(j_half) ** 2 - h) / h) < 1e-13
 
 
 @given(blaschke_zeros(max_degree=3))

@@ -26,7 +26,7 @@ from blaschkeops.circlefun import (
 from blaschkeops.errors import AnalyticExtensionError, GridMismatchError
 from blaschkeops.transfer import grid_fibre, outer_symbol
 
-from oracles import closed_form_outer_symbol, grid_mean
+from oracles import closed_form_outer_symbol, grid_mean, outer_half_mpmath
 
 
 def test_grid_must_be_power_of_two():
@@ -39,7 +39,7 @@ def test_grid_must_be_power_of_two():
 def test_grid_floor_is_four_nodes():
     with pytest.raises(ValueError, match="power of two >= 4"):
         CircleGrid(2)
-    o = outer_function(BoundaryFunction(CircleGrid(4), np.full(4, 2.0, dtype=complex)))
+    o = outer_function(CircleGrid(4), 2.0, [], [], 1.0)
     assert np.allclose(o.boundary.values, 2.0)
     assert o.at_zero() == pytest.approx(2.0)
 
@@ -232,17 +232,14 @@ def test_trim_series():
 
 
 def test_outer_constant_case():
-    g = CircleGrid(64)
-    h = BoundaryFunction(g, np.full(64, 4.0, dtype=complex))
-    o = outer_function(h, 0.5)
+    o = outer_function(CircleGrid(64), 4.0, [], [], 0.5)
     assert np.max(np.abs(o.boundary.values - 2.0)) < 1e-14
     assert o.at_zero() == pytest.approx(2.0)
 
 
 def test_outer_closed_form_for_half(grid4096):
     b = make_blaschke([0.5])
-    h = BoundaryFunction(grid4096, j0(b, grid4096.angles).astype(complex))
-    o = outer_function(h, 1.0)
+    o = outer_symbol(build_branches(b), grid4096, 1.0)
     target = closed_form_outer_symbol([0.5], 1.0, grid4096.points)
     assert np.max(np.abs(o.boundary.values - target)) < 1e-8
     assert abs(o.at_zero() - 0.75) < 1e-8
@@ -254,37 +251,25 @@ def test_outer_closed_form_for_half(grid4096):
 
 
 def test_outer_power_additivity(grid4096):
-    b = make_blaschke([0.5, -0.3j])
-    h = BoundaryFunction(grid4096, j0(b, grid4096.angles).astype(complex))
-    oa = outer_function(h, 0.3)
-    ob = outer_function(h, 0.7)
-    oab = outer_function(h, 1.0)
+    bs = build_branches(make_blaschke([0.5, -0.3j]))
+    oa = outer_symbol(bs, grid4096, 0.3)
+    ob = outer_symbol(bs, grid4096, 0.7)
+    oab = outer_symbol(bs, grid4096, 1.0)
     assert np.max(np.abs(oa.boundary.values * ob.boundary.values - oab.boundary.values)) < 1e-9
 
 
 def test_outer_inverse_pair(grid4096):
-    b = make_blaschke([0.5, -0.3j])
-    h = BoundaryFunction(grid4096, j0(b, grid4096.angles).astype(complex))
-    o = outer_function(h, 1.0)
-    oi = outer_function(h, -1.0)
+    bs = build_branches(make_blaschke([0.5, -0.3j]))
+    o = outer_symbol(bs, grid4096, 1.0)
+    oi = outer_symbol(bs, grid4096, -1.0)
     assert np.max(np.abs(o.boundary.values * oi.boundary.values - 1.0)) < 1e-9
 
 
 def test_outer_modulus_matches_power(grid4096):
     b = make_blaschke([0.5, -0.3j])
     hv = j0(b, grid4096.angles)
-    o = outer_function(BoundaryFunction(grid4096, hv.astype(complex)), 0.5)
+    o = outer_symbol(build_branches(b), grid4096, 0.5)
     assert np.max(np.abs(np.abs(o.boundary.values) - hv**0.5)) < 1e-9
-
-
-def test_outer_accuracy_warning_for_rough_input():
-    # a near-kink modulus has slowly decaying log coefficients; the dropped
-    # tail must be surfaced rather than silently absorbed
-    g = CircleGrid(64)
-    h = BoundaryFunction(g, (1.5 + np.abs(np.sin(g.angles / 2))).astype(complex))
-    o = outer_function(h, 1.0)
-    assert o.log_tail > 1e-12
-    assert "accuracy_warning" in o.boundary.meta
 
 
 #: the certification zoo of scripts/run_verify.py, {0.8} and the six zeros
@@ -303,8 +288,7 @@ OUTER_PRODUCTS = {
 @pytest.mark.parametrize("size", [4096, 8192])
 @pytest.mark.parametrize("name", list(OUTER_PRODUCTS))
 def test_outer_symbol_eval_matches_closed_form(name, size):
-    # the log series kept for eval ends at the rounding floor: short, with a
-    # negligible dropped tail, and still exact on the preimage fibre
+    # eval is exact on the preimage fibre
     zeros = OUTER_PRODUCTS[name]
     bs = build_branches(make_blaschke(zeros))
     grid = CircleGrid(size)
@@ -313,16 +297,28 @@ def test_outer_symbol_eval_matches_closed_form(name, size):
         o = outer_symbol(bs, grid, power)
         target = closed_form_outer_symbol(zeros, power, fib)
         assert np.max(np.abs(o.eval(fib) - target) / np.abs(target)) < 1e-13
-        assert len(o.log_coeffs) <= 256
-        assert o.log_tail < 1e-12
+
+
+@pytest.mark.parametrize("zeros", [[0.999], [0.99, 0.99j, -0.99, 0.5]], ids=["0.999", "four near the circle"])
+def test_outer_symbol_near_circle_matches_mpmath(zeros):
+    # J^{+-1/2} against the 50-digit closed form: grid samples and eval on the fibre
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(4096)
+    fib = grid_fibre(bs, grid)[:, ::4]  # the fibre of every fourth node keeps the reference cheap
+    at_grid = outer_half_mpmath(zeros, grid.points)
+    at_fib = outer_half_mpmath(zeros, fib.ravel()).reshape(fib.shape)
+    for power, exponent in ((0.5, 1), (-0.5, -1)):
+        o = outer_symbol(bs, grid, power)
+        assert np.max(np.abs(o.boundary.values / at_grid**exponent - 1.0)) < 1e-14
+        assert np.max(np.abs(o.eval(fib) / at_fib**exponent - 1.0)) < 1e-13
 
 
 def test_outer_rejects_bad_input():
     g = CircleGrid(64)
-    with pytest.raises(ValueError):
-        outer_function(BoundaryFunction(g, np.full(64, -1.0, dtype=complex)))
-    with pytest.raises(ValueError):
-        outer_function(BoundaryFunction(g, np.exp(1j * g.angles)))
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        outer_function(g, -1.0, [], [], 1.0)
+    with pytest.raises(ValueError, match="inside the unit disc"):
+        outer_function(g, 1.0, [0.5], [1.0], 1.0)
 
 
 # -- serialization -------------------------------------------------------------

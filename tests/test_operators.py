@@ -182,7 +182,8 @@ def test_shared_inputs_are_memoised_read_only():
     arrays = {
         "fibre": grid_fibre(bs, grid),
         "J^1/2 boundary values": outer_symbol(bs, grid, 0.5).boundary.values,
-        "J^1/2 log coefficients": outer_symbol(bs, grid, 0.5).log_coeffs,
+        "J^1/2 roots": outer_symbol(bs, grid, 0.5).roots,
+        "J^1/2 poles": outer_symbol(bs, grid, 0.5).poles,
         "b^n table": _power_samples(bs, grid, m),
         "Gamma_b matrix": gamma_b_matrix(bs, m, grid).matrix,
         "Gamma_b tails": gamma_b_matrix(bs, m, grid).column_tail,

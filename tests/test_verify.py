@@ -69,6 +69,14 @@ def test_family_evaluations_do_not_grow_with_the_degree(monkeypatch):
     assert seen[0] == seen[1], seen
 
 
+@pytest.mark.parametrize("zeros", [[0.999], [0.99, 0.99j, -0.99, 0.5]], ids=["0.999", "four near the circle"])
+@pytest.mark.parametrize("relation", ["module_onb", "linking_unitary", "solution1_equivalence"])
+def test_near_circle_module_relations_pass_at_the_defaults(zeros, relation):
+    # the module basis v_i J^{-1/2} is orthonormal only if J^{-1/2} is exact on the fibre
+    rep = verify_relation(make_blaschke(zeros), relation, RunConfig())
+    assert rep.passed, (relation, rep.residual, rep.params.get("error"))
+
+
 def test_all_relations_present_and_ordered():
     reports = verify_all(make_blaschke([0, 0]), FAST)
     assert [r.relation for r in reports] == list(RELATIONS)
