@@ -89,7 +89,9 @@ class BlaschkeProduct:
         eigenvalues mu of (A0 - B)^{-1} B; Re mu < -1/2 is |z| < 1, and drops mu = 0 before the
         division.  Newton steps on b'/b polish the seeds.
         """
-        distinct = Counter(self.zeros)  # in order of first appearance
+        distinct = Counter()  # in order of first appearance; a zero within 4 eps of an earlier
+        for w in self.zeros:  # one counts as that zero, since the seeds cannot split the two
+            distinct[next((a for a in distinct if abs(w - a) <= 4 * np.finfo(float).eps), w)] += 1
         a, m = np.array(list(distinct), dtype=complex), np.array(list(distinct.values()), dtype=float)
         ca = np.conj(a)
         e = np.concatenate(([0.0], np.ones(a.size), ca))  # the diagonal of B

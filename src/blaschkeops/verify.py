@@ -3,9 +3,9 @@
 Each relation is checked numerically at a stated tolerance and reported with
 its residual and the truncation parameters that certify it (window, interior
 block, tail threshold, excluded columns).  The tolerances live here; three
-rules in the math modules raise on their own, and so fail a relation:
-model_space.validate_basis (VALIDATION_TOL), model_space.linking_unitary
-(transfer.MODULE_GRAM_TOL) and operators.excluded_mask (no certified column).
+rules in the math modules raise on their own, and so fail what reads them:
+model_space.validate_basis (VALIDATION_TOL; the covariance pair), linking_unitary
+(MODULE_GRAM_TOL) and operators.excluded_mask (no certified column).
 
 Every relation also has at least one negative control exercised by the test
 suite (non-unitary rotation, b(0) != 0 isometry claim, non-orthonormal module
@@ -28,7 +28,6 @@ from .circlefun import (
     exponential,
     fourier_coeffs,
     fourier_window,
-    synthesize,
 )
 from .config import RunConfig
 from .errors import MATH_ERRORS
@@ -62,7 +61,7 @@ from .rochberg import decompose
 from .transfer import (
     ModuleFamily,
     arcs_basis,
-    expansion_deviation,
+    expansion_kernel,
     expansion_points,
     fibre_power_means,
     from_series,
@@ -105,9 +104,9 @@ def reports_to_json(reports: list) -> str:
 class _Context:
     """One run's settings and the objects tied to its bases, each built once on first use.
 
-    The module Gram memo is keyed by the family object, so the bases are held
-    here, one object per run.  Every other shared input (fibre, J^p, the b^n
-    table, Gamma_b, C_b) is memoised on the branch system by its builder.
+    The module Gram and completeness memos are keyed by the family object, so
+    the bases are held here, one object per run.  Every other shared input
+    (fibre, J^p, the b^n table, Gamma_b, C_b) is memoised by its builder.
     """
 
     def __init__(self, b: BlaschkeProduct, config: RunConfig, interior: int | None = None):
@@ -166,13 +165,32 @@ def _times_j_half(family: ModuleFamily, bs, grid: CircleGrid) -> ModuleFamily:
     return family.times(outer_symbol(bs, grid, 0.5).eval, "J^1/2")
 
 
+def _completeness_defect(bs, family: ModuleFamily, grid: CircleGrid) -> float:
+    """sup_z sum_zeta |k(z, zeta) - [zeta = z]| for S_i = pi(m_i) C_b, memoised per (family, grid).
+
+    k is the expansion kernel of a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2} on the fibre
+    of b(z): (sum_i S_i S_i* f)(z) = sum_zeta k f(zeta), so the defect bounds it for every |f| <= 1.
+    """
+    def build():
+        z, fib = expansion_points(bs, grid, sorted(set(family.exceptions)))
+        w_fib = family.values(fib)
+        np.conjugate(w_fib, out=w_fib)
+        w_fib *= outer_symbol(bs, grid, -0.5).eval(fib)
+        kernel = expansion_kernel(_times_j_half(family, bs, grid).values(z), w_fib)
+        kernel[np.argmin(np.abs(fib - z), axis=0), np.arange(z.size)] -= 1.0  # zeta = z
+        return float(np.max(np.sum(np.abs(kernel), axis=0)))
+
+    return bs.memo(("completeness", family, grid.size), build)
+
+
 # -- relation checks ----------------------------------------------------------
 #
 # Four relations compare Grams that are Toeplitz in n - m, since b = e^{i theta}
 # on the circle: (f b^n, g b^m) = int conj(g) f e^{i(n-m) theta} dt/2pi.
 # cuntz_orthogonality, the isometry part of master_isometry, implements_transfer
 # and isometry_criterion are certified from pair_power_gram moments over every
-# |n|, |m| <= window, so they exclude no column.  The rest use truncated matrices.
+# |n|, |m| <= window, so they exclude no column.  cuntz_completeness reads the
+# kernel defect, which bounds every f; the column checks use truncated matrices.
 
 
 def _rel_cuntz_orthogonality(ctx: _Context):
@@ -195,11 +213,7 @@ def _certify(ctx: _Context, checks) -> tuple[float, list[int]]:
 
 
 def _rel_cuntz_completeness(ctx: _Context):
-    s = ctx.cuntz
-    total = sum(compose(si, adjoint(si)).matrix for si in s)
-    op = TruncatedOperator(total, s[0].row_modes, s[0].col_modes, "L2", np.full(total.shape[1], np.inf))
-    r, excl = _certify(ctx, [(op, identity_operator(ctx.window), list(s))])
-    return r, {"excluded_columns": excl}
+    return _completeness_defect(ctx.bs, ctx.module_basis, ctx.grid), {"excluded_columns": []}
 
 
 def _shift_columns(op: TruncatedOperator) -> TruncatedOperator:
@@ -484,8 +498,7 @@ def verify_solution1(
 
     # S_i e_n = m_i J^{1/2} b^n, so (S_j e_n, S_i e_m) = mu[i, j, n - m + 2*inner]:
     # S_i* S_j is Toeplitz in n - m
-    columns = _times_j_half(family, bs, grid)
-    mu = pair_power_gram(bs, columns, inner)
+    mu = pair_power_gram(bs, _times_j_half(family, bs, grid), inner)
     orth = orthonormality_defect(mu)
     # S_i* S_j = pi(<m_i, m_j>): the moments reversed are the symbol's coefficients
     # one transform per member row keeps the transient at (n, K)
@@ -493,17 +506,7 @@ def verify_solution1(
         float(np.max(np.abs(mu[i, :, ::-1] - fourier_window(gram[i], 2 * inner)))) for i in range(family.size)
     )
 
-    # completeness through the action on band-limited test vectors
-    tests = [exponential(0, 8), exponential(1, 8), _seeded_symbol(config.seed)]
-    # the module expansion with a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2}
-    # on the fibre of b(z): the branch mean of w_i f is (S_i^* f) o b
-    z, fib = expansion_points(bs, grid, sorted(set(family.exceptions)))
-    w_fib = family.values(fib)
-    np.conjugate(w_fib, out=w_fib)
-    w_fib *= outer_symbol(bs, grid, -0.5).eval(fib)
-    targets = ((synthesize(s, fib), synthesize(s, z)) for s in tests)
-    completeness = expansion_deviation(columns.values(z), w_fib, targets)
-
+    completeness = _completeness_defect(bs, family, grid)  # the kernel cuntz_completeness reads
     residual = max(gram_dev, orth, consistency, completeness)
     params = {
         "family": list(family.labels),

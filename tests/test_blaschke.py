@@ -249,15 +249,29 @@ def test_critical_points_match_mpmath(name):
     assert _matched_distance(got, critical_points_mpmath(zeros)) < 1e-13
 
 
+def _outer_modulus_error(b, size: int) -> float:
+    """max |J^{1/2}|^2 / j0 - 1 on the grid of `size` nodes."""
+    grid = CircleGrid(size)
+    j_half = outer_symbol(build_branches(b), grid, 0.5).boundary.values
+    h = j0(b, grid.angles)
+    return float(np.max(np.abs(np.abs(j_half) ** 2 - h) / h))
+
+
 @pytest.mark.parametrize("degree", [64, 65, 100, 128])
 def test_high_degree_critical_points_give_the_outer_modulus(degree):
     # no oracle at these degrees: the count, and |J^{1/2}|^2 = j0 on the circle
     b = make_blaschke(_seeded_zeros(degree, 0.5))
     assert b.critical_points.shape == (degree - 1,)
-    grid = CircleGrid(4096)
-    j_half = outer_symbol(build_branches(b), grid, 0.5).boundary.values
-    h = j0(b, grid.angles)
-    assert np.max(np.abs(np.abs(j_half) ** 2 - h) / h) < 1e-13
+    assert _outer_modulus_error(b, 4096) < 1e-13
+
+
+def test_zeros_closer_than_the_seeds_rounding_give_the_outer_modulus():
+    # 5e-324i and -1e-300 are distinct, but no eigenvalue seed splits them: they
+    # count as one double zero for the seed, and the critical point between them
+    # is taken at the first
+    b = make_blaschke([-0.3j, 5e-324j, -1e-300, 0.4])
+    assert b.critical_points.shape == (3,)
+    assert _outer_modulus_error(b, 512) < 1e-13
 
 
 @given(blaschke_zeros(max_degree=3))

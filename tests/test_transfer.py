@@ -17,6 +17,7 @@ from blaschkeops.transfer import (
     compose_with_b,
     expansion_deviation,
     expansion_points,
+    expansion_sum,
     fibre_gram,
     fibre_means,
     from_series,
@@ -337,6 +338,10 @@ def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
     f = from_series(FourierSeries(np.array(modes, dtype=complex)))
     dev = expansion_deviation(fam.values(z), np.conj(fam.values(fib)), [(_at(f, fib), _at(f, z))])
+    # the reference sums in the other order: the branch means first, then expansion_sum
+    coeffs = fibre_means(np.conj(fam.values(fib)), _at(f, fib))
+    ref = np.max(np.abs(expansion_sum(fam.values(z), coeffs) - _at(f, z)))
+    assert dev == pytest.approx(ref, rel=0, abs=64 * np.finfo(float).eps)
     if basis_is_arcs:
         assert dev < 1e-10
     else:

@@ -22,10 +22,19 @@ from blaschkeops.operators import (
     toeplitz_operator,
     weighted_composition_matrix,
 )
-from blaschkeops.transfer import arcs_basis, module_gram_deviation, outer_symbol
+from blaschkeops.transfer import (
+    ModuleFamily,
+    arcs_basis,
+    expansion_points,
+    expansion_sum,
+    fibre_means,
+    module_gram_deviation,
+    outer_symbol,
+)
 from blaschkeops.verify import (
     NORM_WINDOWS,
     RELATIONS,
+    _completeness_defect,
     _shift_columns,
     convergence_csv,
     convergence_study,
@@ -70,7 +79,7 @@ def test_family_evaluations_do_not_grow_with_the_degree(monkeypatch):
 
 
 @pytest.mark.parametrize("zeros", [[0.999], [0.99, 0.99j, -0.99, 0.5]], ids=["0.999", "four near the circle"])
-@pytest.mark.parametrize("relation", ["module_onb", "linking_unitary", "solution1_equivalence"])
+@pytest.mark.parametrize("relation", ["module_onb", "linking_unitary", "solution1_equivalence", "cuntz_completeness"])
 def test_near_circle_module_relations_pass_at_the_defaults(zeros, relation):
     # the module basis v_i J^{-1/2} is orthonormal only if J^{-1/2} is exact on the fibre
     rep = verify_relation(make_blaschke(zeros), relation, RunConfig())
@@ -107,7 +116,9 @@ def test_zero_at_origin_makes_gamma_isometric():
 
 
 @pytest.mark.parametrize("zero", [0.8, 0.9])
-@pytest.mark.parametrize("relation", ["cuntz_orthogonality", "implements_transfer", "isometry_criterion"])
+@pytest.mark.parametrize(
+    "relation", ["cuntz_orthogonality", "implements_transfer", "isometry_criterion", "cuntz_completeness"]
+)
 def test_moment_relations_certify_every_column_near_the_circle(zero, relation):
     # at the defaults every truncated column here has a tail over eps_tail
     rep = verify_relation(make_blaschke([zero]), relation, RunConfig())
@@ -309,6 +320,53 @@ def test_solution1_canonical_family():
     grid = CircleGrid(FAST.grid_size)
     rep = verify_solution1(bs, induced_module_basis(bs, canonical_basis(b), grid), FAST)
     assert rep.passed, rep.params
+
+
+@pytest.mark.parametrize(
+    "control, delta",
+    [("one member dropped", 0.0), ("non-unitary mix", 0.0), ("moved zero", 1e-6), ("moved zero", 0.0)],
+)
+def test_solution1_completeness_negative_controls(control, delta):
+    # families that are not module bases of b = {0.5, -0.3i}: the canonical module
+    # basis with a member dropped or mixed by [[1, 0], [0.5, 1]], and the basis of
+    # {0.5 + delta, -0.3i} against b's branch system, which is b's own at delta = 0
+    b = make_blaschke([0.5, -0.3j])
+    bs, config = build_branches(b), RunConfig()
+    grid = CircleGrid(config.grid_size)
+    mod = induced_module_basis(bs, canonical_basis(make_blaschke([0.5 + delta, -0.3j])), grid)
+    mix = np.array([[1.0, 0.0], [0.5, 1.0]])
+    family = {
+        "one member dropped": ModuleFamily(mod.labels[1:], lambda z: mod.values(z)[1:]),
+        "non-unitary mix": ModuleFamily(mod.labels, lambda z: np.tensordot(mix, mod.values(z), 1)),
+        "moved zero": mod,
+    }[control]
+    rep = verify_solution1(bs, family, config)
+    if delta == 0.0 and control == "moved zero":
+        assert rep.passed, rep.params
+    else:
+        assert rep.params["completeness_residual"] >= config.tol_operator, rep.params
+        assert not rep.passed
+
+
+def test_completeness_defect_bounds_the_mode_expansions():
+    # an independent route to sum_i S_i S_i* e_k, |k| <= 16: the coefficients as
+    # branch means (fibre_means), put back together by expansion_sum, with no kernel.
+    # |e_k| = 1, so the defect bounds each error against e_k at the fibre point on
+    # which the kernel's point mass sits (z, to root-finding accuracy), up to the
+    # rounding of the reference's own sums
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    bs, grid = build_branches(b), CircleGrid(RunConfig().grid_size)
+    mod = induced_module_basis(bs, canonical_basis(b), grid)
+    z, fib = expansion_points(bs, grid, ())
+    at_z = fib[np.argmin(np.abs(fib - z), axis=0), np.arange(z.size)]
+    a_z = mod.values(z) * outer_symbol(bs, grid, 0.5).eval(z)
+    w_fib = np.conj(mod.values(fib)) * outer_symbol(bs, grid, -0.5).eval(fib)
+    worst = max(
+        float(np.max(np.abs(expansion_sum(a_z, fibre_means(w_fib, fib**k)) - at_z**k))) for k in range(-16, 17)
+    )
+    defect = _completeness_defect(bs, mod, grid)
+    assert 0.0 < worst <= defect + 4 * np.finfo(float).eps
+    assert defect < 1e-12
 
 
 def test_verify_all_shares_the_module_grams_with_the_same_results():
