@@ -3,12 +3,15 @@
 Multiplication pi(phi) is Toeplitz; composition Gamma_b has column n equal to
 the Fourier window of b^n; the master isometry C_b = pi(J^{1/2}) Gamma_b; the
 Cuntz isometries S_i have columns v_i b^n; the transfer matrix has columns
-L(e_n).  The identities are exact only in the infinite limit, so each is
-certified on an interior mode block, from column tails.  Sampled constructions
-(the column builders, mult_operator, block) measure the discarded mass of each
-column; derived ones (compose, adjoint) carry inf, "not certified", so a check
-names the sampled operators it certifies from.  master_isometry_matrix, whose
-tails the CLI publishes, bounds them itself.
+L(e_n), of which only n >= 0 are transformed: fibre points are unimodular, so
+column -n is column n conjugated with its rows reversed (samples of b are
+unimodular only to a few ulps, so Gamma_b keeps its reciprocal powers).  The
+identities are exact only in the infinite limit, so each is certified on an
+interior mode block, from column tails.  Sampled constructions (the column
+builders, mult_operator, block) measure the discarded mass of each column;
+derived ones (compose, adjoint) carry inf, "not certified", so a check names
+the sampled operators it certifies from.  master_isometry_matrix, whose tails
+the CLI publishes, bounds them itself.
 """
 
 from __future__ import annotations
@@ -148,24 +151,29 @@ def toeplitz_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
 
 
 def _columns_from_samples(
-    rows: np.ndarray, grid: CircleGrid, window: int, weight: np.ndarray | None = None
+    rows: np.ndarray,
+    grid: CircleGrid,
+    window: int,
+    col_modes: tuple,
+    weight: np.ndarray | None = None,
+    *,
+    overwrite: bool = False,
 ) -> TruncatedOperator:
-    """Operator whose column j - c is the Fourier window of weight * rows[j] (2c+1 rows of length K).
+    """Operator whose column col_modes[0] + j is the Fourier window of weight * rows[j].
 
-    `rows` is only read: unweighted, it is transformed out of place; weighted,
+    Unweighted, `rows` is transformed out of place and only read, unless
+    `overwrite` says the caller's fresh rows may take the transform; weighted,
     the samples are formed in one fresh buffer, which the transform overwrites.
-    Either way one K-wide array is allocated.
     """
     K = grid.size
     if 2 * window + 1 > K:
         raise ValueError("row window exceeds grid capacity")
     # scaled by 1/K inside the transform: exact for the power-of-two grid sizes,
     # so the same bits as dividing afterwards
-    if weight is None:
-        coef = np.fft.fft(rows, axis=1, norm="forward")
-    else:
-        samples = weight[None, :] * rows
-        coef = np.fft.fft(samples, axis=1, norm="forward", out=samples)
+    if weight is not None:
+        rows = weight[None, :] * rows
+        overwrite = True
+    coef = np.fft.fft(rows, axis=1, norm="forward", out=rows if overwrite else None)
     idx = np.mod(np.arange(-window, window + 1), K)
     mat = coef[:, idx].T
     # measured mass of the discarded modes (no cancellation against the total):
@@ -176,8 +184,7 @@ def _columns_from_samples(
     np.abs(outside, out=mass)
     np.square(mass, out=mass)
     tails = np.sqrt(np.sum(mass, axis=1))
-    c = rows.shape[0] // 2
-    return TruncatedOperator(mat, (-window, window), (-c, c), "L2", tails)
+    return TruncatedOperator(mat, (-window, window), col_modes, "L2", tails)
 
 
 def _power_samples(bs: BranchSystem, grid: CircleGrid, window: int) -> np.ndarray:
@@ -208,7 +215,7 @@ def weighted_composition_matrix(
     w = np.asarray(weight, dtype=complex)
     if w.shape != (grid.size,):
         raise ValueError("weight must be sampled on the grid")
-    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, w)
+    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window), w)
 
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
@@ -218,7 +225,7 @@ def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> Truncated
     at that window shares one transform of the b^n table.
     """
     def build():
-        return _columns_from_samples(_power_samples(bs, grid, window), grid, window)
+        return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
 
     return bs.memo(("gamma", grid.size, window), build)
 
@@ -259,9 +266,19 @@ def cuntz_family_matrices(
 
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """Transfer operator: column n is the Fourier window of L(e_n), the fibre mean of z^n."""
+    """Transfer operator: column n is the Fourier window of L(e_n), the fibre mean of z^n.
+
+    Only the columns n >= 0 are transformed.  Fibre points are unimodular, so
+    L(e_{-n}) = conj L(e_n), and column -n is column n conjugated with its
+    rows reversed, T[m, -n] = conj T[-m, n], with the same tail.
+    """
     means = fibre_power_means(grid_fibre(bs, grid), window)
-    return _columns_from_samples(means, grid, window)
+    half = _columns_from_samples(means, grid, window, (0, window), overwrite=True)
+    mat = np.empty((2 * window + 1, 2 * window + 1), dtype=complex)
+    mat[:, window:] = half.matrix
+    np.conjugate(half.matrix[::-1, :0:-1], out=mat[:, :window])
+    tails = np.concatenate((half.column_tail[:0:-1], half.column_tail))
+    return TruncatedOperator(mat, (-window, window), (-window, window), "L2", tails)
 
 
 # -- dense algebra -------------------------------------------------------------

@@ -27,7 +27,7 @@ from .circlefun import (
     CircleGrid,
     FourierSeries,
     OuterFunction,
-    integer_powers,
+    nonnegative_powers,
     outer_function,
     synthesize,
 )
@@ -107,15 +107,19 @@ def grid_fibre(bs: BranchSystem, grid: CircleGrid) -> np.ndarray:
 
 
 def fibre_power_means(fib: np.ndarray, window: int) -> np.ndarray:
-    """Branch means of z^n over a fibre, n = -window..window, shape (2*window+1, K).
+    """Branch means of z^n over a fibre, n = 0..window, shape (window+1, K).
 
-    Row window + n is L(e_n) at the points whose preimages are the columns of
-    `fib` (shape (N, K)).  One branch's power table is added to the running sum
-    at a time, so two tables are live at most.
+    Row n is L(e_n) at the points whose preimages are the columns of `fib`
+    (shape (N, K)).  The table is one-sided: fibre points are exp(1j*angle),
+    unimodular to about an ulp, so L(e_{-n}) = conj L(e_n) and no reciprocal
+    rows are built (samples of b are not, which is why Gamma_b's table keeps
+    its reciprocals).  Each branch's powers are summed from one reused buffer,
+    so two tables are live at most; the returned array is fresh.
     """
-    acc = integer_powers(fib[0], window)
+    acc = nonnegative_powers(fib[0], window)
+    buf = np.empty_like(acc)
     for branch in fib[1:]:
-        acc += integer_powers(branch, window)
+        acc += nonnegative_powers(branch, window, out=buf)
     acc /= fib.shape[0]
     return acc
 

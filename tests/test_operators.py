@@ -228,8 +228,12 @@ def test_columns_from_samples_tails_match_mask_formula(size, window):
     weight = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     for w, samples in ((None, rows), (weight, weight[None, :] * rows)):
         before = rows.copy()
-        op = _columns_from_samples(rows, CircleGrid(size), window, w)
+        op = _columns_from_samples(rows, CircleGrid(size), window, (-4, 4), w)
         assert np.array_equal(rows, before)  # the caller's rows are only read
+        fresh = _columns_from_samples(rows.copy(), CircleGrid(size), window, (0, 8), w, overwrite=True)
+        assert fresh.col_modes == (0, 8)
+        assert np.array_equal(fresh.matrix, op.matrix)
+        assert np.array_equal(fresh.column_tail, op.column_tail)
         # reference: the discarded modes picked out by a boolean mask
         coef = np.fft.fft(samples, axis=1) / size
         idx = np.mod(np.arange(-window, window + 1), size)
@@ -393,13 +397,23 @@ def _transfer_matrix_by_modes(bs, window, grid):
     # the reference: each mode's fibre power formed on its own with numpy's **
     fib = grid_fibre(bs, grid)
     samples = np.stack([(fib**n).mean(axis=0) for n in range(-window, window + 1)])
-    return _columns_from_samples(samples, grid, window)
+    return _columns_from_samples(samples, grid, window, (-window, window))
+
+
+_SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
 
 
 @pytest.mark.parametrize(
     "zeros, window",
-    [([0.5, -0.3j], 64), ([0.8], 64), ([0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j], 128)],
-    ids=["two-mixed", "single-0.8", "six-zeros"],
+    [
+        ([0.5, -0.3j], 64),
+        ([0.8], 64),
+        (_SIX_ZEROS, 128),
+        ([0.5, -0.3j], 1),
+        ([0.8], 5),
+        (_SIX_ZEROS, 63),
+    ],
+    ids=["two-mixed", "single-0.8", "six-zeros", "two-mixed-w1", "single-0.8-w5", "six-zeros-w63"],
 )
 def test_transfer_matrix_matches_per_mode_powers(zeros, window):
     bs = build_branches(make_blaschke(zeros))
@@ -408,6 +422,17 @@ def test_transfer_matrix_matches_per_mode_powers(zeros, window):
     want = _transfer_matrix_by_modes(bs, window, grid)
     assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-14
     assert np.array_equal(got.column_tail > 1e-10, want.column_tail > 1e-10)
+
+
+@pytest.mark.parametrize("zeros", [[0.5, -0.3j], _SIX_ZEROS], ids=["two-mixed", "six-zeros"])
+@pytest.mark.parametrize("window", [1, 5, 64])
+def test_transfer_matrix_negative_columns_mirror_the_positive(zeros, window):
+    # L(e_{-n}) = conj L(e_n): T[m, -n] = conj T[-m, n], and the tails agree
+    L = transfer_matrix(build_branches(make_blaschke(zeros)), window, CircleGrid(1024))
+    assert L.col_modes == (-window, window)
+    for n in range(1, window + 1):
+        assert np.array_equal(L.matrix[:, window - n], np.conj(L.matrix[::-1, window + n]))
+        assert L.column_tail[window - n] == L.column_tail[window + n]
 
 
 def test_transfer_matrix_h2_block(mixed):

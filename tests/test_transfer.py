@@ -9,6 +9,7 @@ from blaschkeops.circlefun import (
     FourierSeries,
     exponential,
     fourier_coeffs,
+    nonnegative_powers,
     sample,
 )
 from blaschkeops.transfer import (
@@ -20,6 +21,7 @@ from blaschkeops.transfer import (
     expansion_sum,
     fibre_gram,
     fibre_means,
+    fibre_power_means,
     from_series,
     grid_fibre,
     module_gram,
@@ -119,6 +121,18 @@ def test_transfer_halves_modes_under_squaring(z2, grid1024):
         assert set(got) == set(target)
         for k, v in target.items():
             assert abs(got[k] - v) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "zeros", [[0.5, -0.3j], [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]], ids=["two-mixed", "six-zeros"]
+)
+def test_fibre_power_means_are_the_branch_mean_of_nonnegative_powers(zeros):
+    # the rows n >= 0 of a two-sided table, bit for bit: transfer_h2_invariance reads them
+    fib = grid_fibre(build_branches(make_blaschke(zeros)), CircleGrid(4096))
+    want = sum(nonnegative_powers(branch, 32) for branch in fib) / fib.shape[0]
+    got = fibre_power_means(fib, 32)
+    assert got.shape == (33, 4096)
+    assert np.array_equal(got, want)
 
 
 def test_left_inverse_of_composition(mixed, grid1024):
