@@ -6,16 +6,19 @@ The payloads are the `reports_to_json` of `verify_all` on the zoo of
 zeros (window 128), the `matrix --which cb` and `matrix --which transfer`
 JSON of three products at `--modes 16` and `--modes 64`, the `outer` JSON of
 the same three products at `--power 0.5` and `-0.5` (`--modes 16`, grid 4096),
-and, for one seeded analytic series against the same three products, the
-`decompose` JSON at `--grid 512` and `--grid 4096` and the `transfer` JSON
-(`--modes 16`) and CSV.  Save one checkout's output and compare the other
-against it:
+their `describe` JSON, `preimages` JSON at `--angle 1.0` and `basis` JSON at
+`--modes 16` (grid 4096), and, for one seeded analytic series against the same
+three products, the `decompose` JSON at `--grid 512` and `--grid 4096` and the
+`transfer` JSON (`--modes 16`) and CSV: every subcommand's output, 47 payloads.
+Save one checkout's output and compare the other against it:
 
     PYTHONPATH=src python scripts/parity_digest.py > parent.txt
     PYTHONPATH=src python scripts/parity_digest.py --against parent.txt
 
 With `--against` it prints the name of each payload whose digest differs from
 the saved one, or that only one side has, and exits 1 if there is any.
+To hash a checkout whose copy of this script names fewer payloads, run this
+copy with that checkout's `src` on `PYTHONPATH`.
 
 `--save DIR` also writes each payload to DIR, one JSON file per payload.
 `--against DIR` compares with such a directory; for each differing payload it
@@ -114,6 +117,9 @@ def payloads():
                 yield f"decompose {name} g{grid}", cli_json(["decompose", path, series, "--grid", str(grid)])
             yield f"transfer {name} m16", cli_json(["transfer", path, series, "--modes", "16"])
             yield f"transfer csv {name}", cli_json(["transfer", path, series, "--format", "csv"])
+            yield f"describe {name}", cli_json(["describe", path])
+            yield f"preimages {name}", cli_json(["preimages", path, "--angle", "1.0"])
+            yield f"basis {name} m16", cli_json(["basis", path, "--modes", "16"])
 
 
 def file_name(name: str) -> str:

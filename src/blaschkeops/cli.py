@@ -2,7 +2,8 @@
 
 Objects come in as JSON files (Blaschke products as {"zeros": [[re, im], ...]},
 series as {"min_n": -M, "coeffs": [[re, im], ...]}), results go to stdout or
---out.  Exit codes: 0 success, 1 usage / malformed input, 2 math-layer error;
+--out; each command takes only the settings it reads (`<command> -h` lists
+them).  Exit codes: 0 success, 1 usage / malformed input, 2 math-layer error;
 `verify` exits with the number of failed relations (clipped at 250).
 """
 
@@ -91,24 +92,9 @@ def _emit(text: str, out: str | None):
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        grid_size=args.grid,
-        mode_window=args.modes,
-        tol_operator=args.tol,
-        seed=args.seed,
-    )
-
-
-def _check_format(args):
-    """csv is a table of grid samples or matrix entries: only transfer, outer and matrix have one."""
-    if args.format != "csv":
-        return
-    name = args.command
-    if name == "matrix" and args.which == "cuntz":
-        name = "matrix --which cuntz"  # a family of matrices, not one table
-    elif name in ("transfer", "outer", "matrix"):
-        return
-    raise UsageError(f"csv output is not available for {name}")
+    """The RunConfig of a command that takes --modes; --tol and --seed are verify's alone."""
+    more = {"tol_operator": args.tol, "seed": args.seed} if "seed" in args else {}
+    return RunConfig(grid_size=args.grid, mode_window=args.modes, **more)
 
 
 def _pair(z: complex) -> list:
@@ -177,6 +163,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    if args.which == "cuntz" and args.format == "csv":  # a family of matrices, not one table
+        raise UsageError("csv output is not available for matrix --which cuntz")
     b = _load_blaschke(args.blaschke)
     bs = build_branches(b)
     grid = CircleGrid(args.grid)
@@ -220,6 +208,16 @@ def cmd_verify(args) -> int:
     return min(failures, 250)
 
 
+_SETTINGS = {
+    "grid": dict(type=int, default=4096, help="circle grid size (power of two, at least 4)"),
+    "modes": dict(type=int, default=64, help="Fourier mode window"),
+    "tol": dict(type=float, default=1e-6, help="operator-identity tolerance"),
+    "seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "out": dict(default=None, help="output path (default stdout)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process: parse_args keeps no state between calls.
@@ -231,59 +229,59 @@ def build_parser() -> _Parser:
     p = _Parser(prog="blaschkeops", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--grid", type=int, default=4096, help="circle grid size (power of two, at least 4)")
-        sp.add_argument("--modes", type=int, default=64, help="Fourier mode window")
-        sp.add_argument("--tol", type=float, default=1e-6, help="operator-identity tolerance")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    def settings(sp, *names):
+        for name in names:
+            sp.add_argument(f"--{name}", **_SETTINGS[name])
 
     sp = sub.add_parser("describe", help="summarize a Blaschke product")
     sp.add_argument("blaschke")
-    common(sp)
+    settings(sp, "grid", "out")
 
     sp = sub.add_parser("preimages", help="circle preimages of e^{i angle}")
     sp.add_argument("blaschke")
     sp.add_argument("--angle", type=float, required=True, help="target angle in radians")
-    common(sp)
+    settings(sp, "grid", "out")
 
     sp = sub.add_parser("transfer", help="apply the transfer operator to a series")
     sp.add_argument("blaschke")
     sp.add_argument("series")
-    common(sp)
+    settings(sp, "grid", "modes", "out", "format")
 
     sp = sub.add_parser("outer", help="outer power J^p of the boundary symbol")
     sp.add_argument("blaschke")
     sp.add_argument("--power", type=float, default=1.0)
-    common(sp)
+    settings(sp, "grid", "modes", "out", "format")
 
     sp = sub.add_parser("basis", help="canonical model-space basis as Fourier series")
     sp.add_argument("blaschke")
-    common(sp)
+    settings(sp, "grid", "modes", "out")
 
     sp = sub.add_parser("matrix", help="truncated operator matrices")
     sp.add_argument("blaschke")
     sp.add_argument("--which", required=True, help="gamma | cb | cuntz | transfer | mult:SERIES.json")
-    common(sp)
+    settings(sp, "grid", "modes", "out", "format")
 
     sp = sub.add_parser("decompose", help="Rochberg decomposition of a series")
     sp.add_argument("blaschke")
     sp.add_argument("series")
-    common(sp)
+    settings(sp, "grid", "out")
 
     sp = sub.add_parser("verify", help="run the certification suite; exit = failure count")
     sp.add_argument("blaschke")
-    common(sp)
+    settings(sp, "grid", "modes", "tol", "seed", "out")
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _config(args)  # one rule for --grid, --modes, --tol and --seed on every command
-        _check_format(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (exit 1) or the help (exit 0)
+        return exc.code
+    try:
+        if "modes" in args:
+            _config(args)  # RunConfig's rules and messages for each setting the command takes
+        else:
+            CircleGrid(args.grid)  # the same grid rule, with no mode window to fit
         return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

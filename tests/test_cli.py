@@ -112,25 +112,58 @@ COMMANDS = {
     "decompose": ["decompose", "{b}", "{s}"],
     "verify": ["verify", "{b}"],
 }
-BAD_SETTINGS = {
-    "modes-0": dict(grid=256, modes=0, tol=1e-6),
-    "modes-negative": dict(grid=256, modes=-3, tol=1e-6),
-    "modes-over-grid": dict(grid=256, modes=128, tol=1e-6),
-    "grid-not-power-of-two": dict(grid=100, modes=8, tol=1e-6),
-    "tol-nan": dict(grid=256, modes=8, tol=float("nan")),
+# the settings each command takes besides --out: exactly those its cmd_<name> reads
+# (preimages reads no grid, but keeps --grid for existing callers)
+TAKES = {
+    "describe": {"grid"},
+    "preimages": {"grid"},
+    "transfer": {"grid", "modes", "format"},
+    "outer": {"grid", "modes", "format"},
+    "basis": {"grid", "modes"},
+    "matrix-gamma": {"grid", "modes", "format"},
+    "matrix-cuntz": {"grid", "modes", "format"},
+    "matrix-transfer": {"grid", "modes", "format"},
+    "decompose": {"grid"},
+    "verify": {"grid", "modes", "tol", "seed"},
 }
+BAD_SETTINGS = {  # the setting at fault, and every setting's value
+    "modes-0": ("modes", dict(grid=256, modes=0, tol=1e-6)),
+    "modes-negative": ("modes", dict(grid=256, modes=-3, tol=1e-6)),
+    "modes-over-grid": ("modes", dict(grid=256, modes=128, tol=1e-6)),
+    "grid-not-power-of-two": ("grid", dict(grid=100, modes=8, tol=1e-6)),
+    "tol-nan": ("tol", dict(grid=256, modes=8, tol=float("nan"))),
+}
+
+
+def _argv(command, b, s, **settings):
+    """The command's argv with each of the given settings that it takes."""
+    argv = [a.format(b=b, s=s) for a in COMMANDS[command]]
+    for name, value in settings.items():
+        if name in TAKES[command]:
+            argv += [f"--{name}", str(value)]
+    return argv
+
+
+def _assert_unrecognized(argv, capsys, *flags):
+    """A flag the command does not take is an argparse usage error: exit 1, nothing on stdout."""
+    code = main(argv + list(flags))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("bad", BAD_SETTINGS)
 def test_every_command_validates_settings_like_run_config(inputs, capsys, command, bad):
     _, z2, _, e3 = inputs
-    setting = BAD_SETTINGS[bad]
+    flag, setting = BAD_SETTINGS[bad]
+    if flag not in TAKES[command]:
+        _assert_unrecognized(_argv(command, z2, e3, grid=256), capsys, f"--{flag}", str(setting[flag]))
+        return
     with pytest.raises(ValueError) as expected:
         RunConfig(grid_size=setting["grid"], mode_window=setting["modes"], tol_operator=setting["tol"])
-    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
-    argv += ["--grid", str(setting["grid"]), "--modes", str(setting["modes"]), "--tol", str(setting["tol"])]
-    code = main(argv)
+    code = main(_argv(command, z2, e3, **setting))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"math error: {expected.value}\n"
@@ -140,43 +173,52 @@ def test_every_command_validates_settings_like_run_config(inputs, capsys, comman
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_refuses_a_negative_seed(inputs, capsys, command):
     _, z2, _, e3 = inputs
-    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
-    code = main(argv + ["--grid", "256", "--modes", "8", "--seed", "-1"])
+    argv = _argv(command, z2, e3, grid=256, modes=8)
+    if "seed" not in TAKES[command]:
+        _assert_unrecognized(argv, capsys, "--seed", "-1")
+        return
+    code = main(argv + ["--seed", "-1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "math error: seed must be >= 0, got -1\n"
     assert captured.out == ""
 
 
-CSV_REFUSED = {
-    "describe": "describe",
-    "preimages": "preimages",
-    "basis": "basis",
-    "matrix-cuntz": "matrix --which cuntz",
-    "decompose": "decompose",
-    "verify": "verify",
-}
+CSV_REFUSED = ["describe", "preimages", "basis", "matrix-cuntz", "decompose", "verify"]
 
 
 @pytest.mark.parametrize("command", CSV_REFUSED)
 def test_csv_is_refused_where_there_is_no_table(inputs, capsys, command):
     _, z2, _, e3 = inputs
-    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
-    code = main(argv + ["--grid", "256", "--modes", "8", "--format", "csv"])
+    argv = _argv(command, z2, e3, grid=256, modes=8)
+    if "format" not in TAKES[command]:
+        _assert_unrecognized(argv, capsys, "--format", "csv")
+        return
+    code = main(argv + ["--format", "csv"])  # matrix --which cuntz: a family of matrices, not one table
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"error: csv output is not available for {CSV_REFUSED[command]}\n"
+    assert captured.err == "error: csv output is not available for matrix --which cuntz\n"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", sorted(set(COMMANDS) - set(CSV_REFUSED)))
 def test_csv_tables_are_written(inputs, capsys, command):
     _, z2, _, e3 = inputs
-    argv = [a.format(b=z2, s=e3) for a in COMMANDS[command]]
-    code, out = _run(argv + ["--grid", "256", "--modes", "8", "--format", "csv"], capsys)
+    code, out = _run(_argv(command, z2, e3, grid=256, modes=8, format="csv"), capsys)
     assert code == 0
     rows = [line.split(",") for line in out.splitlines() if line]
     assert rows and all(len(r) == len(rows[0]) for r in rows)  # one table, not JSON
+
+
+def test_commands_without_a_mode_window_take_small_grids(inputs, capsys):
+    # no unread --modes default asks these grids for 2*64+1 nodes
+    tmp, z2, _, _ = inputs
+    e1 = tmp / "e1.json"
+    e1.write_text(json.dumps({"min_n": -2, "coeffs": [[0, 0], [0, 0], [0, 0], [1, 0], [0, 0]]}))
+    for argv in (["describe", z2], ["preimages", z2, "--angle", "1.0"], ["decompose", z2, e1]):
+        code, out = _run(argv + ["--grid", "64"], capsys)
+        assert code == 0
+        json.loads(out)
 
 
 def test_preimages_command(inputs, capsys):
@@ -307,9 +349,9 @@ def test_out_flag_writes_file(inputs, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["describe", "verify"])
 def test_unwritable_out_is_usage_error(inputs, tmp_path, capsys, command):
-    _, z2, _, _ = inputs
+    _, z2, _, e3 = inputs
     target = tmp_path / "missing-dir" / "out.json"
-    code = main([command, str(z2), "--grid", "512", "--modes", "16", "--out", str(target)])
+    code = main(_argv(command, z2, e3, grid=512, modes=16) + ["--out", str(target)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -317,10 +359,15 @@ def test_unwritable_out_is_usage_error(inputs, tmp_path, capsys, command):
     assert not target.exists()
 
 
-def test_usage_error_for_unknown_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 1
+def test_usage_error_for_unknown_subcommand(inputs, capsys):
+    # argparse's usage errors and --help come back as exit codes, not SystemExit
+    _, z2, _, _ = inputs
+    assert main(["frobnicate"]) == 1
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert main(["describe", str(z2), "--grid", "many"]) == 1
+    assert "invalid int value: 'many'" in capsys.readouterr().err
+    assert main(["describe", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: blaschkeops describe")
 
 
 def test_dispatch_reads_the_command_function_at_call_time(inputs, capsys, monkeypatch):
@@ -335,11 +382,12 @@ def test_dispatch_reads_the_command_function_at_call_time(inputs, capsys, monkey
 
 
 def test_csv_refusal_leaks_no_state_into_the_next_call(inputs, capsys):
-    _, z2, _, _ = inputs
-    argv = ["describe", z2, "--grid", "512"]
-    code, before = _run(argv, capsys)
-    assert code == 0
-    assert main([str(a) for a in argv] + ["--format", "csv"]) == 1
-    assert capsys.readouterr().err == "error: csv output is not available for describe\n"
-    assert _run(argv, capsys) == (0, before)
-    json.loads(before)
+    _, z2, _, e3 = inputs
+    for command in ("describe", "matrix-cuntz"):  # refused by argparse, and by cmd_matrix
+        argv = _argv(command, z2, e3, grid=256, modes=8)
+        code, before = _run(argv, capsys)
+        assert code == 0
+        assert main(argv + ["--format", "csv"]) == 1
+        assert "csv" in capsys.readouterr().err
+        assert _run(argv, capsys) == (0, before)
+        json.loads(before)

@@ -60,14 +60,14 @@ def test_traced_cli_commands_record_every_required_span(monkeypatch, tmp_path):
     b, s = tmp_path / "b.json", tmp_path / "s.json"
     b.write_text(json.dumps({"zeros": [[0.5, 0.0], [0.0, -0.3]]}))
     s.write_text(json.dumps({"min_n": -2, "coeffs": [[0, 0], [0, 0], [1, 0], [0.5, 0], [0, 0.25]]}))
-    small = ["--grid", "256", "--modes", "16"]
+    small = ["--grid", "256"]
     commands = [
         ["describe", str(b)],
         ["preimages", str(b), "--angle", "0.3"],  # b(1) is at angle 2.15
-        ["outer", str(b), "--power", "-0.5"],
-        ["transfer", str(b), str(s)],
+        ["outer", str(b), "--power", "-0.5", "--modes", "16"],
+        ["transfer", str(b), str(s), "--modes", "16"],
         ["decompose", str(b), str(s)],
-        ["matrix", str(b), "--which", "transfer"],
+        ["matrix", str(b), "--which", "transfer", "--modes", "16"],
     ]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
