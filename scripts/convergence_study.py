@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Emit residual-vs-window CSV tables for plotting.
 
+Row M is the residual that verify_relation reports at window M, on that
+window's own interior (M/2), with tail-based column exclusion off.
+
 Usage:
     python scripts/convergence_study.py --zeros 0.5 --relation master_isometry \
         --windows 32,64,128 --out study.csv

@@ -204,7 +204,12 @@ def fourier_coeffs(f: BoundaryFunction, window: int) -> FourierSeries:
 
 def fourier_window(values: np.ndarray, window: int) -> np.ndarray:
     """fourier_coeffs of every row at once: the window n in [-window, window] of
-    samples on a grid along the last axis, shape values.shape[:-1] + (2*window+1,)."""
+    samples on a grid along the last axis, shape values.shape[:-1] + (2*window+1,).
+
+    Row r holds the bits that fourier_coeffs gives for row r alone, and the
+    central 2m+1 entries of a wider window are the window m.  (norm="forward"
+    would not: it can flip the sign of an exact zero, which JSON prints.)
+    """
     K = values.shape[-1]
     if 2 * window + 1 > K:
         raise ValueError(f"window {window} exceeds grid capacity {(K - 1) // 2}")

@@ -44,6 +44,14 @@ MATH_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, *args, **kwargs):
+        # a command refuses the arguments it does not take with its own usage line,
+        # which lists the flags it does take, before argparse hands them up
+        namespace, extras = super().parse_known_args(*args, **kwargs)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

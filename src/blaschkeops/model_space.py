@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, BranchSystem, evaluate, moebius_factor
-from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_coeffs
+from .circlefun import CircleGrid, FourierSeries, fourier_window
 from .errors import GramCheckError
 from .transfer import (
     MODULE_GRAM_TOL,
@@ -98,7 +98,7 @@ def rotate_basis(basis: ModelBasis, u: np.ndarray) -> ModelBasis:
 
 def basis_series(basis: ModelBasis, grid: CircleGrid, window: int) -> list[FourierSeries]:
     """Fourier windows of the basis elements (export format)."""
-    return [fourier_coeffs(BoundaryFunction(grid, row), window) for row in basis.values(grid.points)]
+    return [FourierSeries(c) for c in fourier_window(basis.values(grid.points), window)]
 
 
 def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
@@ -111,18 +111,12 @@ def validate_basis(basis: ModelBasis, grid: CircleGrid) -> dict:
     gram = vals @ vals.conj().T / grid.size
     gram_dev = float(np.max(np.abs(gram - np.eye(basis.size))))
 
-    neg = 0.0
-    for row in vals:
-        s = fourier_coeffs(BoundaryFunction(grid, row), grid.size // 4)
-        neg = max(neg, s.negative_energy())
+    neg = max(FourierSeries(c).negative_energy() for c in fourier_window(vals, grid.size // 4))
 
     # (v, b e_n) = mode-n coefficient of v * conj(b); must vanish for n = 0..window
     window = min(VALIDATION_WINDOW, (grid.size - 1) // 2)
-    bconj = np.conj(evaluate(b, grid.points))
-    ortho = 0.0
-    for row in vals:
-        s = fourier_coeffs(BoundaryFunction(grid, row * bconj), window)
-        ortho = max(ortho, float(np.max(np.abs(s.coeffs[window:]))))
+    overlap = fourier_window(vals * np.conj(evaluate(b, grid.points)), window)
+    ortho = float(np.max(np.abs(overlap[:, window:])))
 
     report = {"gram_deviation": gram_dev, "negative_energy": neg, "bh2_overlap": ortho}
     if gram_dev > VALIDATION_TOL or neg > VALIDATION_TOL or ortho > np.sqrt(VALIDATION_TOL):

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, BranchSystem, evaluate, j0
-from .circlefun import (
-    BoundaryFunction,
-    CircleGrid,
-    FourierSeries,
-    fourier_coeffs,
-    synthesize,
-    trim_series,
-)
+from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_window, synthesize, trim_series
 from .model_space import ModelBasis, validate_basis
 from .transfer import expansion_sum, fibre_means, grid_fibre
 
@@ -80,8 +73,8 @@ def decompose(
     np.conjugate(w_fib, out=w_fib)
     coeff_series = []
     membership = []
-    for vals in fibre_means(w_fib, weight):
-        s = fourier_coeffs(BoundaryFunction(grid, vals), win)
+    for c in fourier_window(np.stack(fibre_means(w_fib, weight)), win):
+        s = FourierSeries(c)
         membership.append(s.negative_energy())  # measured before trimming
         # floor sits above the root-finding noise in the sampled values
         coeff_series.append(trim_series(s, floor=3e-14))

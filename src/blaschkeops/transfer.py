@@ -206,19 +206,21 @@ def expansion_deviation(a_z: np.ndarray, w_fib: np.ndarray, targets) -> float:
 
 
 def transfer_apply(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> list[BoundaryFunction]:
-    """Sample L(m_i) on the grid, one boundary function per member.
+    """Sample L(m_i) on the grid, one boundary function per member: branch means over grid_fibre.
 
     Nodes on the (finitely many) angles where some L(m_i) is only defined up
     to a null set are nudged by half a grid step for every member, and recorded
-    in each output's meta.  Families without declared exceptions are sampled
-    exactly, the branch-point fibre being continuous for them.
+    in each output's meta; only those nodes get a fibre of their own.  Every
+    other node reads the memoised grid fibre, the branch-point fibre being
+    continuous.
     """
-    lf = transfer_family(bs, family)
-    if not lf.exceptions:
-        return [BoundaryFunction(grid, v) for v in family.values(grid_fibre(bs, grid)).mean(axis=1)]
-    t, moved = _nudged_angles(grid, lf.exceptions)
+    t, moved = _nudged_angles(grid, transfer_family(bs, family).exceptions)
+    fib = grid_fibre(bs, grid)
+    if moved:
+        fib = fib.copy()  # the memoised fibre is read-only
+        fib[:, moved] = fibre(bs, t[moved])
     meta = {"nudged_nodes": moved} if moved else {}
-    return [BoundaryFunction(grid, v, meta=dict(meta)) for v in lf.values(np.exp(1j * t))]
+    return [BoundaryFunction(grid, v, meta=dict(meta)) for v in family.values(fib).mean(axis=1)]
 
 
 # -- bases ------------------------------------------------------------------

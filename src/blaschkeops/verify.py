@@ -109,12 +109,12 @@ class _Context:
     (fibre, J^p, the b^n table, Gamma_b, C_b) is memoised by its builder.
     """
 
-    def __init__(self, b: BlaschkeProduct, config: RunConfig, interior: int | None = None):
+    def __init__(self, b: BlaschkeProduct, config: RunConfig):
         self.b = b
         self.config = config
         self.grid = CircleGrid(config.grid_size)
         self.window = config.mode_window
-        self.interior = config.interior if interior is None else interior
+        self.interior = config.interior
         self.bs = build_branches(b)
 
     def base_params(self) -> dict:
@@ -262,10 +262,8 @@ def _rel_implements_transfer(ctx: _Context):
     mu = pair_power_gram(ctx.bs, _times_j_half(phis, ctx.bs, ctx.grid), ctx.window)
     lags = min(2 * ctx.window, (ctx.grid.size - 1) // 2)
     mid = 2 * ctx.window
-    worst = 0.0
-    for s, lphi in enumerate(transfer_apply(ctx.bs, phis, ctx.grid)):
-        coeffs = fourier_coeffs(lphi, lags).coeffs
-        worst = max(worst, float(np.max(np.abs(mu[0, s, mid - lags : mid + lags + 1] - coeffs[::-1]))))
+    coeffs = fourier_window(np.stack([lphi.values for lphi in transfer_apply(ctx.bs, phis, ctx.grid)]), lags)
+    worst = float(np.max(np.abs(mu[0, :, mid - lags : mid + lags + 1] - coeffs[:, ::-1])))
     return worst, {"symbols": ["e_0", "e_1", "e_2", "random(window=8)"], "max_lag": lags, "excluded_columns": []}
 
 
@@ -299,10 +297,8 @@ def _rel_h2_reduction(ctx: _Context):
 
 def _rel_transfer_h2_invariance(ctx: _Context):
     win = ctx.grid.size // 4
-    worst = 0.0
-    for vals in fibre_power_means(grid_fibre(ctx.bs, ctx.grid), 32):  # n = 0..32
-        s = fourier_coeffs(BoundaryFunction(ctx.grid, vals), win)
-        worst = max(worst, s.negative_energy())
+    coeffs = fourier_window(fibre_power_means(grid_fibre(ctx.bs, ctx.grid), 32), win)  # n = 0..32
+    worst = max(FourierSeries(c).negative_energy() for c in coeffs)
     return worst, {"modes": "0..32", "coefficient_window": win}
 
 
@@ -348,21 +344,21 @@ NORM_GRID = 1 << (2 * max(NORM_WINDOWS)).bit_length()
 def _rel_norm_formula(ctx: _Context):
     if ctx.grid.size < NORM_GRID:
         raise ValueError(f"norm_formula needs grid >= {NORM_GRID}, got {ctx.grid.size}")
-    j_half = outer_symbol(ctx.bs, ctx.grid, 0.5).boundary
-    jm_half = outer_symbol(ctx.bs, ctx.grid, -0.5).boundary
     # target: sup L(|m|^2) = sup of J0^{-1} over the preimage fibre
     fib = grid_fibre(ctx.bs, ctx.grid)
     lm2 = (1.0 / j0(ctx.b, np.angle(fib))).mean(axis=0)
     target = float(np.sqrt(lm2.max()))
-    # the central block of the widest Gamma_b equals Gamma_b at window m bit for
-    # bit, so one transform serves every window; C_b = pi(J^{1/2}) Gamma_b is the
-    # product master_isometry_matrix forms, without the tail bound no norm reads
-    gam = gamma_b_matrix(ctx.bs, max(NORM_WINDOWS), ctx.grid)
+    # the central blocks of the widest Gamma_b and of the widest windows of
+    # J^{1/2} and J^{-1/2} equal them at window m bit for bit, so one transform
+    # of each serves every window; C_b = pi(J^{1/2}) Gamma_b is the product
+    # master_isometry_matrix forms, without the tail bound no norm reads
+    top = max(NORM_WINDOWS)
+    j_pair = fourier_window(np.stack([outer_symbol(ctx.bs, ctx.grid, p).boundary.values for p in (0.5, -0.5)]), top)
+    gam = gamma_b_matrix(ctx.bs, top, ctx.grid)
     norms = []
     for m in NORM_WINDOWS:
-        c = compose(mult_operator(fourier_coeffs(j_half, m), m), block(gam, (-m, m), (-m, m)))
-        t = compose(mult_operator(fourier_coeffs(jm_half, m), m), c)
-        norms.append(operator_norm(t))
+        j_half, jm_half = (mult_operator(FourierSeries(c[top - m : top + m + 1]), m) for c in j_pair)
+        norms.append(operator_norm(compose(jm_half, compose(j_half, block(gam, (-m, m), (-m, m))))))
     drops = max(0.0, float(np.max(-np.diff(norms))))
     rel_err = abs(norms[-1] - target) / target
     return rel_err + (drops if drops > 1e-12 else 0.0), {
@@ -404,7 +400,7 @@ def _rel_rochberg_roundtrip(ctx: _Context):
 
 
 def _rel_solution1(ctx: _Context):
-    rep = verify_solution1(ctx.bs, ctx.module_basis, ctx.config, interior=ctx.interior)
+    rep = verify_solution1(ctx.bs, ctx.module_basis, ctx.config)
     return rep.residual, rep.params
 
 
@@ -460,24 +456,16 @@ def verify_all(b: BlaschkeProduct, config: RunConfig | None = None) -> list:
     return reports
 
 
-def verify_relation(
-    b: BlaschkeProduct, relation: str, config: RunConfig, interior: int | None = None
-) -> VerificationReport:
+def verify_relation(b: BlaschkeProduct, relation: str, config: RunConfig) -> VerificationReport:
     if relation not in _RELATION_FUNCS:
         raise ValueError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    return _run(_Context(b, config, interior=interior), relation)
+    return _run(_Context(b, config), relation)
 
 
 # -- solutions of the covariance equation -------------------------------------
 
 
-def verify_solution1(
-    bs,
-    family: ModuleFamily,
-    config: RunConfig | None = None,
-    *,
-    interior: int | None = None,
-) -> VerificationReport:
+def verify_solution1(bs, family: ModuleFamily, config: RunConfig | None = None) -> VerificationReport:
     """Certify (or refute) that S_i = pi(m_i) C_b solves the covariance problem.
 
     For an orthonormal family all four residuals are small.  For a family that
@@ -485,11 +473,12 @@ def verify_solution1(
     mirror the Gram failure while the structural identity
     S_i* S_j = pi(<m_i, m_j>) still holds: that identity is the theorem.
     The Gram is module_gram on the config's grid, so a verify_all run reads
-    the one that module_onb formed.
+    the one that module_onb formed.  The moments are taken over the config's
+    interior block, the block every relation of the run certifies.
     """
     config = config or RunConfig()
     grid = CircleGrid(config.grid_size)
-    inner = config.interior if interior is None else interior
+    inner = config.interior
 
     gram = module_gram(bs, family, grid)  # <m_i, m_j> on the grid
     gram_dev = gram_deviation(gram)
@@ -529,19 +518,18 @@ def convergence_study(
     m_list=(32, 64, 128),
     config: RunConfig | None = None,
 ) -> list:
-    """Residual of one relation as the window grows, on proportional interior blocks.
+    """Residual of one relation as the window M grows: row M is verify_relation at window M.
 
     Tail-based column exclusion is disabled here: the study exists to watch the
-    raw truncation error decrease, which exclusion would mask.  The interior
-    block scales as M/4 so the certified fraction stays fixed across windows.
+    raw truncation error decrease, which exclusion would mask.  Each window is
+    certified on its own RunConfig interior, M/2, so the certified fraction
+    stays fixed across windows.
     """
     config = config or RunConfig()
-    rows = []
-    for m in m_list:
-        cfg = replace(config, mode_window=int(m), eps_tail=float("inf"))
-        rep = verify_relation(b, relation, cfg, interior=max(1, int(m) // 4))
-        rows.append((int(m), rep.residual))
-    return rows
+    return [
+        (int(m), verify_relation(b, relation, replace(config, mode_window=int(m), eps_tail=float("inf"))).residual)
+        for m in m_list
+    ]
 
 
 def convergence_csv(rows: list) -> str:

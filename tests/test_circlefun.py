@@ -13,6 +13,7 @@ from blaschkeops.circlefun import (
     boundary_from_csv,
     exponential,
     fourier_coeffs,
+    fourier_window,
     integer_powers,
     l2_inner,
     l2_norm,
@@ -24,7 +25,8 @@ from blaschkeops.circlefun import (
     trim_series,
 )
 from blaschkeops.errors import AnalyticExtensionError, GridMismatchError
-from blaschkeops.transfer import grid_fibre, outer_symbol
+from blaschkeops.model_space import canonical_basis
+from blaschkeops.transfer import fibre_power_means, grid_fibre, outer_symbol
 
 from oracles import closed_form_outer_symbol, grid_mean, outer_half_mpmath
 
@@ -69,6 +71,18 @@ def test_fourier_coeffs_pure_mode():
     s = fourier_coeffs(sample(lambda z: z**2, g), 8)
     assert abs(s.coeff(2) - 1.0) < 1e-14
     assert max(abs(s.coeff(n)) for n in range(-8, 9) if n != 2) < 1e-14
+    # a table transformed at once holds the bytes of its rows transformed one by
+    # one, signs of zero included, and a wider window holds a narrower one in
+    # its centre: on the model basis values, on the fibre power means and on a
+    # constant, whose transform is exact zeros off mode 0
+    b = make_blaschke(SIX_ZEROS)
+    grid = CircleGrid(4096)
+    fib = grid_fibre(build_branches(b), grid)
+    for table in (canonical_basis(b).values(grid.points), fibre_power_means(fib, 32), -np.ones((2, 4096), complex)):
+        wide = fourier_window(table, 1024)
+        rows = np.stack([fourier_coeffs(BoundaryFunction(grid, row), 1024).coeffs for row in table])
+        assert wide.tobytes() == rows.tobytes()
+        assert wide[:, 1024 - 128 : 1024 + 129].tobytes() == fourier_window(table, 128).tobytes()
 
 
 def test_fourier_coeffs_constant():

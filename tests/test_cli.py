@@ -370,6 +370,19 @@ def test_usage_error_for_unknown_subcommand(inputs, capsys):
     assert capsys.readouterr().out.startswith("usage: blaschkeops describe")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unread_flag_is_refused_with_the_commands_usage(inputs, capsys, command):
+    # the command's own usage line lists the flags it takes; the top-level one lists none
+    _, z2, _, e3 = inputs
+    argv = _argv(command, z2, e3)
+    flag = "--bogus" if command == "verify" else "--seed"
+    assert main(argv + [flag, "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: blaschkeops {argv[0]} [-h]")
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag} 1\n")
+    assert captured.out == ""
+
+
 def test_dispatch_reads_the_command_function_at_call_time(inputs, capsys, monkeypatch):
     # the parser is built once per process; a cmd_<name> rebound after that
     # (as a tracer wrapping the module attributes does) must still be called

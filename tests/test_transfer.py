@@ -370,6 +370,33 @@ def test_nudge_recorded_for_indicator_input(z2):
     assert 0 in out.meta["nudged_nodes"]
 
 
+def test_transfer_apply_solves_preimages_only_for_nudged_nodes(z2, monkeypatch):
+    # the first arc of {0, 0} moves one node of 512 off its exception image:
+    # that node's 2 preimage points are solved, every other node reads the
+    # grid fibre, and its value is the exception-free branch mean bit for bit
+    from blaschkeops.blaschke import BranchSystem
+
+    _, bs = z2
+    g = CircleGrid(512)
+    fib = grid_fibre(bs, g)
+    solve = BranchSystem.theta_inv
+    points = []
+
+    def counted(self, s):
+        points.append(np.size(s))
+        return solve(self, s)
+
+    monkeypatch.setattr(BranchSystem, "theta_inv", counted)
+    arc = _first_arc(bs)
+    out = _apply(bs, arc, g)
+    assert sum(points) == 2
+    moved = out.meta["nudged_nodes"]
+    assert moved == [0]
+    kept = np.setdiff1d(np.arange(g.size), moved)
+    (mean,) = arc.values(fib).mean(axis=1)
+    assert np.array_equal(out.values[kept], mean[kept])
+
+
 @pytest.mark.parametrize("product, nudged", [("z2", True), ("mixed", False)])
 def test_transfer_apply_family_matches_members(request, product, nudged):
     # one call over series members plus the first arc equals one call per

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,6 +447,20 @@ def test_convergence_master_isometry_monotone():
 def test_convergence_squaring_flat_at_machine_eps():
     rows = convergence_study(make_blaschke([0, 0]), "cuntz_orthogonality", (16, 32, 64), FAST)
     assert all(r < 1e-12 for _, r in rows)
+
+
+def test_convergence_rows_are_verify_relation_at_each_window():
+    # each window is certified on its own RunConfig interior, as verify_relation
+    # certifies it, with column exclusion off; on {0.5} master_isometry's
+    # construction agreement at window 32 reads about 1.7e-6 on the half-window
+    # interior (1.7e-10 on a quarter-window one)
+    b = make_blaschke([0.5])
+    rows = convergence_study(b, "master_isometry", (32, 64, 128), MID)
+    assert [m for m, _ in rows] == [32, 64, 128]
+    for m, residual in rows:
+        rep = verify_relation(b, "master_isometry", replace(MID, mode_window=m, eps_tail=float("inf")))
+        assert rep.params["interior"] == m // 2
+        assert residual == rep.residual
 
 
 def test_convergence_csv_format():
