@@ -3,13 +3,13 @@
 
 The payloads are the `reports_to_json` of `verify_all` on the zoo of
 `run_verify.py` plus the single zero 0.8 (grid 4096, window 64) and on six
-zeros (window 128), the `matrix --which cb` and `matrix --which transfer`
+zeros (window 128), the `matrix --which cb`, `transfer`, `gamma` and `cuntz`
 JSON of three products at `--modes 16` and `--modes 64`, the `outer` JSON of
 the same three products at `--power 0.5` and `-0.5` (`--modes 16`, grid 4096),
 their `describe` JSON, `preimages` JSON at `--angle 1.0` and `basis` JSON at
 `--modes 16` (grid 4096), and, for one seeded analytic series against the same
 three products, the `decompose` JSON at `--grid 512` and `--grid 4096` and the
-`transfer` JSON (`--modes 16`) and CSV: every subcommand's output, 47 payloads.
+`transfer` JSON (`--modes 16`) and CSV: every subcommand's output, 59 payloads.
 Save one checkout's output and compare the other against it:
 
     PYTHONPATH=src python scripts/parity_digest.py > parent.txt
@@ -59,7 +59,7 @@ VERIFY_CASES = [
     ("six zeros", SIX_ZEROS, 128),
 ]
 MATRIX_CASES = {"two mixed": [0.5, -0.3j], "single 0.8": [0.8], "six zeros": SIX_ZEROS}
-MATRIX_KINDS = ("cb", "transfer")
+MATRIX_KINDS = ("cb", "transfer", "gamma", "cuntz")
 MATRIX_MODES = (16, 64)
 DECOMPOSE_GRIDS = (512, 4096)
 OUTER_POWERS = ("0.5", "-0.5")

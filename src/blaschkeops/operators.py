@@ -11,7 +11,11 @@ interior mode block, from column tails.  Sampled constructions (the column
 builders, mult_operator, block) measure the discarded mass of each column;
 derived ones (compose, adjoint) carry inf, "not certified", so a check names
 the sampled operators it certifies from.  master_isometry_matrix, whose tails
-the CLI publishes, bounds them itself.
+the CLI publishes, bounds them itself.  The column builders share one kernel,
+_columns_from_samples, which reads its sample table in row blocks of
+COLUMN_BLOCK samples, each transformed into one reused buffer, and sums each
+column's discarded mass in mode order, so the blocks give the bits of one
+whole-table transform.
 """
 
 from __future__ import annotations
@@ -150,40 +154,58 @@ def toeplitz_operator(phi: FourierSeries, window: int) -> TruncatedOperator:
     return restrict_to_h2(mult_operator(phi, window))
 
 
+COLUMN_BLOCK = 1 << 16  # complex samples per transform block of _columns_from_samples (1 MiB)
+
+
 def _columns_from_samples(
     rows: np.ndarray,
     grid: CircleGrid,
     window: int,
     col_modes: tuple,
     weight: np.ndarray | None = None,
-    *,
-    overwrite: bool = False,
 ) -> TruncatedOperator:
     """Operator whose column col_modes[0] + j is the Fourier window of weight * rows[j].
 
-    Unweighted, `rows` is transformed out of place and only read, unless
-    `overwrite` says the caller's fresh rows may take the transform; weighted,
-    the samples are formed in one fresh buffer, which the transform overwrites.
+    `rows` is only read.  It is walked in blocks of max(1, COLUMN_BLOCK // K)
+    rows, each transformed into one reused buffer: weighted rows are multiplied
+    into it and transformed in place, unweighted ones transformed from `rows`
+    straight into it.  Each block's 2*window+1 kept modes go to its columns and
+    its discarded mass to its tails, so no scratch array outgrows a block.  The
+    FFT acts row by row, so the blocks give the bits of one whole-table
+    transform; each tail sums its row left to right (pairwise on a one-row
+    table), as a column-major sum over the whole table does.
     """
     K = grid.size
     if 2 * window + 1 > K:
         raise ValueError("row window exceeds grid capacity")
-    # scaled by 1/K inside the transform: exact for the power-of-two grid sizes,
-    # so the same bits as dividing afterwards
-    if weight is not None:
-        rows = weight[None, :] * rows
-        overwrite = True
-    coef = np.fft.fft(rows, axis=1, norm="forward", out=rows if overwrite else None)
-    idx = np.mod(np.arange(-window, window + 1), K)
-    mat = coef[:, idx].T
-    # measured mass of the discarded modes (no cancellation against the total):
-    # in FFT order they are the one contiguous range window+1 .. K-window-1;
-    # column-major storage sums each row left to right, as a masked copy would
-    outside = coef[:, window + 1 : K - window]
-    mass = np.empty(outside.shape, order="F")
-    np.abs(outside, out=mass)
-    np.square(mass, out=mass)
-    tails = np.sqrt(np.sum(mass, axis=1))
+    count = rows.shape[0]
+    step = max(1, COLUMN_BLOCK // K)
+    buf = np.empty((min(step, count), K), dtype=complex)
+    # in FFT order the discarded modes are the one contiguous range window+1 .. K-window-1;
+    # column-major, so np.sum adds each row of a block left to right, as over the whole table
+    mass = np.empty((K - 2 * window - 1, buf.shape[0])).T
+    mat = np.empty((2 * window + 1, count), dtype=complex)
+    tails = np.empty(count)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        coef, sq = buf[: hi - lo], mass[: hi - lo]
+        # scaled by 1/K inside the transform: exact for the power-of-two grid
+        # sizes, so the same bits as dividing afterwards
+        if weight is None:
+            np.fft.fft(rows[lo:hi], axis=1, norm="forward", out=coef)
+        else:
+            np.multiply(weight[None, :], rows[lo:hi], out=coef)
+            np.fft.fft(coef, axis=1, norm="forward", out=coef)
+        mat[:window, lo:hi] = coef[:, K - window :].T
+        mat[window:, lo:hi] = coef[:, : window + 1].T
+        # measured mass of the discarded modes (no cancellation against the total)
+        np.abs(coef[:, window + 1 : K - window], out=sq)
+        np.square(sq, out=sq)
+        if hi - lo > 1 or count == 1:
+            np.sum(sq, axis=1, out=tails[lo:hi])
+        else:  # np.sum goes pairwise on one row: right for a one-row table only
+            tails[lo] = np.cumsum(sq[0])[-1]
+    np.sqrt(tails, out=tails)
     return TruncatedOperator(mat, (-window, window), col_modes, "L2", tails)
 
 
@@ -273,7 +295,7 @@ def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> Truncate
     rows reversed, T[m, -n] = conj T[-m, n], with the same tail.
     """
     means = fibre_power_means(grid_fibre(bs, grid), window)
-    half = _columns_from_samples(means, grid, window, (0, window), overwrite=True)
+    half = _columns_from_samples(means, grid, window, (0, window))
     mat = np.empty((2 * window + 1, 2 * window + 1), dtype=complex)
     mat[:, window:] = half.matrix
     np.conjugate(half.matrix[::-1, :0:-1], out=mat[:, :window])

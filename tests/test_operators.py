@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from blaschkeops.circlefun import (
 )
 from blaschkeops.model_space import canonical_basis, induced_module_basis
 from blaschkeops.operators import (
+    COLUMN_BLOCK,
     PAIR_ROWS,
     TruncatedOperator,
     _columns_from_samples,
@@ -230,7 +232,7 @@ def test_columns_from_samples_tails_match_mask_formula(size, window):
         before = rows.copy()
         op = _columns_from_samples(rows, CircleGrid(size), window, (-4, 4), w)
         assert np.array_equal(rows, before)  # the caller's rows are only read
-        fresh = _columns_from_samples(rows.copy(), CircleGrid(size), window, (0, 8), w, overwrite=True)
+        fresh = _columns_from_samples(rows.copy(), CircleGrid(size), window, (0, 8), w)
         assert fresh.col_modes == (0, 8)
         assert np.array_equal(fresh.matrix, op.matrix)
         assert np.array_equal(fresh.column_tail, op.column_tail)
@@ -242,6 +244,54 @@ def test_columns_from_samples_tails_match_mask_formula(size, window):
         tails = np.sqrt(np.sum(np.abs(coef[:, outside]) ** 2, axis=1))
         assert np.array_equal(op.column_tail, tails)
         assert np.array_equal(op.matrix, coef[:, idx].T)
+
+
+def _whole_table_columns(rows, size, window, weight):
+    # the reference: one transform of every row, tails from a column-major sum
+    # (each row left to right, pairwise on a one-row table)
+    samples = rows if weight is None else weight[None, :] * rows
+    coef = np.fft.fft(samples, axis=1, norm="forward")
+    mass = np.empty((rows.shape[0], size - 2 * window - 1), order="F")
+    np.abs(coef[:, window + 1 : size - window], out=mass)
+    np.square(mass, out=mass)
+    return coef[:, np.mod(np.arange(-window, window + 1), size)].T, np.sqrt(np.sum(mass, axis=1))
+
+
+@pytest.mark.parametrize(
+    "size, window, last_block",
+    [(4096, 128, 0), (4096, 128, 1), (4096, 64, 5), (4096, 64, None), (1 << 17, 64, 1), (1 << 17, 32, None)],
+    ids=["full-last-block", "one-row-last-block", "five-row-last-block", "one-row-table", "wide-grid", "wide-grid-one-row"],
+)
+def test_row_blocks_give_the_bits_of_one_whole_table_transform(size, window, last_block):
+    # last_block: the rows left for the last block, 0 for a full one; None is a one-row table
+    step = max(1, COLUMN_BLOCK // size)
+    count = 1 if last_block is None else 2 * step + (last_block or step)
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size))
+    weight = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for w in (None, weight):
+        op = _columns_from_samples(rows, CircleGrid(size), window, (0, count - 1), w)
+        mat, tails = _whole_table_columns(rows, size, window, w)
+        assert np.array_equal(op.matrix, mat)
+        assert np.array_equal(op.column_tail, tails)
+
+
+def test_column_builders_hold_no_full_size_temporary():
+    # with the b^n table built, Gamma_b and pi(w) Gamma_b at window 128 allocate
+    # their output and one block of scratch, not a copy or transform of the table
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    grid = CircleGrid(4096)
+    weight = canonical_basis(b).values(grid.points)[1]
+    bs = build_branches(b)
+    table = _power_samples(bs, grid, 128)
+    for build in (lambda: gamma_b_matrix(bs, 128, grid), lambda: weighted_composition_matrix(bs, weight, 128, grid)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes / 4, (peak, table.nbytes)
 
 
 # -- master isometry --------------------------------------------------------------

@@ -370,6 +370,25 @@ def test_completeness_defect_bounds_the_mode_expansions():
     assert defect < 1e-12
 
 
+@pytest.mark.parametrize("points", [100, 4095])
+def test_completeness_defect_is_one_sup_over_point_blocks(monkeypatch, points):
+    from blaschkeops import verify
+
+    # blocks of 100 points (the last of 96), or of 4095 and then 1, give the sup
+    # over the whole grid; each kernel entry sums the same n = 3 terms, so they
+    # agree to the rounding of one such sum
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    grid = CircleGrid(RunConfig().grid_size)
+
+    def defect():
+        bs = build_branches(b)
+        return _completeness_defect(bs, induced_module_basis(bs, canonical_basis(b), grid), grid)
+
+    whole = defect()
+    monkeypatch.setattr(verify, "COMPLETENESS_BLOCK", 9 * points)  # n N values per point
+    assert abs(defect() - whole) <= 3 * np.finfo(float).eps
+
+
 def test_verify_all_shares_the_module_grams_with_the_same_results():
     # one verify_all shares its bases, module Grams and memos between the
     # relations, and every randomized check draws afresh from the seed: each
