@@ -175,10 +175,10 @@ def nonnegative_powers(z, top: int, out: np.ndarray | None = None) -> np.ndarray
 def integer_powers(z, window: int) -> np.ndarray:
     """z^n for n = -window..window, shape (2*window+1, len(z)); row window + n holds z^n.
 
-    The rows n >= 0 are nonnegative_powers.  The negative rows are reciprocals
-    of the positive ones, not conjugates: samples of b are unimodular only to a
-    few ulps, which conj would carry into every row.  Row n does not depend on
-    the window, so a wider table holds a narrower one bit for bit.
+    The rows n >= 0 are nonnegative_powers.  The negative rows, read by the
+    weighted columns of operators, are reciprocals of the positive ones, not
+    conjugates: samples of b are unimodular only to a few ulps.  Row n does not
+    depend on the window, so a wider table holds a narrower one bit for bit.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")

@@ -3,9 +3,10 @@
 Multiplication pi(phi) is Toeplitz; composition Gamma_b has column n equal to
 the Fourier window of b^n; the master isometry C_b = pi(J^{1/2}) Gamma_b; the
 Cuntz isometries S_i have columns v_i b^n; the transfer matrix has columns
-L(e_n), of which only n >= 0 are transformed: fibre points are unimodular, so
-column -n is column n conjugated with its rows reversed (samples of b are
-unimodular only to a few ulps, so Gamma_b keeps its reciprocal powers).  The
+L(e_n).  Gamma_b and the transfer matrix transform only their columns n >= 0:
+on the circle b^{-n} = conj(b^n) and L(e_{-n}) = conj L(e_n), so column -n is
+column n conjugated with its rows reversed.  The b^n table keeps its
+reciprocal rows for the weighted columns (C_b sampled directly, S_i).  The
 identities are exact only in the infinite limit, so each is certified on an
 interior mode block, from column tails.  Sampled constructions (the column
 builders, mult_operator, block) measure the discarded mass of each column;
@@ -209,6 +210,16 @@ def _columns_from_samples(
     return TruncatedOperator(mat, (-window, window), col_modes, "L2", tails)
 
 
+def _mirrored_columns(rows: np.ndarray, grid: CircleGrid, window: int) -> TruncatedOperator:
+    """Column n >= 0 is the window of rows[n]; column -n, of conj(rows[n]), is A[k, -n] = conj A[-k, n], same tail."""
+    half = _columns_from_samples(rows, grid, window, (0, window))
+    mat = np.empty((2 * window + 1, 2 * window + 1), dtype=complex)
+    mat[:, window:] = half.matrix
+    np.conjugate(half.matrix[::-1, :0:-1], out=mat[:, :window])
+    tails = np.concatenate((half.column_tail[:0:-1], half.column_tail))
+    return TruncatedOperator(mat, (-window, window), (-window, window), "L2", tails)
+
+
 def _power_samples(bs: BranchSystem, grid: CircleGrid, window: int) -> np.ndarray:
     """b^n on the grid for n = -window..window, shape (2*window+1, K), read-only.
 
@@ -241,13 +252,13 @@ def weighted_composition_matrix(
 
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """Composition operator: column n is the Fourier window of b^n.
+    """Composition operator: column n is the Fourier window of b^n = conj(b^{-n}) on the circle.
 
-    Memoised per (grid, window), matrix and tails read-only, so every caller
-    at that window shares one transform of the b^n table.
+    Transforms the table's rows n >= 0 only (its reciprocal rows are weighted_composition_matrix's).
+    Memoised per (grid, window), matrix and tails read-only: one transform per window for every caller.
     """
     def build():
-        return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+        return _mirrored_columns(_power_samples(bs, grid, window)[window:], grid, window)
 
     return bs.memo(("gamma", grid.size, window), build)
 
@@ -288,19 +299,8 @@ def cuntz_family_matrices(
 
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """Transfer operator: column n is the Fourier window of L(e_n), the fibre mean of z^n.
-
-    Only the columns n >= 0 are transformed.  Fibre points are unimodular, so
-    L(e_{-n}) = conj L(e_n), and column -n is column n conjugated with its
-    rows reversed, T[m, -n] = conj T[-m, n], with the same tail.
-    """
-    means = fibre_power_means(grid_fibre(bs, grid), window)
-    half = _columns_from_samples(means, grid, window, (0, window))
-    mat = np.empty((2 * window + 1, 2 * window + 1), dtype=complex)
-    mat[:, window:] = half.matrix
-    np.conjugate(half.matrix[::-1, :0:-1], out=mat[:, :window])
-    tails = np.concatenate((half.column_tail[:0:-1], half.column_tail))
-    return TruncatedOperator(mat, (-window, window), (-window, window), "L2", tails)
+    """Transfer operator: column n is the Fourier window of L(e_n) = conj L(e_{-n}), the fibre mean of z^n."""
+    return _mirrored_columns(fibre_power_means(grid_fibre(bs, grid), window), grid, window)
 
 
 # -- dense algebra -------------------------------------------------------------

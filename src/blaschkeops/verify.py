@@ -355,21 +355,18 @@ NORM_GRID = 1 << (2 * max(NORM_WINDOWS)).bit_length()
 def _rel_norm_formula(ctx: _Context):
     if ctx.grid.size < NORM_GRID:
         raise ValueError(f"norm_formula needs grid >= {NORM_GRID}, got {ctx.grid.size}")
-    # target: sup L(|m|^2) = sup of J0^{-1} over the preimage fibre
-    fib = grid_fibre(ctx.bs, ctx.grid)
-    lm2 = (1.0 / j0(ctx.b, np.angle(fib))).mean(axis=0)
-    target = float(np.sqrt(lm2.max()))
-    # the central blocks of the widest Gamma_b and of the widest windows of
-    # J^{1/2} and J^{-1/2} equal them at window m bit for bit, so one transform
-    # of each serves every window; C_b = pi(J^{1/2}) Gamma_b is the product
-    # master_isometry_matrix forms, without the tail bound no norm reads
-    top = max(NORM_WINDOWS)
-    j_pair = fourier_window(np.stack([outer_symbol(ctx.bs, ctx.grid, p).boundary.values for p in (0.5, -0.5)]), top)
-    gam = gamma_b_matrix(ctx.bs, top, ctx.grid)
-    norms = []
-    for m in NORM_WINDOWS:
-        j_half, jm_half = (mult_operator(FourierSeries(c[top - m : top + m + 1]), m) for c in j_pair)
-        norms.append(operator_norm(compose(jm_half, compose(j_half, block(gam, (-m, m), (-m, m))))))
+    # ||pi(J^{-1/2}) C_b|| = ||Gamma_b|| = sqrt(sup L(1/j0)), and L(1/j0) is the Poisson kernel at
+    # b(0) (Loewner's lemma): Nordgren's norm sqrt((1 + |b(0)|) / (1 - |b(0)|)) of an inner composition
+    r = abs(complex(evaluate(ctx.b, 0.0)))
+    target = float(np.sqrt((1.0 + r) / (1.0 - r)))
+    # the central blocks of the widest Gamma_b are Gamma_b at each window bit for bit
+    gam = gamma_b_matrix(ctx.bs, max(NORM_WINDOWS), ctx.grid)
+    norms = [operator_norm(block(gam, (-m, m), (-m, m))) for m in NORM_WINDOWS]
+    for m, norm in zip(NORM_WINDOWS, norms):
+        # a compression cannot exceed its operator, up to rounding fixed a priori: ||A + E|| <= ||A|| +
+        # (2m+1) max|E_ij| on the (2m+1)-square block, and sampling, FFT and SVD leave a few eps per entry
+        if norm > target * (1.0 + 4 * (2 * m + 1) * np.finfo(float).eps):
+            raise ValueError(f"norm_formula: window-{m} norm {norm!r} > target {target!r} on grid {ctx.grid.size}")
     drops = max(0.0, float(np.max(-np.diff(norms))))
     rel_err = abs(norms[-1] - target) / target
     return rel_err + (drops if drops > 1e-12 else 0.0), {

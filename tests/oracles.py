@@ -190,3 +190,40 @@ def outer_half_mpmath(zeros, z, dps=50):
             num = mpmath.fprod(1 - c * x for c in conj_crit)
             out[k] = complex(root * num / mpmath.fprod(1 - a * x for a in conj_zeros))
     return out
+
+
+def power_coefficients_mpmath(zeros, window, dps=50):
+    """Gamma_b on modes -window..window, entry [k + window, n + window] the k-th Fourier
+    coefficient of b^n on the circle, from power series at `dps` digits (no grid, no FFT).
+
+    For n >= 0, b^n is analytic in the disc: each factor (|a|/a)(a - z)/(1 - conj(a) z)
+    is (|a|/a)(a - z) sum_j (conj(a) z)^j.  For n < 0, b^n is analytic outside it: in
+    w = 1/z each reciprocal factor is (a/|a|)(conj(a) - w) sum_j (a w)^j, the coefficient
+    of w^j that of z^{-j}.  Each power is the previous one times the factor series.
+    """
+    import mpmath
+
+    def times(p, q):  # product of two series truncated to degree `window`
+        return [mpmath.fsum(p[i] * q[k - i] for i in range(k + 1)) for k in range(window + 1)]
+
+    out = np.zeros((2 * window + 1, 2 * window + 1), dtype=complex)
+    with mpmath.workdps(dps):
+        one = [mpmath.mpc(1)] + [mpmath.mpc(0)] * window
+        inside, outside = one, one  # b in z, 1/b in w = 1/z
+        for a in map(complex, zeros):
+            if a == 0:
+                inside, outside = (times(s, [0, 1] + [0] * (window - 1)) for s in (inside, outside))
+                continue
+            a = mpmath.mpc(a.real, a.imag)
+            unit = abs(a) / a
+            geometric_in = [mpmath.conj(a) ** j for j in range(window + 1)]
+            geometric_out = [a**j for j in range(window + 1)]
+            inside = times(inside, times([unit * a, -unit] + [0] * (window - 1), geometric_in))
+            outside = times(outside, times([mpmath.conj(a) / unit, -1 / unit] + [0] * (window - 1), geometric_out))
+        up, down = one, one
+        out[window, window] = 1.0
+        for n in range(1, window + 1):
+            up, down = times(up, inside), times(down, outside)
+            out[window:, window + n] = [complex(c) for c in up]  # modes 0..window
+            out[window::-1, window - n] = [complex(c) for c in down]  # modes 0..-window
+    return out

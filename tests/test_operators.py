@@ -46,7 +46,7 @@ from blaschkeops.transfer import ModuleFamily, arcs_basis, grid_fibre, module_gr
 from blaschkeops.verify import _ONE
 
 from conftest import ones_basis, seeded_zeros
-from oracles import grid_mean
+from oracles import grid_mean, power_coefficients_mpmath
 
 
 def _zero_like(op):
@@ -483,6 +483,51 @@ def test_transfer_matrix_negative_columns_mirror_the_positive(zeros, window):
     for n in range(1, window + 1):
         assert np.array_equal(L.matrix[:, window - n], np.conj(L.matrix[::-1, window + n]))
         assert L.column_tail[window - n] == L.column_tail[window + n]
+
+
+@pytest.mark.parametrize("zeros", [[0.5], _SIX_ZEROS], ids=["half", "six-zeros"])
+@pytest.mark.parametrize("window", [1, 5, 64])
+def test_gamma_b_negative_columns_mirror_the_positive(zeros, window):
+    # b^{-n} = conj(b^n) on the circle: Gamma[k, -n] = conj Gamma[-k, n], and the tails agree
+    gam = gamma_b_matrix(build_branches(make_blaschke(zeros)), window, CircleGrid(1024))
+    assert gam.col_modes == (-window, window)
+    for n in range(1, window + 1):
+        assert np.array_equal(gam.matrix[:, window - n], np.conj(gam.matrix[::-1, window + n]))
+        assert gam.column_tail[window - n] == gam.column_tail[window + n]
+
+
+def _gamma_b_from_reciprocals(bs, window, grid):
+    # the reference: every column transformed, the negative ones from the table's reciprocal rows
+    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [[0.5], _SIX_ZEROS, [0.999], [0.99, 0.99j, -0.99, 0.5]],
+    ids=["half", "six-zeros", "0.999", "near-circle-four"],
+)
+@pytest.mark.parametrize("window", [64, 128])
+def test_gamma_b_mirror_agrees_with_the_reciprocal_rows(zeros, window):
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(4096)
+    got, want = gamma_b_matrix(bs, window, grid), _gamma_b_from_reciprocals(bs, window, grid)
+    assert np.array_equal(got.matrix[:, window:], want.matrix[:, window:])  # the columns n >= 0
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-14
+    assert np.array_equal(got.column_tail > 1e-10, want.column_tail > 1e-10)
+
+
+def test_gamma_b_mirror_is_no_less_accurate_than_the_reciprocal_rows():
+    # against the 50-digit power series of b^n: column -n of the mirror carries
+    # the error of column n, so its worst entry is the worst of the columns
+    # n >= 0, which the reciprocal rows share and can only add to
+    zeros, window = [0.5, -0.3j], 16
+    exact = power_coefficients_mpmath(zeros, window)
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(256)
+    mirror = np.max(np.abs(gamma_b_matrix(bs, window, grid).matrix - exact))
+    reciprocal = np.max(np.abs(_gamma_b_from_reciprocals(bs, window, grid).matrix - exact))
+    assert mirror <= reciprocal
+    assert mirror < 4e-15
 
 
 def test_transfer_matrix_h2_block(mixed):

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blaschkeops import build_branches, evaluate, make_blaschke
-from blaschkeops.circlefun import CircleGrid, exponential, fourier_coeffs
+from blaschkeops import build_branches, evaluate, j0, make_blaschke
+from blaschkeops.circlefun import CircleGrid, exponential
 from blaschkeops.config import RunConfig
 from blaschkeops.errors import MATH_ERRORS
 from blaschkeops.model_space import canonical_basis, induced_module_basis
@@ -13,6 +13,7 @@ from blaschkeops.operators import (
     adjoint,
     compose,
     cuntz_family_matrices,
+    gamma_b_matrix,
     identity_operator,
     interior_residual,
     master_isometry_matrix,
@@ -29,6 +30,7 @@ from blaschkeops.transfer import (
     expansion_points,
     expansion_sum,
     fibre_means,
+    grid_fibre,
     module_gram_deviation,
     outer_symbol,
 )
@@ -45,7 +47,7 @@ from blaschkeops.verify import (
     verify_solution1,
 )
 
-from conftest import ones_basis
+from conftest import ones_basis, seeded_zeros
 
 FAST = RunConfig(grid_size=2048, mode_window=32)
 MID = RunConfig(grid_size=4096, mode_window=64)
@@ -497,19 +499,66 @@ def test_norm_formula_relation_reports_target():
     assert norms == sorted(norms)
 
 
-def test_norm_formula_norms_equal_the_master_isometry_products():
-    # its windows are central blocks of one widest Gamma_b: the norms must be
-    # the bits that pi(J^{-1/2}) master_isometry_matrix gives at each window
+def test_norm_formula_norms_are_the_gamma_b_block_norms():
+    # ||pi(J^{-1/2}) C_b|| is ||Gamma_b||: the norms are those of Gamma_b built
+    # at each window, bit for bit, since its windows are central blocks of one
+    # widest Gamma_b
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     grid = CircleGrid(4096)
     rep = verify_relation(b, "norm_formula", RunConfig(grid_size=4096, mode_window=64))
-    bs = build_branches(b)
-    jm_half = outer_symbol(bs, grid, -0.5).boundary
-    want = [
-        operator_norm(compose(mult_operator(fourier_coeffs(jm_half, m), m), master_isometry_matrix(bs, m, grid)))
-        for m in NORM_WINDOWS
-    ]
+    want = [operator_norm(gamma_b_matrix(build_branches(b), m, grid)) for m in NORM_WINDOWS]
     assert rep.params["norms"] == want
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [[0.5], [0.8], [0.5, -0.3j, 0.2 + 0.4j], [0.99, 0.99j, -0.99, 0.5], [0.5, 0.5, 0.5]],
+    ids=["half", "0.8", "three-mixed", "near-circle-four", "triple-half"],
+)
+def test_norm_formula_target_is_the_poisson_kernel_sup(zeros):
+    # the oracle is the grid-fibre route: sqrt(max L(1/j0)) over the preimages of the grid
+    b = make_blaschke(zeros)
+    rep = verify_relation(b, "norm_formula", MID)
+    fib = grid_fibre(build_branches(b), CircleGrid(MID.grid_size))
+    oracle = np.sqrt(np.max((1.0 / j0(b, np.angle(fib))).mean(axis=0)))
+    assert abs(rep.params["target"] - oracle) <= 4e-15 * oracle
+
+
+def test_norm_formula_near_the_circle_reads_gamma_b_not_the_multiplier_product():
+    # the product pi(J^{-1/2}) pi(J^{1/2}) of truncated multipliers is not the
+    # identity near the circle: its norms fell from 1.92 to 1.78, above the
+    # target 1.698, and failed at 0.15
+    rep = verify_relation(make_blaschke([0.99, 0.99j, -0.99, 0.5]), "norm_formula", MID)
+    assert rep.passed and rep.residual < 0.01
+    assert rep.params["norms"] == sorted(rep.params["norms"])
+    assert rep.params["norms"][-1] <= rep.params["target"]
+
+
+def test_norm_formula_fails_against_another_products_target(monkeypatch):
+    # negative control: the target comes from b(0) alone, so a substituted b(0) judges one
+    # product's norms against another's target.  {0.5}'s norms (about sqrt 3) miss {0.8}'s
+    # target 3 by 42%, and {0.8}'s norms exceed sqrt 3, which no compression can
+    from blaschkeops import verify
+
+    monkeypatch.setattr(verify, "evaluate", lambda b, z: 0.8)
+    rep = verify_relation(make_blaschke([0.5]), "norm_formula", MID)
+    assert rep.params["target"] == pytest.approx(3.0) and rep.params["norms"][-1] < 1.74
+    assert not rep.passed and rep.residual > 0.4
+    monkeypatch.setattr(verify, "evaluate", lambda b, z: 0.5)
+    with pytest.raises(ValueError, match="window-32 norm .* > target .* on grid 4096"):
+        verify_relation(make_blaschke([0.8]), "norm_formula", MID)
+
+
+@pytest.mark.parametrize(
+    "zeros, grid",
+    [([0.5, -0.3j], 512), (seeded_zeros(32, 0.5), 4096)],
+    ids=["two-mixed-grid-512", "32-zeros-grid-4096"],
+)
+def test_norm_formula_refuses_a_norm_above_the_target(zeros, grid):
+    # an aliased Gamma_b: its window-128 norm is 1.217 against 1.163 on grid 512 with
+    # two zeros, and 1.0302 against 1 with 32; both passed under the 0.05 tolerance
+    with pytest.raises(ValueError, match=f"window-128 norm .* > target .* on grid {grid}"):
+        verify_relation(make_blaschke(zeros), "norm_formula", RunConfig(grid_size=grid, mode_window=64))
 
 
 @pytest.mark.parametrize("window", [8, 100])
