@@ -172,23 +172,6 @@ def nonnegative_powers(z, top: int, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def integer_powers(z, window: int) -> np.ndarray:
-    """z^n for n = -window..window, shape (2*window+1, len(z)); row window + n holds z^n.
-
-    The rows n >= 0 are nonnegative_powers.  The negative rows, read by the
-    weighted columns of operators, are reciprocals of the positive ones, not
-    conjugates: samples of b are unimodular only to a few ulps.  Row n does not
-    depend on the window, so a wider table holds a narrower one bit for bit.
-    """
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((2 * window + 1, z.size), dtype=complex)
-    pos = nonnegative_powers(z, window, out=out[window:])  # rows n = 0..window
-    np.divide(1.0, pos[:0:-1], out=out[:window])
-    return out
-
-
 def sample(f, grid: CircleGrid) -> BoundaryFunction:
     """Sample a pointwise-evaluable function of z = e^{it} on the grid nodes."""
     return BoundaryFunction(grid, np.asarray(f(grid.points), dtype=complex))

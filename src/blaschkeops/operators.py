@@ -3,20 +3,20 @@
 Multiplication pi(phi) is Toeplitz; composition Gamma_b has column n equal to
 the Fourier window of b^n; the master isometry C_b = pi(J^{1/2}) Gamma_b; the
 Cuntz isometries S_i have columns v_i b^n; the transfer matrix has columns
-L(e_n).  Gamma_b and the transfer matrix transform only their columns n >= 0:
-on the circle b^{-n} = conj(b^n) and L(e_{-n}) = conj L(e_n), so column -n is
-column n conjugated with its rows reversed.  The b^n table keeps its
-reciprocal rows for the weighted columns (C_b sampled directly, S_i).  The
-identities are exact only in the infinite limit, so each is certified on an
+L(e_n).  Every column builder reads one-sided tables, n = 0..window: on the
+circle b^{-n} = conj(b^n) and L(e_{-n}) = conj L(e_n), so column -n of
+w b^n is the window of conj(w) b^n conjugated with its rows reversed, and
+Gamma_b and the transfer matrix (w = 1) transform their columns n >= 0 only.
+The identities are exact only in the infinite limit, so each is certified on an
 interior mode block, from column tails.  Sampled constructions (the column
 builders, mult_operator, block) measure the discarded mass of each column;
 derived ones (compose, adjoint) carry inf, "not certified", so a check names
 the sampled operators it certifies from.  master_isometry_matrix, whose tails
-the CLI publishes, bounds them itself.  The column builders share one kernel,
-_columns_from_samples, which reads its sample table in row blocks of
-COLUMN_BLOCK samples, each transformed into one reused buffer, and sums each
-column's discarded mass in mode order, so the blocks give the bits of one
-whole-table transform.
+the CLI publishes, bounds them itself.  The column builders share one path,
+_mirrored_columns, and one kernel under it, _columns_from_samples, which
+reads its sample table in row blocks of COLUMN_BLOCK samples, each
+transformed into one reused buffer, and sums each column's discarded mass in
+mode order, so the blocks give the bits of one whole-table transform.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .circlefun import (
     FourierSeries,
     complex_pairs,
     fourier_coeffs,
-    integer_powers,
     nonnegative_powers,
 )
 from .model_space import ModelBasis, validate_basis
@@ -210,31 +209,24 @@ def _columns_from_samples(
     return TruncatedOperator(mat, (-window, window), col_modes, "L2", tails)
 
 
-def _mirrored_columns(rows: np.ndarray, grid: CircleGrid, window: int) -> TruncatedOperator:
-    """Column n >= 0 is the window of rows[n]; column -n, of conj(rows[n]), is A[k, -n] = conj A[-k, n], same tail."""
-    half = _columns_from_samples(rows, grid, window, (0, window))
+def _mirrored_columns(
+    rows: np.ndarray, grid: CircleGrid, window: int, weight: np.ndarray | None
+) -> TruncatedOperator:
+    """Columns -window..window of w * z^n from rows[n] = z^n, n = 0..window, with z unimodular.
+
+    Column n >= 0 is the window of weight * rows[n].  Column -n is the window
+    of w * conj(rows[n]) = conj(conj(w) * rows[n]): the window B of
+    conj(weight) * rows[n], conjugated with its rows reversed, A[k, -n] =
+    conj B[-k, n], with B's tail.  weight=None is w = 1, where B is the
+    columns n >= 0 themselves.
+    """
+    half = _columns_from_samples(rows, grid, window, (0, window), weight)
+    back = half if weight is None else _columns_from_samples(rows, grid, window, (0, window), np.conj(weight))
     mat = np.empty((2 * window + 1, 2 * window + 1), dtype=complex)
     mat[:, window:] = half.matrix
-    np.conjugate(half.matrix[::-1, :0:-1], out=mat[:, :window])
-    tails = np.concatenate((half.column_tail[:0:-1], half.column_tail))
+    np.conjugate(back.matrix[::-1, :0:-1], out=mat[:, :window])
+    tails = np.concatenate((back.column_tail[:0:-1], half.column_tail))
     return TruncatedOperator(mat, (-window, window), (-window, window), "L2", tails)
-
-
-def _power_samples(bs: BranchSystem, grid: CircleGrid, window: int) -> np.ndarray:
-    """b^n on the grid for n = -window..window, shape (2*window+1, K), read-only.
-
-    One memoised table per grid is grown to the widest window asked for: a
-    narrower table is dropped and the wider one built in its place.  A
-    narrower window gets a view of the central rows.
-    """
-    key = ("powers", grid.size)
-    table = bs._grid_cache.get(key)
-    if table is not None and table.shape[0] < 2 * window + 1:
-        table = None  # drop both references to the narrower table before building
-        del bs._grid_cache[key]
-    table = bs.memo(key, lambda: integer_powers(evaluate(bs.owner, grid.points), window))
-    mid = table.shape[0] // 2
-    return table[mid - window : mid + window + 1]
 
 
 def weighted_composition_matrix(
@@ -242,23 +234,26 @@ def weighted_composition_matrix(
 ) -> TruncatedOperator:
     """Direct sampling of pi(w) Gamma_b: column n is the Fourier window of w * b^n.
 
-    The recorded tails are measured discarded mass, which makes these the sharp
+    Columns n < 0 come from conj(w) b^{|n|} (_mirrored_columns), so only the
+    one-sided table b^0..b^window is built, and it is dropped on return.  The
+    recorded tails are measured discarded mass, which makes these the sharp
     certificates for identities involving products with Gamma_b.
     """
     w = np.asarray(weight, dtype=complex)
     if w.shape != (grid.size,):
         raise ValueError("weight must be sampled on the grid")
-    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window), w)
+    return _mirrored_columns(nonnegative_powers(evaluate(bs.owner, grid.points), window), grid, window, w)
 
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
     """Composition operator: column n is the Fourier window of b^n = conj(b^{-n}) on the circle.
 
-    Transforms the table's rows n >= 0 only (its reciprocal rows are weighted_composition_matrix's).
-    Memoised per (grid, window), matrix and tails read-only: one transform per window for every caller.
+    Transforms the one-sided table b^0..b^window only; column -n is column n
+    mirrored.  Memoised per (grid, window), matrix and tails read-only: one
+    transform per window for every caller.
     """
     def build():
-        return _mirrored_columns(_power_samples(bs, grid, window)[window:], grid, window)
+        return _mirrored_columns(nonnegative_powers(evaluate(bs.owner, grid.points), window), grid, window, None)
 
     return bs.memo(("gamma", grid.size, window), build)
 
@@ -300,7 +295,7 @@ def cuntz_family_matrices(
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
     """Transfer operator: column n is the Fourier window of L(e_n) = conj L(e_{-n}), the fibre mean of z^n."""
-    return _mirrored_columns(fibre_power_means(grid_fibre(bs, grid), window), grid, window)
+    return _mirrored_columns(fibre_power_means(grid_fibre(bs, grid), window), grid, window, None)
 
 
 # -- dense algebra -------------------------------------------------------------

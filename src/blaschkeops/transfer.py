@@ -112,8 +112,7 @@ def fibre_power_means(fib: np.ndarray, window: int) -> np.ndarray:
     Row n is L(e_n) at the points whose preimages are the columns of `fib`
     (shape (N, K)).  The table is one-sided: fibre points are exp(1j*angle),
     unimodular to about an ulp, so L(e_{-n}) = conj L(e_n) and no reciprocal
-    rows are built (samples of b are not, which is why Gamma_b's table keeps
-    its reciprocals).  Each branch's powers are summed from one reused buffer,
+    rows are built.  Each branch's powers are summed from one reused buffer,
     so two tables are live at most; the returned array is fresh.
     """
     acc = nonnegative_powers(fib[0], window)

@@ -227,3 +227,28 @@ def power_coefficients_mpmath(zeros, window, dps=50):
             out[window:, window + n] = [complex(c) for c in up]  # modes 0..window
             out[window::-1, window - n] = [complex(c) for c in down]  # modes 0..-window
     return out
+
+
+def weighted_negative_power_windows_mpmath(zeros, weight, z, window, dps=50):
+    """The discrete Fourier window -window..window of weight * b^{-n} on the grid z, n = 1..window,
+    shape (2*window+1, window), column n - 1 for b^{-n}: b at the points z and the transform's
+    twiddles e^{-2 pi i m/K} at `dps` digits, the float weight taken as exact (no FFT, no power table)."""
+    import mpmath
+
+    size = len(z)
+    out = np.empty((2 * window + 1, window), dtype=complex)
+    with mpmath.workdps(dps):
+        twiddle = [mpmath.expjpi(mpmath.mpf(-2 * m) / size) for m in range(size)]
+        samples = []
+        for wk, p in zip(map(complex, weight), map(complex, z)):
+            x, value = mpmath.mpc(p.real, p.imag), mpmath.mpc(1)
+            for a in map(complex, zeros):
+                a = mpmath.mpc(a.real, a.imag)
+                value *= x if a == 0 else (abs(a) / a) * (a - x) / (1 - mpmath.conj(a) * x)
+            samples.append((mpmath.mpc(wk.real, wk.imag), 1 / value))
+        for n in range(1, window + 1):
+            column = [w * inv**n for w, inv in samples]
+            for k in range(-window, window + 1):
+                coeff = mpmath.fdot(column, [twiddle[(k * j) % size] for j in range(size)]) / size
+                out[k + window, n - 1] = complex(coeff)
+    return out

@@ -14,7 +14,6 @@ from blaschkeops.circlefun import (
     exponential,
     fourier_coeffs,
     fourier_window,
-    integer_powers,
     l2_inner,
     l2_norm,
     nonnegative_powers,
@@ -143,43 +142,42 @@ def test_analytic_extension_guard():
 SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
 
 
+# integer powers z^n have one kernel, nonnegative_powers: a negative power on
+# the circle is the conjugate of a nonnegative one, so no table holds both
+
+
 @pytest.mark.parametrize("window", [0, 1, 2, 3, 64, 128])
 def test_integer_powers_rows(window):
     z = np.exp(1j * np.linspace(0.1, 6.2, 37))
-    p = integer_powers(z, window)
-    assert p.shape == (2 * window + 1, 37)
+    p = nonnegative_powers(z, window)
+    assert p.shape == (window + 1, 37)
     assert p.dtype == np.complex128
-    assert np.array_equal(p[window], np.ones(37))
+    assert np.array_equal(p[0], np.ones(37))
     if window:
-        assert np.array_equal(p[window + 1], z)
-        assert np.array_equal(p[window - 1], 1.0 / z)
-    ns = np.arange(-window, window + 1)
+        assert np.array_equal(p[1], z)
+    ns = np.arange(window + 1)
     assert np.max(np.abs(p - z[None, :] ** ns[:, None])) < 1e-13
-    # row n does not depend on the window
-    wide = integer_powers(z, 130)
-    assert np.array_equal(wide[130 - window : 131 + window], p)
+    # row n does not depend on the top
+    wide = nonnegative_powers(z, 130)
+    assert np.array_equal(wide[: window + 1], p)
 
 
 @pytest.mark.parametrize("window", [0, 1, 2, 3, 64, 128, 256])
 def test_integer_powers_positive_rows_are_the_doubling_helper(window):
-    # pair_power_gram builds its powers with nonnegative_powers directly
+    # the column builders take b^0..b^window and pair_power_gram b^0..b^(2 window)
+    # from the one doubling helper, so the rows they share must agree bit for bit
     z = evaluate(make_blaschke(SIX_ZEROS), CircleGrid(512).points)
-    assert np.array_equal(integer_powers(z, window)[window:], nonnegative_powers(z, window))
-
-
-def test_integer_powers_rejects_negative_window():
-    with pytest.raises(ValueError):
-        integer_powers(np.ones(4, dtype=complex), -1)
+    assert np.array_equal(nonnegative_powers(z, 2 * window)[: window + 1], nonnegative_powers(z, window))
 
 
 def test_integer_powers_match_numpy_on_b_and_fibre():
     b = make_blaschke(SIX_ZEROS)
     grid = CircleGrid(4096)
-    ns = np.arange(-128, 129)[:, None]
+    ns = np.arange(129)[:, None]
     bvals = evaluate(b, grid.points)
-    assert np.max(np.abs(integer_powers(bvals, 128) - bvals[None, :] ** ns)) < 1e-13
+    assert np.max(np.abs(nonnegative_powers(bvals, 128) - bvals[None, :] ** ns)) < 1e-13
     for branch in grid_fibre(build_branches(b), grid):
-        assert np.max(np.abs(integer_powers(branch, 128) - branch[None, :] ** ns)) < 1e-13
+        assert np.max(np.abs(nonnegative_powers(branch, 128) - branch[None, :] ** ns)) < 1e-13
 
 
 def test_integer_powers_against_mpmath():
@@ -191,7 +189,7 @@ def test_integer_powers_against_mpmath():
     grid = CircleGrid(4096)
     z = evaluate(make_blaschke(SIX_ZEROS), grid.points)[::256]
     window = 128
-    ns = np.arange(-window, window + 1)
+    ns = np.arange(window + 1)
     exact = [[mpmath.mpc(v.real, v.imag) ** int(n) for v in z] for n in ns]
 
     def worst(table):
@@ -199,7 +197,7 @@ def test_integer_powers_against_mpmath():
             float(abs(e - mpmath.mpc(v.real, v.imag))) for er, row in zip(exact, table) for e, v in zip(er, row)
         )
 
-    kernel_err = worst(integer_powers(z, window))
+    kernel_err = worst(nonnegative_powers(z, window))
     assert kernel_err <= worst(z[None, :] ** ns[:, None])
     assert kernel_err < 1e-14
 

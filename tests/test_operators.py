@@ -11,6 +11,7 @@ from blaschkeops.circlefun import (
     FourierSeries,
     exponential,
     fourier_coeffs,
+    nonnegative_powers,
     sample,
     synthesize,
 )
@@ -20,7 +21,7 @@ from blaschkeops.operators import (
     PAIR_ROWS,
     TruncatedOperator,
     _columns_from_samples,
-    _power_samples,
+    _mirrored_columns,
     adjoint,
     block,
     compose,
@@ -46,7 +47,7 @@ from blaschkeops.transfer import ModuleFamily, arcs_basis, grid_fibre, module_gr
 from blaschkeops.verify import _ONE
 
 from conftest import ones_basis, seeded_zeros
-from oracles import grid_mean, power_coefficients_mpmath
+from oracles import grid_mean, power_coefficients_mpmath, weighted_negative_power_windows_mpmath
 
 
 def _zero_like(op):
@@ -153,16 +154,23 @@ def test_gamma_gram_entry_is_b0(half):
     assert abs(gram.entry(0, 1) - 0.5) < 1e-10
 
 
-def test_power_table_is_read_only():
-    bs = build_branches(make_blaschke([0.5, -0.3j]))
+def test_column_builders_memoise_no_power_table():
+    # each builder forms its b^n table and drops it: after Gamma_b, C_b and the
+    # S_i at two windows the memo holds operators and their shared inputs only
+    b = make_blaschke([0.5, -0.3j])
+    bs = build_branches(b)
     grid = CircleGrid(512)
-    gamma_b_matrix(bs, 16, grid)
-    table = bs._grid_cache[("powers", 512)]
-    assert table.shape == (33, 512)
-    for arr in (table, _power_samples(bs, grid, 8)):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
+    for m in (16, 8):
+        gamma_b_matrix(bs, m, grid)
+        master_isometry_matrix_direct(bs, m, grid)
+        cuntz_family_matrices(bs, canonical_basis(b), m, grid)
+    assert set(bs._grid_cache) == {
+        ("c_direct", 512, 8),
+        ("c_direct", 512, 16),
+        ("gamma", 512, 8),
+        ("gamma", 512, 16),
+        ("outer", 512, 0.5),
+    }
 
 
 def test_shared_inputs_are_memoised_read_only():
@@ -174,7 +182,6 @@ def test_shared_inputs_are_memoised_read_only():
     builders = {
         "grid_fibre": lambda: grid_fibre(bs, grid),
         "outer_symbol": lambda: outer_symbol(bs, grid, 0.5),
-        "_power_samples": lambda: _power_samples(bs, grid, m).base,  # a view of the one table
         "gamma_b_matrix": lambda: gamma_b_matrix(bs, m, grid),
         "master_isometry_matrix_direct": lambda: master_isometry_matrix_direct(bs, m, grid),
         "module_gram": lambda: module_gram(bs, arcs, grid),
@@ -186,7 +193,6 @@ def test_shared_inputs_are_memoised_read_only():
         "J^1/2 boundary values": outer_symbol(bs, grid, 0.5).boundary.values,
         "J^1/2 roots": outer_symbol(bs, grid, 0.5).roots,
         "J^1/2 poles": outer_symbol(bs, grid, 0.5).poles,
-        "b^n table": _power_samples(bs, grid, m),
         "Gamma_b matrix": gamma_b_matrix(bs, m, grid).matrix,
         "Gamma_b tails": gamma_b_matrix(bs, m, grid).column_tail,
         "C_b matrix": master_isometry_matrix_direct(bs, m, grid).matrix,
@@ -199,14 +205,13 @@ def test_shared_inputs_are_memoised_read_only():
         assert not array.flags.writeable, name
 
 
-def test_power_table_grown_once_serves_narrower_windows_exactly():
-    # the views of the grown table must equal what a fresh branch system builds
+def test_gamma_b_memo_leaves_every_window_as_a_fresh_branch_system_builds_it():
+    # after a wide Gamma_b, every window still equals what a fresh branch system builds
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     grid = CircleGrid(1024)
     weight = canonical_basis(b).values(grid.points)[1]
     bs = build_branches(b)
     wide = gamma_b_matrix(bs, 128, grid)
-    assert bs._grid_cache[("powers", 1024)].shape == (257, 1024)
     # one Gamma_b per (grid, window), shared read-only by every caller
     assert gamma_b_matrix(bs, 128, grid) is wide
     for array in (wide.matrix, wide.column_tail):
@@ -220,7 +225,6 @@ def test_power_table_grown_once_serves_narrower_windows_exactly():
         got, want = build(bs), build(build_branches(b))
         assert np.array_equal(got.matrix, want.matrix)
         assert np.array_equal(got.column_tail, want.column_tail)
-    assert bs._grid_cache[("powers", 1024)].shape == (257, 1024)  # not rebuilt narrower
 
 
 @pytest.mark.parametrize("size, window", [(64, 5), (64, 31), (128, 0), (1024, 128)])
@@ -277,21 +281,22 @@ def test_row_blocks_give_the_bits_of_one_whole_table_transform(size, window, las
 
 
 def test_column_builders_hold_no_full_size_temporary():
-    # with the b^n table built, Gamma_b and pi(w) Gamma_b at window 128 allocate
-    # their output and one block of scratch, not a copy or transform of the table
+    # with the b^n table built, the columns of Gamma_b (w = 1) and of pi(w) Gamma_b
+    # at window 128 allocate their output and one block of scratch per transform,
+    # not a copy or transform of the table
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
-    grid = CircleGrid(4096)
+    grid, window = CircleGrid(4096), 128
     weight = canonical_basis(b).values(grid.points)[1]
-    bs = build_branches(b)
-    table = _power_samples(bs, grid, 128)
-    for build in (lambda: gamma_b_matrix(bs, 128, grid), lambda: weighted_composition_matrix(bs, weight, 128, grid)):
+    rows = nonnegative_powers(evaluate(b, grid.points), window)
+    bound = (2 * window + 1) * grid.size * rows.itemsize / 4  # a quarter of a two-sided (257-row) table
+    for w in (None, weight):
         tracemalloc.start()
         try:
-            build()
+            _mirrored_columns(rows, grid, window, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table.nbytes / 4, (peak, table.nbytes)
+        assert peak < bound, (peak, bound)
 
 
 # -- master isometry --------------------------------------------------------------
@@ -496,21 +501,27 @@ def test_gamma_b_negative_columns_mirror_the_positive(zeros, window):
         assert gam.column_tail[window - n] == gam.column_tail[window + n]
 
 
-def _gamma_b_from_reciprocals(bs, window, grid):
-    # the reference: every column transformed, the negative ones from the table's reciprocal rows
-    return _columns_from_samples(_power_samples(bs, grid, window), grid, window, (-window, window))
+def _from_reciprocals(bs, window, grid, weight):
+    # the reference: every column of w b^n transformed, n = -window..window, the
+    # negative ones from reciprocal rows 1 / b^{|n|}
+    pos = nonnegative_powers(evaluate(bs.owner, grid.points), window)
+    rows = np.concatenate((1.0 / pos[:0:-1], pos))
+    return _columns_from_samples(rows, grid, window, (-window, window), weight)
 
 
-@pytest.mark.parametrize(
+_MIRROR_CASES = pytest.mark.parametrize(
     "zeros",
     [[0.5], _SIX_ZEROS, [0.999], [0.99, 0.99j, -0.99, 0.5]],
     ids=["half", "six-zeros", "0.999", "near-circle-four"],
 )
+
+
+@_MIRROR_CASES
 @pytest.mark.parametrize("window", [64, 128])
 def test_gamma_b_mirror_agrees_with_the_reciprocal_rows(zeros, window):
     bs = build_branches(make_blaschke(zeros))
     grid = CircleGrid(4096)
-    got, want = gamma_b_matrix(bs, window, grid), _gamma_b_from_reciprocals(bs, window, grid)
+    got, want = gamma_b_matrix(bs, window, grid), _from_reciprocals(bs, window, grid, None)
     assert np.array_equal(got.matrix[:, window:], want.matrix[:, window:])  # the columns n >= 0
     assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-14
     assert np.array_equal(got.column_tail > 1e-10, want.column_tail > 1e-10)
@@ -525,9 +536,42 @@ def test_gamma_b_mirror_is_no_less_accurate_than_the_reciprocal_rows():
     bs = build_branches(make_blaschke(zeros))
     grid = CircleGrid(256)
     mirror = np.max(np.abs(gamma_b_matrix(bs, window, grid).matrix - exact))
-    reciprocal = np.max(np.abs(_gamma_b_from_reciprocals(bs, window, grid).matrix - exact))
+    reciprocal = np.max(np.abs(_from_reciprocals(bs, window, grid, None).matrix - exact))
     assert mirror <= reciprocal
     assert mirror < 4e-15
+
+
+@_MIRROR_CASES
+@pytest.mark.parametrize("window", [64, 128])
+def test_weighted_mirror_agrees_with_the_reciprocal_rows(zeros, window):
+    # the direct C_b and the S_i (weighted_composition_matrix on the canonical
+    # basis, which cuntz_family_matrices calls after validating the basis)
+    b = make_blaschke(zeros)
+    bs = build_branches(b)
+    grid = CircleGrid(4096)
+    cases = [(master_isometry_matrix_direct(bs, window, grid), outer_symbol(bs, grid, 0.5).boundary.values)]
+    cases += [(weighted_composition_matrix(bs, v, window, grid), v) for v in canonical_basis(b).values(grid.points)]
+    for got, weight in cases:
+        want = _from_reciprocals(bs, window, grid, weight)
+        assert np.array_equal(got.matrix[:, window:], want.matrix[:, window:])  # the columns n >= 0
+        assert np.array_equal(got.column_tail[window:], want.column_tail[window:])
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-13
+        assert np.array_equal(got.column_tail > 1e-10, want.column_tail > 1e-10)
+
+
+@pytest.mark.parametrize("zeros", [[0.5, -0.3j], [0.999]], ids=["two-mixed", "0.999"])
+def test_weighted_mirror_is_as_accurate_as_the_reciprocal_rows(zeros):
+    # against the 50-digit transform of J^{1/2} b^{-n} on the grid: the mirror
+    # reads |b| = 1 where the grid samples are off by a few ulps, which may cost
+    # a little, but no more than the reciprocal rows' own rounding again
+    window = 16
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(256)
+    weight = outer_symbol(bs, grid, 0.5).boundary.values
+    exact = weighted_negative_power_windows_mpmath(zeros, weight, grid.points, window)  # columns -1..-window
+    mirror = np.max(np.abs(master_isometry_matrix_direct(bs, window, grid).matrix[:, window - 1 :: -1] - exact))
+    reciprocal = np.max(np.abs(_from_reciprocals(bs, window, grid, weight).matrix[:, window - 1 :: -1] - exact))
+    assert mirror <= 2 * reciprocal, (mirror, reciprocal)
 
 
 def test_transfer_matrix_h2_block(mixed):
