@@ -3,10 +3,14 @@
 Multiplication pi(phi) is Toeplitz; composition Gamma_b has column n equal to
 the Fourier window of b^n; the master isometry C_b = pi(J^{1/2}) Gamma_b; the
 Cuntz isometries S_i have columns v_i b^n; the transfer matrix has columns
-L(e_n).  Every column builder reads one-sided tables, n = 0..window: on the
-circle b^{-n} = conj(b^n) and L(e_{-n}) = conj L(e_n), so column -n of
-w b^n is the window of conj(w) b^n conjugated with its rows reversed, and
-Gamma_b and the transfer matrix (w = 1) transform their columns n >= 0 only.
+L(e_n).  Every column builder reads one-sided tables, n = 0..c for columns
+-c..c: on the circle b^{-n} = conj(b^n) and L(e_{-n}) = conj L(e_n), so
+column -n of w b^n is the window of conj(w) b^n conjugated with its rows
+reversed, and Gamma_b and the transfer matrix (w = 1) transform their
+columns n >= 0 only.  c is the window unless the caller of the direct C_b or
+the S_i names fewer: the verifier reads those on its interior columns only.
+Gamma_b is memoised per (grid, window), the direct C_b per (grid, window,
+columns).
 The identities are exact only in the infinite limit, so each is certified on an
 interior mode block, from column tails.  Sampled constructions (the column
 builders, mult_operator, block) measure the discarded mass of each column;
@@ -212,37 +216,51 @@ def _columns_from_samples(
 def _mirrored_columns(
     rows: np.ndarray, grid: CircleGrid, window: int, weight: np.ndarray | None
 ) -> TruncatedOperator:
-    """Columns -window..window of w * z^n from rows[n] = z^n, n = 0..window, with z unimodular.
+    """Rows -window..window, columns -c..c of w * z^n from rows[n] = z^n, n = 0..c, with z unimodular.
 
-    Column n >= 0 is the window of weight * rows[n].  Column -n is the window
-    of w * conj(rows[n]) = conj(conj(w) * rows[n]): the window B of
-    conj(weight) * rows[n], conjugated with its rows reversed, A[k, -n] =
-    conj B[-k, n], with B's tail.  weight=None is w = 1, where B is the
-    columns n >= 0 themselves.
+    c is the height of the table less one, so a caller that reads fewer
+    columns than rows passes a shorter table.  Column n >= 0 is the window of
+    weight * rows[n].  Column -n is the window of w * conj(rows[n]) =
+    conj(conj(w) * rows[n]): the window B of conj(weight) * rows[n],
+    conjugated with its rows reversed, A[k, -n] = conj B[-k, n], with B's
+    tail.  weight=None is w = 1, where B is the columns n >= 0 themselves.
     """
-    half = _columns_from_samples(rows, grid, window, (0, window), weight)
-    back = half if weight is None else _columns_from_samples(rows, grid, window, (0, window), np.conj(weight))
-    mat = np.empty((2 * window + 1, 2 * window + 1), dtype=complex)
-    mat[:, window:] = half.matrix
-    np.conjugate(back.matrix[::-1, :0:-1], out=mat[:, :window])
+    c = rows.shape[0] - 1
+    half = _columns_from_samples(rows, grid, window, (0, c), weight)
+    back = half if weight is None else _columns_from_samples(rows, grid, window, (0, c), np.conj(weight))
+    mat = np.empty((2 * window + 1, 2 * c + 1), dtype=complex)
+    mat[:, c:] = half.matrix
+    np.conjugate(back.matrix[::-1, :0:-1], out=mat[:, :c])
     tails = np.concatenate((back.column_tail[:0:-1], half.column_tail))
-    return TruncatedOperator(mat, (-window, window), (-window, window), "L2", tails)
+    return TruncatedOperator(mat, (-window, window), (-c, c), "L2", tails)
+
+
+def _column_count(window: int, columns: int | None) -> int:
+    """The columns c of a b^n column builder, whose columns are -c..c: window unless the caller names fewer."""
+    if columns is None:
+        return window
+    if columns < 0:
+        raise ValueError(f"columns must be >= 0, got {columns}")
+    return columns
 
 
 def weighted_composition_matrix(
-    bs: BranchSystem, weight: np.ndarray, window: int, grid: CircleGrid
+    bs: BranchSystem, weight: np.ndarray, window: int, grid: CircleGrid, columns: int | None = None
 ) -> TruncatedOperator:
     """Direct sampling of pi(w) Gamma_b: column n is the Fourier window of w * b^n.
 
-    Columns n < 0 come from conj(w) b^{|n|} (_mirrored_columns), so only the
-    one-sided table b^0..b^window is built, and it is dropped on return.  The
-    recorded tails are measured discarded mass, which makes these the sharp
-    certificates for identities involving products with Gamma_b.
+    Rows -window..window, columns -columns..columns (columns=None: the square
+    matrix, columns = window).  Columns n < 0 come from conj(w) b^{|n|}
+    (_mirrored_columns), so only the one-sided table b^0..b^columns is built,
+    and it is dropped on return.  The recorded tails are measured discarded
+    mass, which makes these the sharp certificates for identities involving
+    products with Gamma_b.
     """
     w = np.asarray(weight, dtype=complex)
     if w.shape != (grid.size,):
         raise ValueError("weight must be sampled on the grid")
-    return _mirrored_columns(nonnegative_powers(evaluate(bs.owner, grid.points), window), grid, window, w)
+    table = nonnegative_powers(evaluate(bs.owner, grid.points), _column_count(window, columns))
+    return _mirrored_columns(table, grid, window, w)
 
 
 def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
@@ -268,29 +286,37 @@ def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> T
     return TruncatedOperator(pj.matrix @ gam.matrix, pj.row_modes, gam.col_modes, "L2", tails)
 
 
-def master_isometry_matrix_direct(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
+def master_isometry_matrix_direct(
+    bs: BranchSystem, window: int, grid: CircleGrid, columns: int | None = None
+) -> TruncatedOperator:
     """C_b with column n sampled directly as J^{1/2} b^n (cross-check construction).
 
-    Memoised per (grid, window), matrix and tails read-only, as gamma_b_matrix.
+    Rows -window..window, columns -columns..columns (columns=None: columns =
+    window), as weighted_composition_matrix.  Memoised per (grid, window,
+    columns), matrix and tails read-only, as gamma_b_matrix.
     """
-    def build():
-        return weighted_composition_matrix(bs, outer_symbol(bs, grid, 0.5).boundary.values, window, grid)
+    c = _column_count(window, columns)
 
-    return bs.memo(("c_direct", grid.size, window), build)
+    def build():
+        return weighted_composition_matrix(bs, outer_symbol(bs, grid, 0.5).boundary.values, window, grid, c)
+
+    return bs.memo(("c_direct", grid.size, window, c), build)
 
 
 def cuntz_family_matrices(
-    bs: BranchSystem, basis: ModelBasis, window: int, grid: CircleGrid
+    bs: BranchSystem, basis: ModelBasis, window: int, grid: CircleGrid, columns: int | None = None
 ) -> list[TruncatedOperator]:
     """The Cuntz isometries S_i of a model-space basis, sampled column by column: S_i e_n = v_i b^n.
 
-    On interior blocks they agree with the module construction
-    pi(v_i J^{-1/2}) C_b, which
+    Rows -window..window, columns -columns..columns (columns=None: columns =
+    window).  One table b^0..b^columns serves every member.  On interior
+    blocks they agree with the module construction pi(v_i J^{-1/2}) C_b, which
     tests/test_operators.py::test_cuntz_cross_construction_agreement builds.
     The basis is validated first (Gram, H2 membership, orthogonality to b*H2).
     """
     validate_basis(basis, grid)
-    return [weighted_composition_matrix(bs, v, window, grid) for v in basis.values(grid.points)]
+    table = nonnegative_powers(evaluate(bs.owner, grid.points), _column_count(window, columns))
+    return [_mirrored_columns(table, grid, window, v) for v in basis.values(grid.points)]
 
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
@@ -347,9 +373,8 @@ def block(
 
 
 def restrict_to_h2(op: TruncatedOperator) -> TruncatedOperator:
-    """Compression to the analytic modes [0, M] (houses R_i and C_{b+})."""
-    hi = min(op.row_modes[1], op.col_modes[1])
-    return block(op, (0, hi), (0, hi), space="H2")
+    """Compression to the analytic modes: rows and columns from 0 up to op's own (houses R_i and C_{b+})."""
+    return block(op, (0, op.row_modes[1]), (0, op.col_modes[1]), space="H2")
 
 
 # -- certification helpers ------------------------------------------------------

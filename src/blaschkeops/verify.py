@@ -106,7 +106,7 @@ class _Context:
 
     The module Gram and completeness memos are keyed by the family object, so
     the bases are held here, one object per run.  Every other shared input
-    (fibre, J^p, the b^n table, Gamma_b, C_b) is memoised by its builder.
+    (fibre, J^p, Gamma_b, the direct C_b) is memoised by its builder.
     """
 
     def __init__(self, b: BlaschkeProduct, config: RunConfig):
@@ -142,7 +142,9 @@ class _Context:
 
     @cached_property
     def cuntz(self):
-        return cuntz_family_matrices(self.bs, self.basis, self.window, self.grid)
+        # the covariance checks read S_i's columns |n| <= interior + 1, the shifted ones included
+        columns = min(self.window, self.interior + 1)
+        return cuntz_family_matrices(self.bs, self.basis, self.window, self.grid, columns)
 
 
 def _seeded_symbol(seed: int) -> FourierSeries:
@@ -282,7 +284,7 @@ def _rel_master_isometry(ctx: _Context):
     # C_b e_n = J^{1/2} b^n: C_b* C_b = I from the moments; the two truncated
     # constructions of C_b are compared on the certified interior columns
     iso = orthonormality_defect(pair_power_gram(ctx.bs, _times_j_half(_ONE, ctx.bs, ctx.grid), ctx.window))
-    direct = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid)
+    direct = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid, ctx.interior)  # interior columns only
     cross, excl = _certify(ctx, [(master_isometry_matrix(ctx.bs, ctx.window, ctx.grid), direct, [direct])])
     return max(iso, cross), {
         "isometry_defect": iso,
@@ -292,7 +294,7 @@ def _rel_master_isometry(ctx: _Context):
 
 
 def _rel_h2_reduction(ctx: _Context):
-    c = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid)
+    c = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid, ctx.interior)
     m, inner = ctx.window, ctx.interior
     worst, excluded = 0.0, []
     # analytic columns leaking downward, co-analytic columns leaking upward

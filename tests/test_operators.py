@@ -156,17 +156,22 @@ def test_gamma_gram_entry_is_b0(half):
 
 def test_column_builders_memoise_no_power_table():
     # each builder forms its b^n table and drops it: after Gamma_b, C_b and the
-    # S_i at two windows the memo holds operators and their shared inputs only
+    # S_i at two windows, full and narrowed, the memo holds operators and their
+    # shared inputs only, the direct C_b once per (grid, window, columns)
     b = make_blaschke([0.5, -0.3j])
     bs = build_branches(b)
     grid = CircleGrid(512)
     for m in (16, 8):
         gamma_b_matrix(bs, m, grid)
         master_isometry_matrix_direct(bs, m, grid)
+        master_isometry_matrix_direct(bs, m, grid, m // 2)
         cuntz_family_matrices(bs, canonical_basis(b), m, grid)
+        cuntz_family_matrices(bs, canonical_basis(b), m, grid, m // 2 + 1)
     assert set(bs._grid_cache) == {
-        ("c_direct", 512, 8),
-        ("c_direct", 512, 16),
+        ("c_direct", 512, 8, 4),
+        ("c_direct", 512, 8, 8),
+        ("c_direct", 512, 16, 8),
+        ("c_direct", 512, 16, 16),
         ("gamma", 512, 8),
         ("gamma", 512, 16),
         ("outer", 512, 0.5),
@@ -184,10 +189,14 @@ def test_shared_inputs_are_memoised_read_only():
         "outer_symbol": lambda: outer_symbol(bs, grid, 0.5),
         "gamma_b_matrix": lambda: gamma_b_matrix(bs, m, grid),
         "master_isometry_matrix_direct": lambda: master_isometry_matrix_direct(bs, m, grid),
+        "narrowed master_isometry_matrix_direct": lambda: master_isometry_matrix_direct(bs, m, grid, m // 2),
         "module_gram": lambda: module_gram(bs, arcs, grid),
     }
     for name, build in builders.items():
         assert build() is build(), name
+    # the full and the narrowed direct C_b are two entries, and columns=None is columns=window
+    assert master_isometry_matrix_direct(bs, m, grid, m // 2) is not master_isometry_matrix_direct(bs, m, grid)
+    assert master_isometry_matrix_direct(bs, m, grid, m) is master_isometry_matrix_direct(bs, m, grid)
     arrays = {
         "fibre": grid_fibre(bs, grid),
         "J^1/2 boundary values": outer_symbol(bs, grid, 0.5).boundary.values,
@@ -197,6 +206,8 @@ def test_shared_inputs_are_memoised_read_only():
         "Gamma_b tails": gamma_b_matrix(bs, m, grid).column_tail,
         "C_b matrix": master_isometry_matrix_direct(bs, m, grid).matrix,
         "C_b tails": master_isometry_matrix_direct(bs, m, grid).column_tail,
+        "narrowed C_b matrix": master_isometry_matrix_direct(bs, m, grid, m // 2).matrix,
+        "narrowed C_b tails": master_isometry_matrix_direct(bs, m, grid, m // 2).column_tail,
         "module Gram": module_gram(bs, arcs, grid),
     }
     for name, array in arrays.items():
@@ -431,6 +442,81 @@ def test_restriction_to_h2(z2):
         restrict_to_h2(mult_operator(exponential(1), 8)).matrix,
         toeplitz_operator(exponential(1), 8).matrix,
     )
+
+
+def test_restriction_to_h2_keeps_rows_and_columns_separately():
+    rng = np.random.default_rng(3)
+
+    def random_operator(rows, cols):
+        shape = (2 * rows + 1, 2 * cols + 1)
+        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return TruncatedOperator(mat, (-rows, rows), (-cols, cols), "L2", rng.uniform(0, 1e-3, shape[1]))
+
+    # square: the block on modes 0..M of rows and columns, as before
+    op = random_operator(8, 8)
+    got, want = restrict_to_h2(op), block(op, (0, 8), (0, 8), space="H2")
+    assert (got.row_modes, got.col_modes, got.space) == ((0, 8), (0, 8), "H2")
+    assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(got.column_tail, want.column_tail)
+    # rectangular, either way round: every analytic row and every analytic column is kept,
+    # and only the negative rows fold into the tails
+    for rows, cols in ((8, 3), (3, 8)):
+        op = random_operator(rows, cols)
+        got = restrict_to_h2(op)
+        assert (got.row_modes, got.col_modes, got.space) == ((0, rows), (0, cols), "H2")
+        assert np.array_equal(got.matrix, op.matrix[rows:, cols:])
+        dropped = np.sum(np.abs(op.matrix[:rows, cols:]) ** 2, axis=0)
+        assert np.array_equal(got.column_tail, np.sqrt(op.column_tail[cols:] ** 2 + dropped))
+
+
+def test_restriction_to_h2_of_a_narrowed_cuntz_isometry_is_the_central_block(mixed):
+    # R_i of S_i built on columns -c..c is the columns 0..c of R_i of the square S_i, bit for bit
+    b, bs = mixed
+    g, m, c = CircleGrid(1024), 32, 17
+    full = cuntz_family_matrices(bs, canonical_basis(b), m, g)
+    narrow = cuntz_family_matrices(bs, canonical_basis(b), m, g, c)
+    for wide, thin in zip(map(restrict_to_h2, full), map(restrict_to_h2, narrow)):
+        assert (thin.row_modes, thin.col_modes) == ((0, m), (0, c))
+        assert np.array_equal(thin.matrix, wide.matrix[:, : c + 1])
+        assert np.array_equal(thin.column_tail, wide.column_tail[: c + 1])
+
+
+SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
+
+
+@pytest.mark.parametrize("window", [64, 128])
+@pytest.mark.parametrize("zeros", [[0.5], [0.5, -0.3j], SIX_ZEROS], ids=["half", "two-mixed", "six-zeros"])
+def test_narrowed_builders_are_the_central_columns_of_the_full_builds(zeros, window):
+    # the S_i on the columns the covariance checks read, and the direct C_b on the
+    # interior, equal the central columns of the square builds bit for bit, tails too
+    b = make_blaschke(zeros)
+    grid = CircleGrid(4096)
+    inner = window // 2
+    full_bs, narrow_bs = build_branches(b), build_branches(b)
+    wide = cuntz_family_matrices(full_bs, canonical_basis(b), window, grid)
+    wide.append(master_isometry_matrix_direct(full_bs, window, grid))
+    thin = cuntz_family_matrices(narrow_bs, canonical_basis(b), window, grid, inner + 1)
+    thin.append(master_isometry_matrix_direct(narrow_bs, window, grid, inner))
+    pairs = list(zip(wide, thin))
+    for wide, thin in pairs:
+        c = thin.col_modes[1]
+        assert (thin.row_modes, thin.col_modes) == ((-window, window), (-c, c))
+        centre = slice(window - c, window + c + 1)
+        assert np.array_equal(thin.matrix, wide.matrix[:, centre])
+        assert np.array_equal(thin.column_tail, wide.column_tail[centre])
+
+
+def test_weighted_composition_columns_default_to_the_window_and_refuse_a_negative_count(mixed):
+    b, bs = mixed
+    g = CircleGrid(256)
+    weight = canonical_basis(b).values(g.points)[1]
+    square = weighted_composition_matrix(bs, weight, 8, g)
+    assert square.col_modes == (-8, 8)
+    same = weighted_composition_matrix(bs, weight, 8, g, 8)
+    assert np.array_equal(same.matrix, square.matrix) and np.array_equal(same.column_tail, square.column_tail)
+    assert weighted_composition_matrix(bs, weight, 8, g, 0).col_modes == (0, 0)
+    with pytest.raises(ValueError, match="columns must be >= 0"):
+        weighted_composition_matrix(bs, weight, 8, g, -1)
 
 
 # -- transfer matrix ---------------------------------------------------------------

@@ -223,21 +223,59 @@ def test_cuntz_matrix_relations_on_a_grid_of_128():
         assert by_name[relation].passed, by_name[relation].params
 
 
-def test_verify_all_weighted_composition_call_count(mixed, monkeypatch):
-    # S_1, S_2 and C_b direct; implements_transfer reads moments, not pi(phi) C_b
-    from blaschkeops import operators, verify
+def test_verify_all_builds_one_power_table_per_family(mixed, monkeypatch):
+    # the weighted column builds are S_1, S_2 and the direct C_b; implements_transfer
+    # reads moments, not pi(phi) C_b.  The S_i share one b^n table, on the columns
+    # the covariance checks read, and the direct C_b has its own, on the interior
+    from blaschkeops import operators
 
-    calls = []
-    original = operators.weighted_composition_matrix
+    tables = []
+    original = operators._mirrored_columns
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recorded(rows, grid, window, weight):
+        if weight is not None:
+            tables.append(rows)
+        return original(rows, grid, window, weight)
 
-    assert not hasattr(verify, "weighted_composition_matrix")  # only the builders call it
-    monkeypatch.setattr(operators, "weighted_composition_matrix", counted)
-    verify_all(mixed[0], RunConfig(grid_size=4096, mode_window=64))
-    assert len(calls) == 3
+    monkeypatch.setattr(operators, "_mirrored_columns", recorded)
+    cfg = RunConfig(grid_size=4096, mode_window=64)
+    verify_all(mixed[0], cfg)
+    assert len(tables) == 3
+    family, direct = tables[:2], tables[2]
+    assert family[0] is family[1] and direct is not family[0]
+    assert family[0].shape == (cfg.interior + 2, cfg.grid_size)
+    assert direct.shape == (cfg.interior + 1, cfg.grid_size)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("zeros", [[0, 0], [0.5, -0.3j]], ids=["z2", "two-mixed"])
+def test_narrowed_builders_leave_every_report_as_the_full_builds_give_it(zeros, window, monkeypatch):
+    # the S_i are built on min(window, interior + 1) columns, never past the row
+    # window, so the shifted top column stays "no successor, tail inf"; the direct
+    # C_b on the interior.  Every report is the one that S_i and the direct C_b
+    # built on all 2 window + 1 columns give
+    from blaschkeops import verify
+
+    cfg = RunConfig(grid_size=256, mode_window=window)
+    cuntz, direct = verify.cuntz_family_matrices, verify.master_isometry_matrix_direct
+    asked = {"cuntz": [], "direct": []}
+
+    def recorded(name, build, full):
+        def call(*args):
+            asked[name].append(args[-1])
+            return build(*(args[:-1] if full else args))
+
+        return call
+
+    payloads = []
+    for full in (False, True):
+        monkeypatch.setattr(verify, "cuntz_family_matrices", recorded("cuntz", cuntz, full))
+        monkeypatch.setattr(verify, "master_isometry_matrix_direct", recorded("direct", direct, full))
+        payloads.append(reports_to_json(verify_all(make_blaschke(zeros), cfg)))
+    assert payloads[0] == payloads[1]
+    # per run: one family build, and the direct C_b in master_isometry and h2_reduction
+    assert asked["cuntz"] == [min(window, cfg.interior + 1)] * 2
+    assert asked["direct"] == [cfg.interior] * 4
 
 
 def test_verify_all_operator_norm_call_count(mixed, monkeypatch):
