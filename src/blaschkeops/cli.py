@@ -31,7 +31,7 @@ from .model_space import basis_series, canonical_basis
 from .operators import (
     cuntz_family_matrices,
     gamma_b_matrix,
-    master_isometry_matrix,
+    master_isometry_matrix_direct,
     mult_operator,
     transfer_matrix,
 )
@@ -181,7 +181,7 @@ def cmd_matrix(args) -> int:
     if which == "gamma":
         op = gamma_b_matrix(bs, m, grid)
     elif which == "cb":
-        op = master_isometry_matrix(bs, m, grid)
+        op = master_isometry_matrix_direct(bs, m, grid)
     elif which == "transfer":
         op = transfer_matrix(bs, m, grid)
     elif which == "cuntz":

@@ -14,11 +14,11 @@ columns).
 The identities are exact only in the infinite limit, so each is certified on an
 interior mode block, from column tails.  Sampled constructions (the column
 builders, mult_operator, block) measure the discarded mass of each column;
-derived ones (compose, adjoint) carry inf, "not certified", so a check names
-the sampled operators it certifies from.  master_isometry_matrix, whose tails
-the CLI publishes, bounds them itself.  The column builders share one path,
-_mirrored_columns, and one kernel under it, _columns_from_samples, which
-reads its sample table in row blocks of COLUMN_BLOCK samples, each
+derived ones (compose, adjoint, and so master_isometry_matrix) carry inf,
+"not certified", so a check names the sampled operators it certifies from.
+Every operator the CLI publishes is sampled.  The column builders share one
+path, _mirrored_columns, and one kernel under it, _columns_from_samples,
+which reads its sample table in row blocks of COLUMN_BLOCK samples, each
 transformed into one reused buffer, and sums each column's discarded mass in
 mode order, so the blocks give the bits of one whole-table transform.
 """
@@ -277,13 +277,10 @@ def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> Truncated
 
 
 def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
-    """C_b = pi(J^{1/2}) Gamma_b as a product of truncated matrices, with the
-    composition bound ||pi|| tail_Gamma[n] + sum_k tail_pi[k] |Gamma[k, n]| as tails."""
+    """C_b = pi(J^{1/2}) Gamma_b as a product of truncated matrices: a derived
+    operator, tails inf.  master_isometry_matrix_direct is the sampled C_b."""
     j_half = fourier_coeffs(outer_symbol(bs, grid, 0.5).boundary, window)
-    pj = mult_operator(j_half, window)
-    gam = gamma_b_matrix(bs, window, grid)
-    tails = operator_norm(pj) * gam.column_tail + pj.column_tail @ np.abs(gam.matrix)
-    return TruncatedOperator(pj.matrix @ gam.matrix, pj.row_modes, gam.col_modes, "L2", tails)
+    return compose(mult_operator(j_half, window), gamma_b_matrix(bs, window, grid))
 
 
 def master_isometry_matrix_direct(

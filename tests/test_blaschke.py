@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from blaschkeops import (
     blaschke_from_json,

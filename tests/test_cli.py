@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from blaschkeops import cli
-from blaschkeops.circlefun import series_from_json
+from blaschkeops import build_branches, cli, make_blaschke
+from blaschkeops.circlefun import CircleGrid, series_from_json
 from blaschkeops.config import RunConfig
 from blaschkeops.cli import main
-from blaschkeops.operators import operator_from_json
+from blaschkeops.operators import master_isometry_matrix, master_isometry_matrix_direct, operator_from_json
 
 
 @pytest.fixture
@@ -260,6 +260,25 @@ def test_matrix_cuntz_returns_family(inputs, capsys):
     assert len(ops) == 2
     assert ops[0].entry(2, 1) == pytest.approx(1.0)  # S1 e_1 = e_2
     assert ops[1].entry(3, 1) == pytest.approx(1.0)  # S2 e_1 = e_3
+
+
+def test_matrix_cb_publishes_the_sampled_c_b(tmp_path, capsys):
+    # columns J^{1/2} b^n sampled directly, with measured tails, as gamma,
+    # transfer and cuntz are; on certified columns the product pi(J^{1/2}) Gamma_b agrees
+    path = tmp_path / "b.json"
+    path.write_text('{"zeros": [[0.5, 0.0], [0.0, -0.3]]}')
+    bs = build_branches(make_blaschke([0.5, -0.3j]))
+    grid = CircleGrid(4096)
+    code, out = _run(["matrix", path, "--which", "cb", "--modes", "16"], capsys)
+    assert code == 0
+    assert out == master_isometry_matrix_direct(bs, 16, grid).to_json() + "\n"
+    code, out = _run(["matrix", path, "--which", "cb", "--modes", "64"], capsys)
+    assert code == 0
+    op = operator_from_json(out)
+    certified = op.column_tail < 1e-10
+    assert certified.any()
+    product = master_isometry_matrix(bs, 64, grid).matrix
+    assert np.max(np.abs(op.matrix[:, certified] - product[:, certified])) < 1e-8
 
 
 def test_decompose_even_odd(inputs, capsys):

@@ -50,6 +50,9 @@ from conftest import ones_basis, seeded_zeros
 from oracles import grid_mean, power_coefficients_mpmath, weighted_negative_power_windows_mpmath
 
 
+SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
+
+
 def _zero_like(op):
     return TruncatedOperator(
         np.zeros_like(op.matrix), op.row_modes, op.col_modes, op.space,
@@ -332,14 +335,33 @@ def test_master_isometry_interior_identity(mixed):
     assert cross < 1e-8
 
 
-def test_master_isometry_tails_are_the_composition_bound(mixed):
-    # the tails `matrix --which cb` publishes: ||pi|| tail_Gamma + tail_pi @ |Gamma|
+def test_master_isometry_matrix_is_a_derived_operator(mixed):
+    # the product pi(J^{1/2}) Gamma_b of two truncated matrices, with no tail
+    # bound of its own: the sampled C_b is master_isometry_matrix_direct
     _, bs = mixed
     g = CircleGrid(1024)
     pj = mult_operator(fourier_coeffs(outer_symbol(bs, g, 0.5).boundary, 16), 16)
-    gam = gamma_b_matrix(bs, 16, g)
-    bound = operator_norm(pj) * gam.column_tail + pj.column_tail @ np.abs(gam.matrix)
-    assert np.array_equal(master_isometry_matrix(bs, 16, g).column_tail, bound)
+    c = master_isometry_matrix(bs, 16, g)
+    assert np.array_equal(c.matrix, compose(pj, gamma_b_matrix(bs, 16, g)).matrix)
+    assert (c.row_modes, c.col_modes) == ((-16, 16), (-16, 16))
+    assert np.all(c.column_tail == np.inf)
+
+
+@pytest.mark.parametrize("window", [5, 16, 64])
+@pytest.mark.parametrize("zeros", [[0.5, -0.3j], [0.8], SIX_ZEROS], ids=["two-mixed", "single-0.8", "six-zeros"])
+def test_sampled_isometries_obey_parseval(zeros, window):
+    # Gamma_b, C_b and each S_i are isometries, so each sampled column is a unit
+    # vector: its kept window and its measured tail hold all of its mass
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(4096)
+    ops = {
+        "gamma": gamma_b_matrix(bs, window, grid),
+        "C_b": master_isometry_matrix_direct(bs, window, grid),
+        **{f"S_{i}": s for i, s in enumerate(cuntz_family_matrices(bs, canonical_basis(bs.owner), window, grid))},
+    }
+    for name, op in ops.items():
+        mass = op.column_tail**2 + np.sum(np.abs(op.matrix) ** 2, axis=0)
+        assert np.max(np.abs(mass - 1.0)) < 1e-12, name
 
 
 def test_master_isometry_reduced_by_h2(mixed):
@@ -481,9 +503,6 @@ def test_restriction_to_h2_of_a_narrowed_cuntz_isometry_is_the_central_block(mix
         assert np.array_equal(thin.column_tail, wide.column_tail[: c + 1])
 
 
-SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
-
-
 @pytest.mark.parametrize("window", [64, 128])
 @pytest.mark.parametrize("zeros", [[0.5], [0.5, -0.3j], SIX_ZEROS], ids=["half", "two-mixed", "six-zeros"])
 def test_narrowed_builders_are_the_central_columns_of_the_full_builds(zeros, window):
@@ -541,18 +560,15 @@ def _transfer_matrix_by_modes(bs, window, grid):
     return _columns_from_samples(samples, grid, window, (-window, window))
 
 
-_SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
-
-
 @pytest.mark.parametrize(
     "zeros, window",
     [
         ([0.5, -0.3j], 64),
         ([0.8], 64),
-        (_SIX_ZEROS, 128),
+        (SIX_ZEROS, 128),
         ([0.5, -0.3j], 1),
         ([0.8], 5),
-        (_SIX_ZEROS, 63),
+        (SIX_ZEROS, 63),
     ],
     ids=["two-mixed", "single-0.8", "six-zeros", "two-mixed-w1", "single-0.8-w5", "six-zeros-w63"],
 )
@@ -565,7 +581,7 @@ def test_transfer_matrix_matches_per_mode_powers(zeros, window):
     assert np.array_equal(got.column_tail > 1e-10, want.column_tail > 1e-10)
 
 
-@pytest.mark.parametrize("zeros", [[0.5, -0.3j], _SIX_ZEROS], ids=["two-mixed", "six-zeros"])
+@pytest.mark.parametrize("zeros", [[0.5, -0.3j], SIX_ZEROS], ids=["two-mixed", "six-zeros"])
 @pytest.mark.parametrize("window", [1, 5, 64])
 def test_transfer_matrix_negative_columns_mirror_the_positive(zeros, window):
     # L(e_{-n}) = conj L(e_n): T[m, -n] = conj T[-m, n], and the tails agree
@@ -576,7 +592,7 @@ def test_transfer_matrix_negative_columns_mirror_the_positive(zeros, window):
         assert L.column_tail[window - n] == L.column_tail[window + n]
 
 
-@pytest.mark.parametrize("zeros", [[0.5], _SIX_ZEROS], ids=["half", "six-zeros"])
+@pytest.mark.parametrize("zeros", [[0.5], SIX_ZEROS], ids=["half", "six-zeros"])
 @pytest.mark.parametrize("window", [1, 5, 64])
 def test_gamma_b_negative_columns_mirror_the_positive(zeros, window):
     # b^{-n} = conj(b^n) on the circle: Gamma[k, -n] = conj Gamma[-k, n], and the tails agree
@@ -597,7 +613,7 @@ def _from_reciprocals(bs, window, grid, weight):
 
 _MIRROR_CASES = pytest.mark.parametrize(
     "zeros",
-    [[0.5], _SIX_ZEROS, [0.999], [0.99, 0.99j, -0.99, 0.5]],
+    [[0.5], SIX_ZEROS, [0.999], [0.99, 0.99j, -0.99, 0.5]],
     ids=["half", "six-zeros", "0.999", "near-circle-four"],
 )
 
@@ -875,9 +891,6 @@ def test_orthonormality_defect_of_moments(mixed):
     assert orthonormality_defect(mu) == 0.0
     mu[0, 0, 3] = 0.25j
     assert orthonormality_defect(mu) == 0.25
-
-
-SIX_ZEROS = [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]
 
 
 def _direct_moments(bs, families, window):
