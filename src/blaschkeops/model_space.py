@@ -26,8 +26,7 @@ from .errors import GramCheckError
 from .transfer import (
     MODULE_GRAM_TOL,
     ModuleFamily,
-    expansion_deviation,
-    expansion_points,
+    expansion_blocks,
     fibre_gram,
     gram_deviation,
     grid_fibre,
@@ -161,11 +160,13 @@ def linking_reconstruction_deviation(
 ) -> float:
     """sup-error of B_j = sum_i A_i * (u_ij o b) over the grid, u_ij = <A_i, B_j>.
 
-    The coefficients are re-evaluated pointwise at b(z) (no interpolation), so
-    this also exercises the linking matrix off the sampling grid.
+    The module expansion of each B_j, block by block through transfer.expansion_blocks with
+    a_i = A_i and w_i = conj(A_i): the coefficients are taken at b(z), with no interpolation,
+    so this also exercises the linking matrix off the sampling grid.
     """
-    exc = sorted(set(family_a.exceptions) | set(family_b.exceptions))
-    z, fib = expansion_points(bs, grid, exc)  # one fibre serves all pairs
-    w_fib = family_a.values(fib)
-    np.conjugate(w_fib, out=w_fib)
-    return expansion_deviation(family_a.values(z), w_fib, zip(family_b.values(fib), family_b.values(z)))
+    worst = 0.0
+    blocks = expansion_blocks(bs, grid, (*family_a.exceptions, *family_b.exceptions), family_a, family_a.conjugate())
+    for z, fib, kernel in blocks:
+        for b_fib, b_z in zip(family_b.values(fib), family_b.values(z)):
+            worst = max(worst, float(np.max(np.abs(np.sum(kernel * b_fib, axis=0) - b_z))))
+    return worst

@@ -4,9 +4,9 @@ Against a model-space basis {v_i}, every bounded f splits with coefficients
 
     f_i = <v_i J^{-1/2}, J^{-1/2} f> = L(conj(v_i) J0^{-1} f),
 
-computed as branch means over one shared preimage fibre (transfer.fibre_means)
-and put back together at b(z) by transfer.expansion_sum.  When f is analytic,
-so is every f_i; a coefficient with negative-mode mass witnesses that f was not.
+sampled by transfer_apply on transfer.coefficient_family and put back together
+as sum_i v_i beta(f_i), beta = compose_with_b.  When f is analytic, so is every
+f_i; a coefficient with negative-mode mass witnesses that f was not.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, BranchSystem, evaluate, j0
-from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_window, synthesize, trim_series
+from .blaschke import BlaschkeProduct, BranchSystem
+from .circlefun import BoundaryFunction, CircleGrid, FourierSeries, fourier_window, trim_series
 from .model_space import ModelBasis, validate_basis
-from .transfer import expansion_sum, fibre_means, grid_fibre
+from .transfer import coefficient_family, compose_with_b, from_series, transfer_apply
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,19 @@ def decompose(
         validate_basis(basis, grid)
     win = grid.size // 4
 
-    # one shared preimage fibre serves every coefficient
-    fib = grid_fibre(bs, grid)
-    f_fib = synthesize(f, fib)
-    weight = f_fib / j0(bs.owner, np.angle(fib))
-
-    w_fib = basis.values(fib)  # (N, N, K)
-    np.conjugate(w_fib, out=w_fib)
+    # the grid fibre serves every coefficient; F has no exception angle, so no node is nudged
+    coeff_values = [g.values for g in transfer_apply(bs, coefficient_family(bs, basis, f), grid)]
     coeff_series = []
     membership = []
-    for c in fourier_window(np.stack(fibre_means(w_fib, weight)), win):
+    for c in fourier_window(np.stack(coeff_values), win):
         s = FourierSeries(c)
         membership.append(s.negative_energy())  # measured before trimming
         # floor sits above the root-finding noise in the sampled values
         coeff_series.append(trim_series(s, floor=3e-14))
 
     recon = reconstruct(bs, basis, coeff_series, grid)
-    residual = float(np.max(np.abs(recon.values - synthesize(f, grid.points))))
+    (target,) = from_series(f).values(grid.points)
+    residual = float(np.max(np.abs(recon.values - target)))
     return Decomposition(
         owner=bs.owner,
         basis_kind=basis.kind,
@@ -101,6 +97,5 @@ def reconstruct(
     if len(coefficients) != basis.size:
         raise ValueError("one coefficient series per basis element required")
     z = grid.points
-    bz = evaluate(bs.owner, z)
-    total = expansion_sum(basis.values(z), (synthesize(s, bz) for s in coefficients))
-    return BoundaryFunction(grid, total)
+    f_o_b = compose_with_b(bs, from_series(*coefficients)).values(z)  # f_i(b(z)), shape (N, K)
+    return BoundaryFunction(grid, np.sum(basis.values(z) * f_o_b, axis=0))

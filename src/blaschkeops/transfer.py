@@ -70,6 +70,15 @@ class ModuleFamily:
 
         return ModuleFamily(tuple(f"{m}*{label}" for m in self.labels), rule, self.exceptions)
 
+    def conjugate(self) -> ModuleFamily:
+        """The family conj(m_i)."""
+        def rule(z):
+            vals = self.values(z)
+            np.conjugate(vals, out=vals)
+            return vals
+
+        return ModuleFamily(tuple(f"conj({m})" for m in self.labels), rule, self.exceptions)
+
 
 def from_series(*series: FourierSeries) -> ModuleFamily:
     """The family of Fourier windows, each evaluated exactly by synthesis."""
@@ -169,22 +178,8 @@ def expansion_points(bs: BranchSystem, grid: CircleGrid, exception_angles) -> tu
     return z, fibre(bs, np.angle(evaluate(bs.owner, z)))
 
 
-def fibre_means(w_fib, f_fib: np.ndarray) -> list[np.ndarray]:
-    """The branch means (w_i * f).mean(axis=0) over a fibre of shape (N, K).
-
-    With w_i = conj(m_i) on the fibre of b(z), mean i is the module coefficient
-    <m_i, f> = L(conj(m_i) f) at b(z).  `w_fib` holds the w_i along its first
-    axis, shape (n, N, K).
-    """
-    return [(w * f_fib).mean(axis=0) for w in w_fib]
-
-
-def expansion_sum(a_z, coeffs) -> np.ndarray:
-    """sum_i a_i * c_i, accumulated from zeros in basis order."""
-    total = 0j
-    for a, c in zip(a_z, coeffs):
-        total = total + a * c
-    return total
+#: family values on the fibre (members x branches x points) per block of expansion_blocks
+EXPANSION_BLOCK = 1 << 19
 
 
 def expansion_kernel(a_z: np.ndarray, w_fib: np.ndarray) -> np.ndarray:
@@ -192,16 +187,31 @@ def expansion_kernel(a_z: np.ndarray, w_fib: np.ndarray) -> np.ndarray:
     return np.einsum("nK,nNK->NK", a_z, w_fib) / w_fib.shape[1]
 
 
-def expansion_deviation(a_z: np.ndarray, w_fib: np.ndarray, targets) -> float:
-    """sup |f(z) - sum_zeta k(z, zeta) f(zeta)| over the pairs (f on the fibre, f at z).
+def expansion_blocks(bs: BranchSystem, grid: CircleGrid, exceptions, a_family: ModuleFamily, w_family: ModuleFamily):
+    """Yield (z, fibre of b(z), expansion kernel) over blocks of the points of expansion_points.
 
-    The module expansion f = sum_i m_i beta(<m_i, f>) checked pointwise at the
-    points of expansion_points, with a_i = m_i at z and w_i = conj(m_i) on the
-    fibre of b(z): one expansion kernel serves every target, with no interpolation.
+    a_i = a_family at z and w_i = w_family on the fibre, the grid nudged off `exceptions`.  A block
+    holds at most EXPANSION_BLOCK values of w_family (all K points up to n N K = 2^19: degree 8 on
+    grid 8192), so no (n, N, K) array outlives it.
     """
-    kernel = expansion_kernel(a_z, w_fib)
-    errors = (np.abs(np.sum(kernel * f_fib, axis=0) - f_z) for f_fib, f_z in targets)
-    return max((float(np.max(e)) for e in errors), default=0.0)
+    z, fib = expansion_points(bs, grid, sorted(set(exceptions)))
+    step = max(1, EXPANSION_BLOCK // (w_family.size * fib.shape[0]))
+    for lo in range(0, z.size, step):
+        zb, fb = z[lo : lo + step], fib[:, lo : lo + step]
+        yield zb, fb, expansion_kernel(a_family.values(zb), w_family.values(fb))
+
+
+def coefficient_family(bs: BranchSystem, family: ModuleFamily, f: FourierSeries) -> ModuleFamily:
+    """F_i = conj(m_i) f / j0, whose L is the coefficient f_i of f = sum_i m_i (f_i o b).
+
+    On the circle |b'| = N j0, so int g (phi o b) dm = int phi L(g / j0) dm for every g
+    (w = b(z)): mode k of L(F_i) is (f, m_i b^k).  F keeps the family's exception angles;
+    a model-space basis has none, so transfer_apply nudges no node.
+    """
+    def weight(z):
+        return synthesize(f, z) / j0(bs.owner, np.angle(z))
+
+    return family.conjugate().times(weight, "f/j0")
 
 
 def transfer_apply(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> list[BoundaryFunction]:

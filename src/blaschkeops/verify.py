@@ -61,8 +61,7 @@ from .rochberg import decompose
 from .transfer import (
     ModuleFamily,
     arcs_basis,
-    expansion_kernel,
-    expansion_points,
+    expansion_blocks,
     fibre_power_means,
     from_series,
     gram_deviation,
@@ -167,29 +166,19 @@ def _times_j_half(family: ModuleFamily, bs, grid: CircleGrid) -> ModuleFamily:
     return family.times(outer_symbol(bs, grid, 0.5).eval, "J^1/2")
 
 
-COMPLETENESS_BLOCK = 1 << 19  # module values on the fibre (members x branches x points) per block
-
-
 def _completeness_defect(bs, family: ModuleFamily, grid: CircleGrid) -> float:
     """sup_z sum_zeta |k(z, zeta) - [zeta = z]| for S_i = pi(m_i) C_b, memoised per (family, grid).
 
     k is the expansion kernel of a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2} on the fibre
     of b(z): (sum_i S_i S_i* f)(z) = sum_zeta k f(zeta), so the defect bounds it for every |f| <= 1.
-    The sup runs over blocks of grid points, each holding at most COMPLETENESS_BLOCK module values
-    on its fibre (all K points up to n N K = 2^19: degree 8 on grid 8192).
+    The sup runs over the point blocks of transfer.expansion_blocks.
     """
     def build():
-        z, fib = expansion_points(bs, grid, sorted(set(family.exceptions)))
-        a_family, j_inv_half = _times_j_half(family, bs, grid), outer_symbol(bs, grid, -0.5).eval
-        step = max(1, COMPLETENESS_BLOCK // (family.size * fib.shape[0]))
+        a_family = _times_j_half(family, bs, grid)
+        w_family = family.conjugate().times(outer_symbol(bs, grid, -0.5).eval, "J^-1/2")
         worst = 0.0
-        for lo in range(0, z.size, step):
-            zb, fb = z[lo : lo + step], fib[:, lo : lo + step]
-            w_fib = family.values(fb)
-            np.conjugate(w_fib, out=w_fib)
-            w_fib *= j_inv_half(fb)
-            kernel = expansion_kernel(a_family.values(zb), w_fib)
-            kernel[np.argmin(np.abs(fb - zb), axis=0), np.arange(zb.size)] -= 1.0  # zeta = z
+        for z, fib, kernel in expansion_blocks(bs, grid, family.exceptions, a_family, w_family):
+            kernel[np.argmin(np.abs(fib - z), axis=0), np.arange(z.size)] -= 1.0  # zeta = z
             worst = max(worst, float(np.max(np.sum(np.abs(kernel), axis=0))))
         return worst
 

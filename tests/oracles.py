@@ -5,6 +5,8 @@ polynomial root finding on the numerator of b(w) - z*den(w), derivatives from
 central differences, means from plain quadrature at two resolutions, and J^p
 from the critical points of b, found as polynomial roots.  The *_mpmath
 references work at 50 digits with the same polynomials (mpmath is test-only).
+fibre_means and expansion_sum are the branch-mean reference for the module
+layer: on a fibre they are given, they sum branch by branch and member by member.
 """
 
 import numpy as np
@@ -252,3 +254,21 @@ def weighted_negative_power_windows_mpmath(zeros, weight, z, window, dps=50):
                 coeff = mpmath.fdot(column, [twiddle[(k * j) % size] for j in range(size)]) / size
                 out[k + window, n - 1] = complex(coeff)
     return out
+
+
+def fibre_means(w_fib, f_fib):
+    """The branch means (w_i * f).mean(axis=0) over a fibre of shape (N, K), one per w_i.
+
+    With w_i = conj(m_i) on the fibre of b(z), mean i is the module coefficient
+    <m_i, f> = L(conj(m_i) f) at b(z): the branch-mean reference, summed branch
+    by branch.  `w_fib` holds the w_i along its first axis, shape (n, N, K).
+    """
+    return [(w * f_fib).mean(axis=0) for w in w_fib]
+
+
+def expansion_sum(a_z, coeffs):
+    """sum_i a_i * c_i, accumulated from zeros in basis order."""
+    total = 0j
+    for a, c in zip(a_z, coeffs):
+        total = total + a * c
+    return total

@@ -16,10 +16,10 @@ from blaschkeops.model_space import (
     validate_basis,
 )
 from blaschkeops.operators import orthonormality_defect, pair_power_gram
-from blaschkeops.transfer import arcs_basis, fibre_means, grid_fibre, module_gram_deviation, outer_symbol
+from blaschkeops.transfer import arcs_basis, grid_fibre, module_gram_deviation, outer_symbol
 
 from conftest import blaschke_zeros, ones_basis, seeded_zeros
-from oracles import canonical_basis_mpmath
+from oracles import canonical_basis_mpmath, fibre_means
 
 
 def _disc_points():

@@ -3,15 +3,20 @@ import pytest
 
 from blaschkeops import build_branches, evaluate, j0, make_blaschke
 from blaschkeops.circlefun import (
+    CircleGrid,
     FourierSeries,
     exponential,
     fourier_coeffs,
+    fourier_window,
     sample,
     synthesize,
+    trim_series,
 )
 from blaschkeops.model_space import canonical_basis, induced_module_basis, rotate_basis
 from blaschkeops.rochberg import decompose, reconstruct
-from blaschkeops.transfer import expansion_sum, fibre_means, grid_fibre, outer_symbol
+from blaschkeops.transfer import coefficient_family, grid_fibre, outer_symbol, transfer_apply
+
+from oracles import expansion_sum, fibre_means
 
 
 def _pad(s, window):
@@ -113,6 +118,36 @@ def test_consistency_with_module_expand(mixed, grid1024):
     for s, c in zip(dec.coefficients, coeffs):
         direct = synthesize(s, grid1024.points)
         assert np.max(np.abs(direct - c)) < 1e-9
+
+
+@pytest.mark.parametrize("size", [512, 4096])
+@pytest.mark.parametrize(
+    "zeros",
+    [[0.5, -0.3j], [0.8], [0.5, -0.3j, 0.2 + 0.4j, 0.7, -0.6 + 0.1j, 0.3j]],
+    ids=["two", "single-0.8", "six"],
+)
+def test_decompose_is_the_branch_mean_route_bit_for_bit(zeros, size):
+    # decompose takes its coefficients from transfer_apply on F_i = conj(v_i) f / j0 and rebuilds
+    # f as sum_i v_i beta(f_i): the route of tests/oracles.py (branch means over the grid fibre,
+    # then expansion_sum at b(z)) gives the same coefficients, membership and residual, bit for bit
+    b = make_blaschke(zeros)
+    bs, grid, basis = build_branches(b), CircleGrid(size), canonical_basis(b)
+    rng = np.random.default_rng(5)
+    f = FourierSeries(np.concatenate([np.zeros(16), rng.standard_normal(17) + 1j * rng.standard_normal(17)]))
+    dec = decompose(bs, basis, f, grid, check_basis=False)
+
+    fib = grid_fibre(bs, grid)
+    means = fibre_means(np.conj(basis.values(fib)), synthesize(f, fib) / j0(b, np.angle(fib)))
+    series = [FourierSeries(c) for c in fourier_window(np.stack(means), size // 4)]
+    assert dec.membership == [s.negative_energy() for s in series]
+    coefficients = [trim_series(s, floor=3e-14) for s in series]
+    assert [c.window for c in dec.coefficients] == [c.window for c in coefficients]
+    assert all(np.array_equal(a.coeffs, c.coeffs) for a, c in zip(dec.coefficients, coefficients))
+    bz = evaluate(b, grid.points)
+    recon = expansion_sum(basis.values(grid.points), (synthesize(c, bz) for c in coefficients))
+    assert dec.residual == float(np.max(np.abs(recon - synthesize(f, grid.points))))
+    # F has no exception angle, so transfer_apply nudges no node
+    assert all("nudged_nodes" not in g.meta for g in transfer_apply(bs, coefficient_family(bs, basis, f), grid))
 
 
 # -- reconstruct ----------------------------------------------------------------

@@ -16,11 +16,9 @@ from blaschkeops.transfer import (
     ModuleFamily,
     arcs_basis,
     compose_with_b,
-    expansion_deviation,
+    expansion_blocks,
     expansion_points,
-    expansion_sum,
     fibre_gram,
-    fibre_means,
     fibre_power_means,
     from_series,
     grid_fibre,
@@ -31,7 +29,7 @@ from blaschkeops.transfer import (
 )
 
 from conftest import blaschke_zeros, ones_basis
-from oracles import transfer_brute
+from oracles import expansion_sum, fibre_means, transfer_brute
 
 
 def _series_vec(n, window=8):
@@ -343,15 +341,18 @@ def test_module_expand_module_linearity(z2, grid1024):
     ],
 )
 def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
-    # f = sum_i m_i beta(<m_i, f>) pointwise: exact for the arcs basis, and off
-    # by |2 L(f) o b - f| for the family [1, 1], which is no module basis
+    # f = sum_i m_i beta(<m_i, f>) pointwise, through the kernel blocks both kernel checks read:
+    # exact for the arcs basis, and off by |2 L(f) o b - f| for the family [1, 1], which is no
+    # module basis
     _, bs = request.getfixturevalue(product)
     fam = arcs_basis(bs) if basis_is_arcs else ones_basis(bs.owner)
     z, fib = expansion_points(bs, grid1024, sorted(fam.exceptions))
     assert fib.shape == (bs.branch_count, grid1024.size)
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
     f = from_series(FourierSeries(np.array(modes, dtype=complex)))
-    dev = expansion_deviation(fam.values(z), np.conj(fam.values(fib)), [(_at(f, fib), _at(f, z))])
+    blocks = list(expansion_blocks(bs, grid1024, fam.exceptions, fam, fam.conjugate()))
+    assert np.array_equal(np.concatenate([zb for zb, _, _ in blocks]), z)
+    dev = max(float(np.max(np.abs(np.sum(k * _at(f, fb), axis=0) - _at(f, zb)))) for zb, fb, k in blocks)
     # the reference sums in the other order: the branch means first, then expansion_sum
     coeffs = fibre_means(np.conj(fam.values(fib)), _at(f, fib))
     ref = np.max(np.abs(expansion_sum(fam.values(z), coeffs) - _at(f, z)))

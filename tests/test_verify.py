@@ -7,7 +7,7 @@ from blaschkeops import build_branches, evaluate, j0, make_blaschke
 from blaschkeops.circlefun import CircleGrid, exponential
 from blaschkeops.config import RunConfig
 from blaschkeops.errors import MATH_ERRORS
-from blaschkeops.model_space import canonical_basis, induced_module_basis
+from blaschkeops.model_space import canonical_basis, induced_module_basis, linking_reconstruction_deviation
 from blaschkeops.operators import (
     adjoint,
     compose,
@@ -27,8 +27,6 @@ from blaschkeops.transfer import (
     ModuleFamily,
     arcs_basis,
     expansion_points,
-    expansion_sum,
-    fibre_means,
     grid_fibre,
     outer_symbol,
 )
@@ -46,6 +44,7 @@ from blaschkeops.verify import (
 )
 
 from conftest import ones_basis, seeded_zeros
+from oracles import expansion_sum, fibre_means
 
 FAST = RunConfig(grid_size=2048, mode_window=32)
 MID = RunConfig(grid_size=4096, mode_window=64)
@@ -408,23 +407,47 @@ def test_completeness_defect_bounds_the_mode_expansions():
     assert defect < 1e-12
 
 
+def _kernel_checks(b, grid):
+    """The two checks that read transfer.expansion_blocks, on the module basis of b and the arcs."""
+    bs = build_branches(b)
+    mod = induced_module_basis(bs, canonical_basis(b), grid)
+    return _completeness_defect(bs, mod, grid), linking_reconstruction_deviation(bs, mod, arcs_basis(bs), grid)
+
+
 @pytest.mark.parametrize("points", [100, 4095])
 def test_completeness_defect_is_one_sup_over_point_blocks(monkeypatch, points):
-    from blaschkeops import verify
+    from blaschkeops import transfer
 
-    # blocks of 100 points (the last of 96), or of 4095 and then 1, give the sup
-    # over the whole grid; each kernel entry sums the same n = 3 terms, so they
-    # agree to the rounding of one such sum
+    # blocks of 100 points (the last of 96), or of 4095 and then 1, give the sup over the whole
+    # grid, for the completeness defect and for the linking reconstruction; each kernel entry
+    # sums the same n = 3 terms, so they agree to the rounding of one such sum
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     grid = CircleGrid(RunConfig().grid_size)
+    whole, whole_linking = _kernel_checks(b, grid)
+    monkeypatch.setattr(transfer, "EXPANSION_BLOCK", 9 * points)  # n N values per point
+    blocked, blocked_linking = _kernel_checks(b, grid)
+    assert abs(blocked - whole) <= 3 * np.finfo(float).eps
+    assert abs(blocked_linking - whole_linking) <= 4 * np.finfo(float).eps
 
-    def defect():
-        bs = build_branches(b)
-        return _completeness_defect(bs, induced_module_basis(bs, canonical_basis(b), grid), grid)
 
-    whole = defect()
-    monkeypatch.setattr(verify, "COMPLETENESS_BLOCK", 9 * points)  # n N values per point
-    assert abs(defect() - whole) <= 3 * np.finfo(float).eps
+def test_kernel_checks_allocate_no_whole_fibre_array(monkeypatch):
+    import tracemalloc
+
+    from blaschkeops import transfer
+
+    # in blocks of 100 points neither kernel check holds a family's values on the whole fibre:
+    # for 16 zeros on grid 4096 one such (n, N, K) array is 16 MiB, a block's share 400 KiB, and
+    # the fibre of b(z) that expansion_points solves for peaks near 9 MB on its own
+    b, grid = make_blaschke(seeded_zeros(16, 0.6)), CircleGrid(4096)
+    monkeypatch.setattr(transfer, "EXPANSION_BLOCK", 16 * 16 * 100)
+    _kernel_checks(b, grid)  # numpy's own first-use allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        _kernel_checks(b, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 16 * grid.size * np.dtype(complex).itemsize
 
 
 def test_verify_all_shares_the_module_grams_with_the_same_results():
