@@ -160,13 +160,13 @@ def linking_reconstruction_deviation(
 ) -> float:
     """sup-error of B_j = sum_i A_i * (u_ij o b) over the grid, u_ij = <A_i, B_j>.
 
-    The module expansion of each B_j, block by block through transfer.expansion_blocks with
-    a_i = A_i and w_i = conj(A_i): the coefficients are taken at b(z), with no interpolation,
-    so this also exercises the linking matrix off the sampling grid.
+    The module expansion of each B_j at the points z of transfer.expansion_blocks, a_i = A_i and
+    w_i = conj(A_i), B_j(z) read from B_j's values on the fibre: the coefficients are taken at
+    b(z), with no interpolation, so this also exercises the linking matrix off the sampling grid.
     """
     worst = 0.0
     blocks = expansion_blocks(bs, grid, (*family_a.exceptions, *family_b.exceptions), family_a, family_a.conjugate())
-    for z, fib, kernel in blocks:
-        for b_fib, b_z in zip(family_b.values(fib), family_b.values(z)):
-            worst = max(worst, float(np.max(np.abs(np.sum(kernel * b_fib, axis=0) - b_z))))
+    for at, fib, kernel in blocks:
+        for b_fib in family_b.values(fib):
+            worst = max(worst, float(np.max(np.abs(np.sum(kernel * b_fib, axis=0) - b_fib[at]))))
     return worst

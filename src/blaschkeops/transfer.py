@@ -12,7 +12,8 @@ indicators scaled by sqrt(N) form an orthonormal basis with N elements.
 Module data has one type, ModuleFamily: a single element is a one-member
 family, and L and beta map families to families.  Everything is evaluated
 pointwise through the inverse branches, so identities hold to root-finding
-accuracy with no interpolation error.
+accuracy with no interpolation error.  On a grid, L and the module expansion
+read one fibre, nudged_fibre: the memoised grid fibre, nudged nodes re-solved.
 """
 
 from __future__ import annotations
@@ -145,37 +146,36 @@ def compose_with_b(bs: BranchSystem, family: ModuleFamily) -> ModuleFamily:
     )
 
 
+def _image_exceptions(bs: BranchSystem, exceptions) -> tuple:
+    """Distinct angles of b at the exception angles, sorted: where L of such a family is defined up to a null set."""
+    imgs = evaluate(bs.owner, np.exp(1j * np.asarray(exceptions, dtype=float)))
+    return tuple(sorted(set(np.round(np.mod(np.angle(imgs), TWO_PI), 12))))
+
+
 def transfer_family(bs: BranchSystem, family: ModuleFamily) -> ModuleFamily:
     """L(m_i) for every member, on the circle, through the exact preimage fibre."""
-    imgs = evaluate(bs.owner, np.exp(1j * np.asarray(family.exceptions, dtype=float)))
-    exc = tuple(sorted(set(np.round(np.mod(np.angle(imgs), TWO_PI), 12))))
-
     def rule(z):
         vals = family.values(fibre(bs, np.angle(z.reshape(-1)))).mean(axis=1)
         return vals.reshape((family.size,) + z.shape)
 
-    return ModuleFamily(tuple(f"L({m})" for m in family.labels), rule, exc)
+    return ModuleFamily(tuple(f"L({m})" for m in family.labels), rule, _image_exceptions(bs, family.exceptions))
 
 
-def _nudged_angles(grid: CircleGrid, exception_angles) -> tuple[np.ndarray, list[int]]:
+def nudged_fibre(bs: BranchSystem, grid: CircleGrid, exceptions) -> tuple[np.ndarray, list[int]]:
+    """grid_fibre, each node within NUDGE_RADIUS of an exception's image moved half a step: (fibre, moved nodes)."""
     t = grid.angles.copy()
-    moved: list[int] = []
-    if len(exception_angles):
-        half = np.pi / grid.size
-        for e in np.asarray(exception_angles, dtype=float):
-            d = np.abs(np.mod(t - e + np.pi, TWO_PI) - np.pi)
-            hit = np.nonzero(d < NUDGE_RADIUS)[0]
-            for k in hit:
-                t[k] += half
-                moved.append(int(k))
-    return t, sorted(set(moved))
-
-
-def expansion_points(bs: BranchSystem, grid: CircleGrid, exception_angles) -> tuple:
-    """The grid points z, nudged off the exception angles, and the fibre of b(z), shape (N, K)."""
-    t, _ = _nudged_angles(grid, exception_angles)
-    z = np.exp(1j * t)
-    return z, fibre(bs, np.angle(evaluate(bs.owner, z)))
+    hit: set[int] = set()
+    for e in _image_exceptions(bs, exceptions):
+        d = np.abs(np.mod(t - e + np.pi, TWO_PI) - np.pi)
+        for k in np.nonzero(d < NUDGE_RADIUS)[0]:
+            t[k] += np.pi / grid.size
+            hit.add(int(k))
+    moved = sorted(hit)
+    fib = grid_fibre(bs, grid)
+    if moved:  # only the moved columns are solved anew, in a copy: the memoised fibre is read-only
+        fib = fib.copy()
+        fib[:, moved] = fibre(bs, t[moved])
+    return fib, moved
 
 
 #: family values on the fibre (members x branches x points) per block of expansion_blocks
@@ -188,17 +188,20 @@ def expansion_kernel(a_z: np.ndarray, w_fib: np.ndarray) -> np.ndarray:
 
 
 def expansion_blocks(bs: BranchSystem, grid: CircleGrid, exceptions, a_family: ModuleFamily, w_family: ModuleFamily):
-    """Yield (z, fibre of b(z), expansion kernel) over blocks of the points of expansion_points.
+    """Yield (at, fibre columns, expansion kernel) over blocks of the columns of nudged_fibre.
 
-    a_i = a_family at z and w_i = w_family on the fibre, the grid nudged off `exceptions`.  A block
-    holds at most EXPANSION_BLOCK values of w_family (all K points up to n N K = 2^19: degree 8 on
-    grid 8192), so no (n, N, K) array outlives it.
+    Node j's point z is branch j mod N of its own column, the fibre of b(z), so the block's
+    points are fibre[at] and the K points are equidistributed in the image, K/N to an arc.
+    a_i = a_family at z and w_i = w_family on the fibre.  A block holds at most EXPANSION_BLOCK
+    values of w_family (all K nodes up to n N K = 2^19: degree 8 on grid 8192).
     """
-    z, fib = expansion_points(bs, grid, sorted(set(exceptions)))
-    step = max(1, EXPANSION_BLOCK // (w_family.size * fib.shape[0]))
-    for lo in range(0, z.size, step):
-        zb, fb = z[lo : lo + step], fib[:, lo : lo + step]
-        yield zb, fb, expansion_kernel(a_family.values(zb), w_family.values(fb))
+    fib, _ = nudged_fibre(bs, grid, exceptions)
+    step = max(1, EXPANSION_BLOCK // (w_family.size * bs.branch_count))
+    for lo in range(0, grid.size, step):
+        fb = fib[:, lo : lo + step]
+        cols = np.arange(fb.shape[1])
+        at = ((lo + cols) % bs.branch_count, cols)
+        yield at, fb, expansion_kernel(a_family.values(fb[at]), w_family.values(fb))
 
 
 def coefficient_family(bs: BranchSystem, family: ModuleFamily, f: FourierSeries) -> ModuleFamily:
@@ -215,19 +218,13 @@ def coefficient_family(bs: BranchSystem, family: ModuleFamily, f: FourierSeries)
 
 
 def transfer_apply(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> list[BoundaryFunction]:
-    """Sample L(m_i) on the grid, one boundary function per member: branch means over grid_fibre.
+    """Sample L(m_i) on the grid, one boundary function per member: branch means over nudged_fibre.
 
-    Nodes on the (finitely many) angles where some L(m_i) is only defined up
-    to a null set are nudged by half a grid step for every member, and recorded
-    in each output's meta; only those nodes get a fibre of their own.  Every
-    other node reads the memoised grid fibre, the branch-point fibre being
-    continuous.
+    Nodes on the (finitely many) image angles where some L(m_i) is only defined
+    up to a null set are nudged for every member, and recorded in each output's
+    meta; every other node reads the memoised grid fibre.
     """
-    t, moved = _nudged_angles(grid, transfer_family(bs, family).exceptions)
-    fib = grid_fibre(bs, grid)
-    if moved:
-        fib = fib.copy()  # the memoised fibre is read-only
-        fib[:, moved] = fibre(bs, t[moved])
+    fib, moved = nudged_fibre(bs, grid, family.exceptions)
     meta = {"nudged_nodes": moved} if moved else {}
     return [BoundaryFunction(grid, v, meta=dict(meta)) for v in family.values(fib).mean(axis=1)]
 

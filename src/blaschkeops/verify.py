@@ -171,14 +171,14 @@ def _completeness_defect(bs, family: ModuleFamily, grid: CircleGrid) -> float:
 
     k is the expansion kernel of a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2} on the fibre
     of b(z): (sum_i S_i S_i* f)(z) = sum_zeta k f(zeta), so the defect bounds it for every |f| <= 1.
-    The sup runs over the point blocks of transfer.expansion_blocks.
+    The sup runs over the blocks of transfer.expansion_blocks, each z at a known row of its fibre.
     """
     def build():
         a_family = _times_j_half(family, bs, grid)
         w_family = family.conjugate().times(outer_symbol(bs, grid, -0.5).eval, "J^-1/2")
         worst = 0.0
-        for z, fib, kernel in expansion_blocks(bs, grid, family.exceptions, a_family, w_family):
-            kernel[np.argmin(np.abs(fib - z), axis=0), np.arange(z.size)] -= 1.0  # zeta = z
+        for at, _, kernel in expansion_blocks(bs, grid, family.exceptions, a_family, w_family):
+            kernel[at] -= 1.0  # zeta = z
             worst = max(worst, float(np.max(np.sum(np.abs(kernel), axis=0))))
         return worst
 

@@ -17,13 +17,13 @@ from blaschkeops.transfer import (
     arcs_basis,
     compose_with_b,
     expansion_blocks,
-    expansion_points,
     fibre_gram,
     fibre_power_means,
     from_series,
     grid_fibre,
     module_gram,
     module_gram_deviation,
+    nudged_fibre,
     transfer_apply,
     transfer_family,
 )
@@ -315,20 +315,20 @@ def test_module_gram_is_memoised_read_only_per_family(grid1024):
 def test_module_expand_of_basis_element(z2, grid1024):
     _, bs = z2
     arcs = arcs_basis(bs)
-    _, fib = expansion_points(bs, grid1024, arcs.exceptions)
+    fib, _ = nudged_fibre(bs, grid1024, arcs.exceptions)
     coeffs = _coefficients(arcs, _first_arc(bs), fib)
     assert np.max(np.abs(coeffs[0] - 1.0)) < 1e-10
     assert np.max(np.abs(coeffs[1])) < 1e-10
 
 
 def test_module_expand_module_linearity(z2, grid1024):
-    # f = m_1 * beta(g) has coefficients (g, 0), here at w = b(z)
+    # f = m_1 * beta(g) has coefficients (g, 0), here at w = b(zeta), the image of each fibre column
     b, bs = z2
     arcs = arcs_basis(bs)
-    z, fib = expansion_points(bs, grid1024, arcs.exceptions)
+    fib, _ = nudged_fibre(bs, grid1024, arcs.exceptions)
     f = _first_arc(bs, compose_with_b(bs, _series_vec(1)))
     coeffs = _coefficients(arcs, f, fib)
-    assert np.max(np.abs(coeffs[0] - evaluate(b, z))) < 1e-10
+    assert np.max(np.abs(coeffs[0] - evaluate(b, fib[0]))) < 1e-10
     assert np.max(np.abs(coeffs[1])) < 1e-10
 
 
@@ -343,16 +343,23 @@ def test_module_expand_module_linearity(z2, grid1024):
 def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
     # f = sum_i m_i beta(<m_i, f>) pointwise, through the kernel blocks both kernel checks read:
     # exact for the arcs basis, and off by |2 L(f) o b - f| for the family [1, 1], which is no
-    # module basis
+    # module basis.  The blocks walk the columns of the nudged grid fibre, node j's point z
+    # being row j mod N of its own column; with no exception angle that fibre is grid_fibre's
     _, bs = request.getfixturevalue(product)
+    n, cols = bs.branch_count, np.arange(grid1024.size)
     fam = arcs_basis(bs) if basis_is_arcs else ones_basis(bs.owner)
-    z, fib = expansion_points(bs, grid1024, sorted(fam.exceptions))
-    assert fib.shape == (bs.branch_count, grid1024.size)
+    fib, moved = nudged_fibre(bs, grid1024, fam.exceptions)
+    assert fib.shape == (n, grid1024.size)
+    if not fam.exceptions:
+        assert moved == [] and np.array_equal(fib, grid_fibre(bs, grid1024))
+    z = fib[cols % n, cols]
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
     f = from_series(FourierSeries(np.array(modes, dtype=complex)))
     blocks = list(expansion_blocks(bs, grid1024, fam.exceptions, fam, fam.conjugate()))
-    assert np.array_equal(np.concatenate([zb for zb, _, _ in blocks]), z)
-    dev = max(float(np.max(np.abs(np.sum(k * _at(f, fb), axis=0) - _at(f, zb)))) for zb, fb, k in blocks)
+    assert np.array_equal(np.concatenate([fb for _, fb, _ in blocks], axis=1), fib)
+    assert np.array_equal(np.concatenate([at[0] for at, _, _ in blocks]), cols % n)
+    assert np.array_equal(np.concatenate([fb[at] for at, fb, _ in blocks]), z)
+    dev = max(float(np.max(np.abs(np.sum(k * _at(f, fb), axis=0) - _at(f, fb[at])))) for at, fb, k in blocks)
     # the reference sums in the other order: the branch means first, then expansion_sum
     coeffs = fibre_means(np.conj(fam.values(fib)), _at(f, fib))
     ref = np.max(np.abs(expansion_sum(fam.values(z), coeffs) - _at(f, z)))

@@ -26,8 +26,9 @@ from blaschkeops.operators import (
 from blaschkeops.transfer import (
     ModuleFamily,
     arcs_basis,
-    expansion_points,
+    expansion_blocks,
     grid_fibre,
+    nudged_fibre,
     outer_symbol,
 )
 from blaschkeops.verify import (
@@ -389,18 +390,18 @@ def test_solution1_completeness_negative_controls(control, delta):
 def test_completeness_defect_bounds_the_mode_expansions():
     # an independent route to sum_i S_i S_i* e_k, |k| <= 16: the coefficients as
     # branch means (fibre_means), put back together by expansion_sum, with no kernel.
-    # |e_k| = 1, so the defect bounds each error against e_k at the fibre point on
-    # which the kernel's point mass sits (z, to root-finding accuracy), up to the
-    # rounding of the reference's own sums
+    # |e_k| = 1, so the defect bounds each error against e_k at the kernel's points,
+    # node j's on row j mod N of its grid fibre column, where the point mass sits,
+    # up to the rounding of the reference's own sums
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     bs, grid = build_branches(b), CircleGrid(RunConfig().grid_size)
     mod = induced_module_basis(bs, canonical_basis(b), grid)
-    z, fib = expansion_points(bs, grid, ())
-    at_z = fib[np.argmin(np.abs(fib - z), axis=0), np.arange(z.size)]
+    fib, cols = grid_fibre(bs, grid), np.arange(grid.size)
+    z = fib[cols % bs.branch_count, cols]
     a_z = mod.values(z) * outer_symbol(bs, grid, 0.5).eval(z)
     w_fib = np.conj(mod.values(fib)) * outer_symbol(bs, grid, -0.5).eval(fib)
     worst = max(
-        float(np.max(np.abs(expansion_sum(a_z, fibre_means(w_fib, fib**k)) - at_z**k))) for k in range(-16, 17)
+        float(np.max(np.abs(expansion_sum(a_z, fibre_means(w_fib, fib**k)) - z**k))) for k in range(-16, 17)
     )
     defect = _completeness_defect(bs, mod, grid)
     assert 0.0 < worst <= defect + 4 * np.finfo(float).eps
@@ -436,8 +437,9 @@ def test_kernel_checks_allocate_no_whole_fibre_array(monkeypatch):
     from blaschkeops import transfer
 
     # in blocks of 100 points neither kernel check holds a family's values on the whole fibre:
-    # for 16 zeros on grid 4096 one such (n, N, K) array is 16 MiB, a block's share 400 KiB, and
-    # the fibre of b(z) that expansion_points solves for peaks near 9 MB on its own
+    # for 16 zeros on grid 4096 one such (n, N, K) array is 16 MiB and a block's share 400 KiB.
+    # The checks solve no fibre of their own: the grid fibre they read is solved once per branch
+    # system, here inside the measurement, and that solve sets the peak, near 10 MB
     b, grid = make_blaschke(seeded_zeros(16, 0.6)), CircleGrid(4096)
     monkeypatch.setattr(transfer, "EXPANSION_BLOCK", 16 * 16 * 100)
     _kernel_checks(b, grid)  # numpy's own first-use allocations stay out of the measurement
@@ -448,6 +450,37 @@ def test_kernel_checks_allocate_no_whole_fibre_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 16 * grid.size * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("zeros, nudged", [([0.5, -0.3j, 0.2 + 0.4j], []), ([0, 0], [0])])
+def test_verify_all_solves_one_fibre(monkeypatch, zeros, nudged):
+    # the grid fibre is a run's one whole-fibre solve: theta_inv is asked for the N + 1 arc
+    # endpoints, the N K points of grid_fibre, and N more per node the arcs nudge, node 0 on
+    # {0, 0}, whose arc endpoints all map to 1.  Only that column differs from grid_fibre, and
+    # node j's kernel point is branch j mod N of its column, so each arc holds K/N of them
+    from blaschkeops.blaschke import BranchSystem
+
+    b, config = make_blaschke(zeros), RunConfig()
+    n, k = b.degree, config.grid_size
+    solve, points = BranchSystem.theta_inv, []
+
+    def counted(self, s):
+        points.append(np.size(s))
+        return solve(self, s)
+
+    monkeypatch.setattr(BranchSystem, "theta_inv", counted)
+    verify_all(b, config)
+    assert sum(points) == n * k + n + 1 + n * len(nudged)
+
+    bs, grid = build_branches(b), CircleGrid(k)
+    arcs = arcs_basis(bs)
+    fib, moved = nudged_fibre(bs, grid, arcs.exceptions)
+    assert moved == nudged
+    assert np.nonzero(np.any(fib != grid_fibre(bs, grid), axis=0))[0].tolist() == nudged
+    blocks = expansion_blocks(bs, grid, arcs.exceptions, arcs, arcs.conjugate())
+    z = np.concatenate([fb[at] for at, fb, _ in blocks])
+    per_arc = np.count_nonzero(arcs.values(z), axis=1)
+    assert np.all(np.abs(per_arc - k / n) <= 1), per_arc
 
 
 def test_verify_all_shares_the_module_grams_with_the_same_results():
