@@ -158,11 +158,11 @@ def pointwise_unitarity_deviation(u: np.ndarray) -> float:
 def linking_reconstruction_deviation(
     bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid
 ) -> float:
-    """sup-error of B_j = sum_i A_i * (u_ij o b) over the grid, u_ij = <A_i, B_j>.
+    """sup-error of B_j = sum_i A_i * (u_ij o b), u_ij = <A_i, B_j>, at the points z of transfer.expansion_blocks.
 
-    The module expansion of each B_j at the points z of transfer.expansion_blocks, a_i = A_i and
-    w_i = conj(A_i), B_j(z) read from B_j's values on the fibre: the coefficients are taken at
-    b(z), with no interpolation, so this also exercises the linking matrix off the sampling grid.
+    The module expansion of each B_j, a_i = A_i and w_i = conj(A_i), B_j(z) read from B_j's values
+    on the fibre: the coefficients are taken at b(z), with no interpolation, half a step off the
+    image grid on which linking_unitary samples u, so this exercises the linking matrix off that grid.
     """
     worst = 0.0
     blocks = expansion_blocks(bs, grid, (*family_a.exceptions, *family_b.exceptions), family_a, family_a.conjugate())

@@ -12,8 +12,9 @@ indicators scaled by sqrt(N) form an orthonormal basis with N elements.
 Module data has one type, ModuleFamily: a single element is a one-member
 family, and L and beta map families to families.  Everything is evaluated
 pointwise through the inverse branches, so identities hold to root-finding
-accuracy with no interpolation error.  On a grid, L and the module expansion
-read one fibre, nudged_fibre: the memoised grid fibre, nudged nodes re-solved.
+accuracy with no interpolation error.  On a grid, L reads nudged_fibre, the
+memoised grid fibre with its nudged nodes re-solved; the module expansion is
+checked on midstep_fibre, the fibre of the image nodes half a step off the grid.
 """
 
 from __future__ import annotations
@@ -161,21 +162,35 @@ def transfer_family(bs: BranchSystem, family: ModuleFamily) -> ModuleFamily:
     return ModuleFamily(tuple(f"L({m})" for m in family.labels), rule, _image_exceptions(bs, family.exceptions))
 
 
-def nudged_fibre(bs: BranchSystem, grid: CircleGrid, exceptions) -> tuple[np.ndarray, list[int]]:
-    """grid_fibre, each node within NUDGE_RADIUS of an exception's image moved half a step: (fibre, moved nodes)."""
-    t = grid.angles.copy()
+def _nudged(bs: BranchSystem, angles: np.ndarray, exceptions, fib: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """`fib`, the fibre of e^{i angles}, each node within NUDGE_RADIUS of an exception's image moved half a step: (fibre, moved nodes)."""
+    t = angles.copy()
     hit: set[int] = set()
     for e in _image_exceptions(bs, exceptions):
         d = np.abs(np.mod(t - e + np.pi, TWO_PI) - np.pi)
         for k in np.nonzero(d < NUDGE_RADIUS)[0]:
-            t[k] += np.pi / grid.size
+            t[k] += np.pi / t.size
             hit.add(int(k))
     moved = sorted(hit)
-    fib = grid_fibre(bs, grid)
     if moved:  # only the moved columns are solved anew, in a copy: the memoised fibre is read-only
         fib = fib.copy()
         fib[:, moved] = fibre(bs, t[moved])
     return fib, moved
+
+
+def nudged_fibre(bs: BranchSystem, grid: CircleGrid, exceptions) -> tuple[np.ndarray, list[int]]:
+    """The memoised grid_fibre through _nudged: the fibre transfer_apply reads."""
+    return _nudged(bs, grid.angles, exceptions, grid_fibre(bs, grid))
+
+
+def midstep_fibre(bs: BranchSystem, grid: CircleGrid, exceptions) -> tuple[np.ndarray, list[int]]:
+    """The fibre of the image nodes half a step off the grid, grid.angles + pi/K, through _nudged.
+
+    Memoised on the branch system beside grid_fibre.  The module expansion is checked on it,
+    where module_gram and linking_unitary take no sample.
+    """
+    mid = grid.angles + np.pi / grid.size
+    return _nudged(bs, mid, exceptions, bs.memo(("midstep fibre", grid.size), lambda: fibre(bs, mid)))
 
 
 #: family values on the fibre (members x branches x points) per block of expansion_blocks
@@ -188,14 +203,15 @@ def expansion_kernel(a_z: np.ndarray, w_fib: np.ndarray) -> np.ndarray:
 
 
 def expansion_blocks(bs: BranchSystem, grid: CircleGrid, exceptions, a_family: ModuleFamily, w_family: ModuleFamily):
-    """Yield (at, fibre columns, expansion kernel) over blocks of the columns of nudged_fibre.
+    """Yield (at, fibre columns, expansion kernel) over blocks of the columns of midstep_fibre.
 
     Node j's point z is branch j mod N of its own column, the fibre of b(z), so the block's
-    points are fibre[at] and the K points are equidistributed in the image, K/N to an arc.
+    points are fibre[at]: b(z) lies half a step off the image grid, and the K points are
+    equidistributed in the image, K/N to an arc (on the circle their density follows j0).
     a_i = a_family at z and w_i = w_family on the fibre.  A block holds at most EXPANSION_BLOCK
     values of w_family (all K nodes up to n N K = 2^19: degree 8 on grid 8192).
     """
-    fib, _ = nudged_fibre(bs, grid, exceptions)
+    fib, _ = midstep_fibre(bs, grid, exceptions)
     step = max(1, EXPANSION_BLOCK // (w_family.size * bs.branch_count))
     for lo in range(0, grid.size, step):
         fb = fib[:, lo : lo + step]

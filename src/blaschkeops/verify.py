@@ -171,7 +171,8 @@ def _completeness_defect(bs, family: ModuleFamily, grid: CircleGrid) -> float:
 
     k is the expansion kernel of a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2} on the fibre
     of b(z): (sum_i S_i S_i* f)(z) = sum_zeta k f(zeta), so the defect bounds it for every |f| <= 1.
-    The sup runs over the blocks of transfer.expansion_blocks, each z at a known row of its fibre.
+    The sup runs over the blocks of transfer.expansion_blocks, each z at a known row of its fibre and
+    b(z) half a step off the image grid, where module_onb does not check the Gram.
     """
     def build():
         a_family = _times_j_half(family, bs, grid)

@@ -17,10 +17,12 @@ from blaschkeops.transfer import (
     arcs_basis,
     compose_with_b,
     expansion_blocks,
+    fibre,
     fibre_gram,
     fibre_power_means,
     from_series,
     grid_fibre,
+    midstep_fibre,
     module_gram,
     module_gram_deviation,
     nudged_fibre,
@@ -343,17 +345,20 @@ def test_module_expand_module_linearity(z2, grid1024):
 def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
     # f = sum_i m_i beta(<m_i, f>) pointwise, through the kernel blocks both kernel checks read:
     # exact for the arcs basis, and off by |2 L(f) o b - f| for the family [1, 1], which is no
-    # module basis.  The blocks walk the columns of the nudged grid fibre, node j's point z
-    # being row j mod N of its own column; with no exception angle that fibre is grid_fibre's
+    # module basis.  The blocks walk the columns of the midstep fibre, node j's point z being
+    # row j mod N of its own column, so b(z) lies half a step off the image grid; with no
+    # exception angle that fibre is the memoised fibre of grid.angles + pi/K
     _, bs = request.getfixturevalue(product)
-    n, cols = bs.branch_count, np.arange(grid1024.size)
+    n, cols, mid = bs.branch_count, np.arange(grid1024.size), grid1024.angles + np.pi / grid1024.size
     fam = arcs_basis(bs) if basis_is_arcs else ones_basis(bs.owner)
-    fib, moved = nudged_fibre(bs, grid1024, fam.exceptions)
+    fib, moved = midstep_fibre(bs, grid1024, fam.exceptions)
     assert fib.shape == (n, grid1024.size)
     if not fam.exceptions:
-        assert moved == [] and np.array_equal(fib, grid_fibre(bs, grid1024))
+        assert moved == [] and np.array_equal(fib, fibre(bs, mid))
     z = fib[cols % n, cols]
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
+    kept = np.setdiff1d(cols, moved)
+    assert np.max(np.abs(evaluate(bs.owner, z[kept]) - np.exp(1j * mid[kept]))) < 1e-12
     f = from_series(FourierSeries(np.array(modes, dtype=complex)))
     blocks = list(expansion_blocks(bs, grid1024, fam.exceptions, fam, fam.conjugate()))
     assert np.array_equal(np.concatenate([fb for _, fb, _ in blocks], axis=1), fib)

@@ -28,6 +28,7 @@ from blaschkeops.transfer import (
     arcs_basis,
     expansion_blocks,
     grid_fibre,
+    midstep_fibre,
     nudged_fibre,
     outer_symbol,
 )
@@ -391,12 +392,13 @@ def test_completeness_defect_bounds_the_mode_expansions():
     # an independent route to sum_i S_i S_i* e_k, |k| <= 16: the coefficients as
     # branch means (fibre_means), put back together by expansion_sum, with no kernel.
     # |e_k| = 1, so the defect bounds each error against e_k at the kernel's points,
-    # node j's on row j mod N of its grid fibre column, where the point mass sits,
-    # up to the rounding of the reference's own sums
+    # node j's on row j mod N of its midstep fibre column, where the point mass sits,
+    # up to the rounding of the reference's own sums.  Their images lie half a step off
+    # the image grid, so no module Gram sample makes the two routes agree by algebra
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     bs, grid = build_branches(b), CircleGrid(RunConfig().grid_size)
     mod = induced_module_basis(bs, canonical_basis(b), grid)
-    fib, cols = grid_fibre(bs, grid), np.arange(grid.size)
+    (fib, _), cols = midstep_fibre(bs, grid, ()), np.arange(grid.size)
     z = fib[cols % bs.branch_count, cols]
     a_z = mod.values(z) * outer_symbol(bs, grid, 0.5).eval(z)
     w_fib = np.conj(mod.values(fib)) * outer_symbol(bs, grid, -0.5).eval(fib)
@@ -438,8 +440,8 @@ def test_kernel_checks_allocate_no_whole_fibre_array(monkeypatch):
 
     # in blocks of 100 points neither kernel check holds a family's values on the whole fibre:
     # for 16 zeros on grid 4096 one such (n, N, K) array is 16 MiB and a block's share 400 KiB.
-    # The checks solve no fibre of their own: the grid fibre they read is solved once per branch
-    # system, here inside the measurement, and that solve sets the peak, near 10 MB
+    # The checks solve no fibre of their own: the midstep fibre they read is solved once per
+    # branch system, here inside the measurement, and that solve sets the peak, near 10 MB
     b, grid = make_blaschke(seeded_zeros(16, 0.6)), CircleGrid(4096)
     monkeypatch.setattr(transfer, "EXPANSION_BLOCK", 16 * 16 * 100)
     _kernel_checks(b, grid)  # numpy's own first-use allocations stay out of the measurement
@@ -452,16 +454,37 @@ def test_kernel_checks_allocate_no_whole_fibre_array(monkeypatch):
     assert peak < 16 * 16 * grid.size * np.dtype(complex).itemsize
 
 
-@pytest.mark.parametrize("zeros, nudged", [([0.5, -0.3j, 0.2 + 0.4j], []), ([0, 0], [0])])
-def test_verify_all_solves_one_fibre(monkeypatch, zeros, nudged):
-    # the grid fibre is a run's one whole-fibre solve: theta_inv is asked for the N + 1 arc
-    # endpoints, the N K points of grid_fibre, and N more per node the arcs nudge, node 0 on
-    # {0, 0}, whose arc endpoints all map to 1.  Only that column differs from grid_fibre, and
-    # node j's kernel point is branch j mod N of its column, so each arc holds K/N of them
+def _b1_on_the_first_midstep(k):
+    """{0, w}, |w| = 0.5, with b(1) = e^{i pi/k}: arg b(1) falls through 0 at arg w = pi."""
+    lo, hi = np.pi / 2, np.pi
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if np.angle(evaluate(make_blaschke([0, 0.5 * np.exp(1j * mid)]), 1.0)) > np.pi / k:
+            lo = mid
+        else:
+            hi = mid
+    return [0, 0.5 * np.exp(1j * lo)]
+
+
+@pytest.mark.parametrize("case", ["three zeros", "squaring", "b(1) on a midstep"])
+def test_verify_all_solves_each_fibre_once(monkeypatch, case):
+    # a run solves two whole fibres, once each: theta_inv is asked for the N + 1 arc endpoints,
+    # the N K points of grid_fibre, the N K of the midstep fibre the kernel checks read, and N
+    # more per midstep node the arcs nudge.  The arc endpoints all map to b(1): on {0, 0} that
+    # is grid node 0, which nudged_fibre moves but no midstep node is near; on the third product
+    # it is midstep node 0.  Only a nudged column differs from the memoised fibre, and node j's
+    # kernel point is branch j mod N of its column, so each arc holds K/N of them
     from blaschkeops.blaschke import BranchSystem
 
-    b, config = make_blaschke(zeros), RunConfig()
-    n, k = b.degree, config.grid_size
+    config = RunConfig()
+    n_grid = config.grid_size
+    zeros, grid_moved, mid_moved = {
+        "three zeros": ([0.5, -0.3j, 0.2 + 0.4j], [], []),
+        "squaring": ([0, 0], [0], []),
+        "b(1) on a midstep": (_b1_on_the_first_midstep(n_grid), [], [0]),
+    }[case]
+    b = make_blaschke(zeros)
+    n = b.degree
     solve, points = BranchSystem.theta_inv, []
 
     def counted(self, s):
@@ -470,17 +493,20 @@ def test_verify_all_solves_one_fibre(monkeypatch, zeros, nudged):
 
     monkeypatch.setattr(BranchSystem, "theta_inv", counted)
     verify_all(b, config)
-    assert sum(points) == n * k + n + 1 + n * len(nudged)
+    assert sum(points) == 2 * n * n_grid + n + 1 + n * len(mid_moved)
 
-    bs, grid = build_branches(b), CircleGrid(k)
+    bs, grid = build_branches(b), CircleGrid(n_grid)
     arcs = arcs_basis(bs)
-    fib, moved = nudged_fibre(bs, grid, arcs.exceptions)
-    assert moved == nudged
-    assert np.nonzero(np.any(fib != grid_fibre(bs, grid), axis=0))[0].tolist() == nudged
+    assert nudged_fibre(bs, grid, arcs.exceptions)[1] == grid_moved
+    fib, moved = midstep_fibre(bs, grid, arcs.exceptions)
+    assert moved == mid_moved
+    memo, _ = midstep_fibre(bs, grid, ())
+    assert midstep_fibre(bs, grid, ())[0] is memo and not memo.flags.writeable
+    assert np.nonzero(np.any(fib != memo, axis=0))[0].tolist() == mid_moved
     blocks = expansion_blocks(bs, grid, arcs.exceptions, arcs, arcs.conjugate())
     z = np.concatenate([fb[at] for at, fb, _ in blocks])
     per_arc = np.count_nonzero(arcs.values(z), axis=1)
-    assert np.all(np.abs(per_arc - k / n) <= 1), per_arc
+    assert np.all(np.abs(per_arc - n_grid / n) <= 1), per_arc
 
 
 def test_verify_all_shares_the_module_grams_with_the_same_results():
