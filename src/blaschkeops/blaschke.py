@@ -142,7 +142,10 @@ def moebius_factor(w: complex, z):
         return np.asarray(z, dtype=complex)
     z = np.asarray(z, dtype=complex)
     denom = 1.0 - np.conj(w) * z
-    if np.any(np.abs(denom) < 1e-14 * (1.0 + np.abs(np.conj(w) * z))):
+    hit = np.abs(denom) < 1e-14 * (1.0 + np.abs(np.conj(w) * z))
+    if np.any(hit):  # a refused point on the circle puts the pole 1/conj(w) on it: name the zero
+        if np.any(np.abs(np.abs(z[hit]) - 1.0) < 1e-12):
+            raise ValueError(f"zero {w} lies too near the circle to evaluate on it: 1 - |alpha| = {1.0 - abs(w):.3e}")
         raise ValueError("evaluation at (or within machine tolerance of) a pole 1/conj(alpha)")
     return _rotation(w) * (w - z) / denom
 

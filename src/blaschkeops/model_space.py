@@ -29,8 +29,8 @@ from .transfer import (
     expansion_blocks,
     fibre_gram,
     gram_deviation,
-    grid_fibre,
     module_gram_deviation,
+    nudged_fibre,
     outer_symbol,
 )
 
@@ -138,15 +138,14 @@ def linking_unitary(
 
     Both families must pass the module Gram check, to MODULE_GRAM_TOL, on
     their memoised transfer.module_gram.  Pointwise on the grid the matrix
-    (u_ij(z)) is unitary, and B_j = sum_i A_i * beta(u_ij).  Both families are
-    evaluated on the grid fibre again to form u, since module_gram keeps no
-    values.
+    (u_ij(z)) is unitary, and B_j = sum_i A_i * beta(u_ij).  u is formed on
+    transfer.nudged_fibre of both families' exceptions, as module_gram keeps no values.
     """
     for fam, name in ((family_a, "A"), (family_b, "B")):
         dev = module_gram_deviation(bs, fam, grid)
         if dev > MODULE_GRAM_TOL:
             raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
-    fib = grid_fibre(bs, grid)
+    fib, _ = nudged_fibre(bs, grid, (*family_a.exceptions, *family_b.exceptions))
     return fibre_gram(bs, family_a.values(fib), family_b.values(fib))
 
 

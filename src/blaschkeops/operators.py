@@ -38,7 +38,7 @@ from .circlefun import (
     nonnegative_powers,
 )
 from .model_space import ModelBasis, validate_basis
-from .transfer import ModuleFamily, fibre_power_means, grid_fibre, outer_symbol
+from .transfer import ModuleFamily, fibre_power_means, nudged_fibre, outer_symbol
 
 import json
 
@@ -318,7 +318,7 @@ def cuntz_family_matrices(
 
 def transfer_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
     """Transfer operator: column n is the Fourier window of L(e_n) = conj L(e_{-n}), the fibre mean of z^n."""
-    return _mirrored_columns(fibre_power_means(grid_fibre(bs, grid), window), grid, window, None)
+    return _mirrored_columns(fibre_power_means(nudged_fibre(bs, grid, ())[0], window), grid, window, None)
 
 
 # -- dense algebra -------------------------------------------------------------

@@ -12,9 +12,9 @@ indicators scaled by sqrt(N) form an orthonormal basis with N elements.
 Module data has one type, ModuleFamily: a single element is a one-member
 family, and L and beta map families to families.  Everything is evaluated
 pointwise through the inverse branches, so identities hold to root-finding
-accuracy with no interpolation error.  On a grid, L reads nudged_fibre, the
-memoised grid fibre with its nudged nodes re-solved; the module expansion is
-checked on midstep_fibre, the fibre of the image nodes half a step off the grid.
+accuracy with no interpolation error.  Every grid sample of L reads
+nudged_fibre, the memoised grid fibre with nodes at exception images re-solved;
+the module expansion is checked on midstep_fibre, half a step off the grid.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _nudged(bs: BranchSystem, angles: np.ndarray, exceptions, fib: np.ndarray) -
 
 
 def nudged_fibre(bs: BranchSystem, grid: CircleGrid, exceptions) -> tuple[np.ndarray, list[int]]:
-    """The memoised grid_fibre through _nudged: the fibre transfer_apply reads."""
+    """The memoised grid_fibre through _nudged (the memo itself if no node moves): every grid sample of L reads it."""
     return _nudged(bs, grid.angles, exceptions, grid_fibre(bs, grid))
 
 
@@ -236,9 +236,7 @@ def coefficient_family(bs: BranchSystem, family: ModuleFamily, f: FourierSeries)
 def transfer_apply(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> list[BoundaryFunction]:
     """Sample L(m_i) on the grid, one boundary function per member: branch means over nudged_fibre.
 
-    Nodes on the (finitely many) image angles where some L(m_i) is only defined
-    up to a null set are nudged for every member, and recorded in each output's
-    meta; every other node reads the memoised grid fibre.
+    The nudged nodes are the same for every member and recorded in each output's meta.
     """
     fib, moved = nudged_fibre(bs, grid, family.exceptions)
     meta = {"nudged_nodes": moved} if moved else {}
@@ -284,11 +282,11 @@ def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.n
 def module_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> np.ndarray:
     """Pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K).
 
-    Formed from the family's values on the grid fibre, which are not kept, and
+    Formed from the family's values on nudged_fibre, which are not kept, and
     memoised on the branch system, once per (family, grid).
     """
     def build():
-        vals = family.values(grid_fibre(bs, grid))
+        vals = family.values(nudged_fibre(bs, grid, family.exceptions)[0])
         return fibre_gram(bs, vals, vals)
 
     return bs.memo(("gram", family, grid.size), build)

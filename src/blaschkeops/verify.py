@@ -65,9 +65,9 @@ from .transfer import (
     fibre_power_means,
     from_series,
     gram_deviation,
-    grid_fibre,
     module_gram,
     module_gram_deviation,
+    nudged_fibre,
     outer_symbol,
     transfer_apply,
 )
@@ -300,7 +300,7 @@ def _rel_h2_reduction(ctx: _Context):
 
 def _rel_transfer_h2_invariance(ctx: _Context):
     win = ctx.grid.size // 4
-    coeffs = fourier_window(fibre_power_means(grid_fibre(ctx.bs, ctx.grid), 32), win)  # n = 0..32
+    coeffs = fourier_window(fibre_power_means(nudged_fibre(ctx.bs, ctx.grid, ())[0], 32), win)  # n = 0..32
     worst = max(FourierSeries(c).negative_energy() for c in coeffs)
     return worst, {"modes": "0..32", "coefficient_window": win}
 

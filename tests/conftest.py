@@ -82,3 +82,8 @@ def seeded_zeros(n, radius):
     r = radius * np.sqrt(rng.uniform(size=n))
     t = rng.uniform(0, 2 * np.pi, n)
     return list(r * np.exp(1j * t))
+
+
+#: products with b(1) = 1 or -1, a node of every grid: z^9, z^12 and a real-coefficient cubic.  That
+#: node's fibre is the arc endpoints, where the half-open arc test meets one-ulp errors
+B1_ON_THE_GRID = ([0] * 9, [0] * 12, [-0.645683 - 0.095767j, -0.645683 + 0.095767j, 0.867497])

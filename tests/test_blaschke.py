@@ -62,8 +62,8 @@ def test_repeated_half_at_one():
 
 def test_pole_signalled():
     b = make_blaschke([0.5])
-    with pytest.raises(ValueError):
-        evaluate(b, 2.0)  # 1/conj(0.5)
+    with pytest.raises(ValueError, match="a pole 1/conj"):
+        evaluate(b, 2.0)  # 1/conj(0.5), off the circle
 
 
 @given(blaschke_zeros(), circle_angles())

@@ -55,6 +55,18 @@ def test_rejects_zeros_on_or_outside_circle(tmp_path, capsys):
     assert code == 2
 
 
+def test_zero_too_near_the_circle_is_named(tmp_path, capsys):
+    # 1 - 2^-53 is inside the disc, but on the circle its pole is within machine tolerance:
+    # the refusal names the zero and its distance to the circle, not a pole the user never asked for
+    near = tmp_path / "near.json"
+    near.write_text('{"zeros": [[0.9999999999999999, 0.0]]}')
+    code = main(["describe", str(near)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("math error: zero (0.9999999999999999+0j) lies too near the circle")
+    assert "1 - |alpha| = 1.110e-16" in err and "pole" not in err
+
+
 @pytest.mark.parametrize(
     "text",
     ["definitely not json", '{"zeros": [["NaN", 0]]}', '{"zeros": [[1]]}'],

@@ -18,7 +18,7 @@ from blaschkeops.model_space import (
 from blaschkeops.operators import orthonormality_defect, pair_power_gram
 from blaschkeops.transfer import arcs_basis, grid_fibre, module_gram_deviation, outer_symbol
 
-from conftest import blaschke_zeros, ones_basis, seeded_zeros
+from conftest import B1_ON_THE_GRID, blaschke_zeros, ones_basis, seeded_zeros
 from oracles import canonical_basis_mpmath, fibre_means
 
 
@@ -267,12 +267,13 @@ def test_linking_scalar_rotation_gives_constants(mixed, grid1024):
 
 
 def test_linking_canonical_to_arcs(z2, grid1024):
-    b, bs = z2
-    mod = induced_module_basis(bs, canonical_basis(b), grid1024)
-    arcs = arcs_basis(bs)
-    u = linking_unitary(bs, mod, arcs, grid1024)
-    assert pointwise_unitarity_deviation(u) < 1e-6
-    assert linking_reconstruction_deviation(bs, mod, arcs, grid1024) < 1e-6
+    # b(1) on the grid: u is formed on nudged_fibre, where the arcs pass their Gram check
+    for bs in (z2[1], *(build_branches(make_blaschke(z)) for z in B1_ON_THE_GRID)):
+        mod = induced_module_basis(bs, canonical_basis(bs.owner), grid1024)
+        arcs = arcs_basis(bs)
+        u = linking_unitary(bs, mod, arcs, grid1024)
+        assert pointwise_unitarity_deviation(u) < 1e-6, bs.owner.zeros
+        assert linking_reconstruction_deviation(bs, mod, arcs, grid1024) < 1e-6, bs.owner.zeros
 
 
 def test_linking_rejects_non_basis(mixed, grid1024):

@@ -30,7 +30,7 @@ from blaschkeops.transfer import (
     transfer_family,
 )
 
-from conftest import blaschke_zeros, ones_basis
+from conftest import B1_ON_THE_GRID, blaschke_zeros, ones_basis
 from oracles import expansion_sum, fibre_means, transfer_brute
 
 
@@ -294,19 +294,21 @@ def test_arcs_rows_are_one_hot(zeros, grid1024):
 
 
 def test_arcs_gram_identity(mixed, grid1024):
-    _, bs = mixed
-    assert module_gram_deviation(bs, arcs_basis(bs), grid1024) < 1e-6
+    # on the products with b(1) on the grid, the raw grid fibre put two branches in one arc at the
+    # node b(1) (deviation 1.0); the Gram reads nudged_fibre, which moves that node
+    for bs in (mixed[1], *(build_branches(make_blaschke(z)) for z in B1_ON_THE_GRID)):
+        assert module_gram_deviation(bs, arcs_basis(bs), grid1024) < 1e-6, bs.owner.zeros
 
 
 def test_module_gram_is_memoised_read_only_per_family(grid1024):
-    # the Gram is formed once per (family, grid) from values on the grid fibre
+    # the Gram is formed once per (family, grid) from values on nudged_fibre
     # and shared read-only; another family gets its own entry
     bs = build_branches(make_blaschke([0.5, -0.3j]))
     arcs, ones = arcs_basis(bs), ones_basis(bs.owner)
     gram = module_gram(bs, arcs, grid1024)
     assert module_gram(bs, arcs, grid1024) is gram
     assert not gram.flags.writeable
-    vals = arcs.values(grid_fibre(bs, grid1024))
+    vals = arcs.values(nudged_fibre(bs, grid1024, arcs.exceptions)[0])
     assert np.array_equal(gram, fibre_gram(bs, vals, vals))
     other = module_gram(bs, ones, grid1024)
     assert other is not gram and module_gram(bs, ones, grid1024) is other
