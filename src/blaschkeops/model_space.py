@@ -26,8 +26,9 @@ from .errors import GramCheckError
 from .transfer import (
     MODULE_GRAM_TOL,
     ModuleFamily,
+    arc_of,
+    arcs_basis,
     expansion_blocks,
-    fibre_gram,
     gram_deviation,
     module_gram_deviation,
     nudged_fibre,
@@ -131,22 +132,27 @@ def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) 
 # -- linking unitaries between module bases ---------------------------------
 
 
-def linking_unitary(
-    bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid
-) -> np.ndarray:
-    """The matrix u_ij = <A_i, B_j> linking two module bases, on the grid: shape (n_a, n_b, K).
+def _check_arc_labels(bs: BranchSystem, fib: np.ndarray) -> None:
+    """Raise GramCheckError unless every row j of `fib` lies in arc j, where the arcs basis is sqrt(N) I."""
+    off = np.count_nonzero(np.any(arc_of(bs, fib) != np.arange(bs.branch_count)[:, None], axis=0))
+    if off:
+        raise GramCheckError(f"fibre rows leave their arcs (transfer.arc_of) at {off} nodes")
 
-    Both families must pass the module Gram check, to MODULE_GRAM_TOL, on
-    their memoised transfer.module_gram.  Pointwise on the grid the matrix
-    (u_ij(z)) is unitary, and B_j = sum_i A_i * beta(u_ij).  u is formed on
-    transfer.nudged_fibre of both families' exceptions, as module_gram keeps no values.
+
+def linking_unitary(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> np.ndarray:
+    """The matrix u_ij = <A_i, E_j> linking a module basis A to the arcs basis E, on the grid: shape (n, N, K).
+
+    A must pass the module Gram check (MODULE_GRAM_TOL, on its memoised transfer.module_gram), and every
+    row j of transfer.nudged_fibre must lie in arc j, else GramCheckError: there E is sqrt(N) I, so
+    u_ij = conj(A_i) sqrt(N) / N at branch row j.  Pointwise on the grid (u_ij(z)) is unitary and
+    E_j = sum_i A_i * beta(u_ij); two bases A and B are linked by u_A u_B^* pointwise.
     """
-    for fam, name in ((family_a, "A"), (family_b, "B")):
-        dev = module_gram_deviation(bs, fam, grid)
-        if dev > MODULE_GRAM_TOL:
-            raise GramCheckError(f"family {name} fails the module Gram check ({dev:.3e})")
-    fib, _ = nudged_fibre(bs, grid, (*family_a.exceptions, *family_b.exceptions))
-    return fibre_gram(bs, family_a.values(fib), family_b.values(fib))
+    dev = module_gram_deviation(bs, family, grid)
+    if dev > MODULE_GRAM_TOL:
+        raise GramCheckError(f"family A fails the module Gram check ({dev:.3e})")
+    fib, _ = nudged_fibre(bs, grid, (*family.exceptions, *arcs_basis(bs).exceptions))
+    _check_arc_labels(bs, fib)
+    return np.conj(family.values(fib)) * np.sqrt(bs.branch_count) / bs.branch_count
 
 
 def pointwise_unitarity_deviation(u: np.ndarray) -> float:
@@ -154,18 +160,18 @@ def pointwise_unitarity_deviation(u: np.ndarray) -> float:
     return gram_deviation(np.einsum("ijK,ikK->jkK", np.conj(u), u))
 
 
-def linking_reconstruction_deviation(
-    bs: BranchSystem, family_a: ModuleFamily, family_b: ModuleFamily, grid: CircleGrid
-) -> float:
-    """sup-error of B_j = sum_i A_i * (u_ij o b), u_ij = <A_i, B_j>, at the points z of transfer.expansion_blocks.
+def linking_reconstruction_deviation(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> float:
+    """sup-error of E_j = sum_i A_i * (u_ij o b), u = linking_unitary, at the points z of transfer.expansion_blocks.
 
-    The module expansion of each B_j, a_i = A_i and w_i = conj(A_i), B_j(z) read from B_j's values
-    on the fibre: the coefficients are taken at b(z), with no interpolation, half a step off the
-    image grid on which linking_unitary samples u, so this exercises the linking matrix off that grid.
+    The module expansion of E_j, a_i = A_i and w_i = conj(A_i), on fibres whose row l lies in arc l (else
+    GramCheckError): there E_j(zeta) = sqrt(N) [zeta = zeta_j], so the error is sqrt(N) |k(z, zeta) - [zeta = z]|.
+    The coefficients are taken at b(z), with no interpolation, half a step off the image grid on which
+    linking_unitary samples u, so this exercises the linking matrix off that grid.
     """
     worst = 0.0
-    blocks = expansion_blocks(bs, grid, (*family_a.exceptions, *family_b.exceptions), family_a, family_a.conjugate())
-    for at, fib, kernel in blocks:
-        for b_fib in family_b.values(fib):
-            worst = max(worst, float(np.max(np.abs(np.sum(kernel * b_fib, axis=0) - b_fib[at]))))
-    return worst
+    exceptions = (*family.exceptions, *arcs_basis(bs).exceptions)
+    for at, fib, kernel in expansion_blocks(bs, grid, exceptions, family, family.conjugate()):
+        _check_arc_labels(bs, fib)
+        kernel[at] -= 1.0  # zeta = z
+        worst = max(worst, float(np.max(np.abs(kernel))))
+    return float(np.sqrt(bs.branch_count)) * worst

@@ -7,7 +7,8 @@ The transfer operator averages a function over the N preimage branches,
 and is a left inverse of composition beta: phi -> phi o b.  Together they give
 the bounded-function algebra a Hilbert-module structure with inner product
 <xi, eta> = L(conj(xi) eta) and module action xi . a = xi * beta(a); the arcs
-indicators scaled by sqrt(N) form an orthonormal basis with N elements.
+indicators scaled by sqrt(N) form an orthonormal basis with N elements, which is
+sqrt(N) I on nudged_fibre, where branch row j lies in arc j (arc_of, the one arc rule).
 
 Module data has one type, ModuleFamily: a single element is a one-member
 family, and L and beta map families to families.  Everything is evaluated
@@ -246,48 +247,42 @@ def transfer_apply(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> 
 # -- bases ------------------------------------------------------------------
 
 
+def arc_of(bs: BranchSystem, z) -> np.ndarray:
+    """Index 0..N-1 of the half-open arc [t_j, t_{j+1}) that holds each z: the one arc-membership rule."""
+    t = np.mod(np.angle(z), TWO_PI)
+    return np.clip(np.searchsorted(bs.arc_endpoints, t, side="right") - 1, 0, bs.branch_count - 1)
+
+
 def arcs_basis(bs: BranchSystem) -> ModuleFamily:
     """The N-element module basis sqrt(N) * indicator of the j-th arc.
 
-    Arcs are half-open [t_{j-1}, t_j), which fixes values on the measure-zero
+    Arcs are half-open (arc_of), which fixes values on the measure-zero
     endpoint set consistently with the branch labelling.  One search over the
     arc endpoints serves every member: row j is sqrt(N) where z lies in arc j.
     """
     n = bs.branch_count
     root = float(np.sqrt(n))
-    ends = bs.arc_endpoints
 
     def rule(z):
-        t = np.mod(np.angle(z), TWO_PI)
-        arc = np.clip(np.searchsorted(ends, t, side="right"), 1, n)
-        rows = np.arange(1, n + 1).reshape((n,) + (1,) * z.ndim)
-        return np.where(rows == arc, root, 0.0).astype(complex)
+        rows = np.arange(n).reshape((n,) + (1,) * z.ndim)
+        return np.where(rows == arc_of(bs, z), root, 0.0).astype(complex)
 
     return ModuleFamily(
         labels=tuple(f"sqrt({n})*1_A{j}" for j in range(1, n + 1)),
         rule=rule,
-        exceptions=tuple(np.mod(ends[:-1], TWO_PI)),
+        exceptions=tuple(np.mod(bs.arc_endpoints[:-1], TWO_PI)),
     )
-
-
-def fibre_gram(bs: BranchSystem, a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
-    """Pointwise module Gram <A_i, B_j>(z) from values on a fibre, shape (n_a, n_b, K).
-
-    `a_vals` and `b_vals` hold each family member on the preimage fibre, shape
-    (n, N, K); the Gram is the branch average of conj(A_i) B_j.
-    """
-    return np.einsum("aNK,bNK->abK", np.conj(a_vals), b_vals) / bs.branch_count
 
 
 def module_gram(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> np.ndarray:
     """Pointwise module Gram <m_i, m_j>(z) on the grid, shape (n, n, K).
 
-    Formed from the family's values on nudged_fibre, which are not kept, and
-    memoised on the branch system, once per (family, grid).
+    The branch average of conj(m_i) m_j over nudged_fibre, whose values are
+    not kept, memoised on the branch system once per (family, grid).
     """
     def build():
         vals = family.values(nudged_fibre(bs, grid, family.exceptions)[0])
-        return fibre_gram(bs, vals, vals)
+        return np.einsum("aNK,bNK->abK", np.conj(vals), vals) / bs.branch_count
 
     return bs.memo(("gram", family, grid.size), build)
 

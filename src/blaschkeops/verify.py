@@ -5,7 +5,7 @@ its residual and the truncation parameters that certify it (window, interior
 block, tail threshold, excluded columns).  The tolerances live here; three
 rules in the math modules raise on their own, and so fail what reads them:
 model_space.validate_basis (VALIDATION_TOL; the covariance pair), linking_unitary
-(MODULE_GRAM_TOL) and operators.excluded_mask (no certified column).
+(MODULE_GRAM_TOL; fibre rows in their arcs) and operators.excluded_mask (no certified column).
 
 Every relation also has at least one negative control exercised by the test
 suite (non-unitary rotation, b(0) != 0 isometry claim, non-orthonormal module
@@ -60,6 +60,7 @@ from .operators import (
 from .rochberg import decompose
 from .transfer import (
     ModuleFamily,
+    arc_of,
     arcs_basis,
     expansion_blocks,
     fibre_power_means,
@@ -103,9 +104,9 @@ def reports_to_json(reports: list) -> str:
 class _Context:
     """One run's settings and the objects tied to its bases, each built once on first use.
 
-    The module Gram and completeness memos are keyed by the family object, so
-    the bases are held here, one object per run.  Every other shared input
-    (fibre, J^p, Gamma_b, the direct C_b) is memoised by its builder.
+    The module Gram and completeness memos are keyed by the family object, so the
+    bases are held here, one object per run; the arcs checks read only arc labels.
+    Every other shared input (fibre, J^p, Gamma_b, the direct C_b) is memoised by its builder.
     """
 
     def __init__(self, b: BlaschkeProduct, config: RunConfig):
@@ -134,10 +135,6 @@ class _Context:
     @cached_property
     def module_basis(self):
         return induced_module_basis(self.bs, self.basis, self.grid)
-
-    @cached_property
-    def arcs(self):
-        return arcs_basis(self.bs)
 
     @cached_property
     def cuntz(self):
@@ -375,15 +372,16 @@ def _rel_module_onb(ctx: _Context):
 
 
 def _rel_arcs_onb(ctx: _Context):
-    dev = module_gram_deviation(ctx.bs, ctx.arcs, ctx.grid)
-    return dev, {"family": "sqrt(N) arc indicators"}
+    # on a fibre the arcs Gram is diagonal, <E_j, E_j> the count of its points in arc j: no arcs values
+    fib, _ = nudged_fibre(ctx.bs, ctx.grid, arcs_basis(ctx.bs).exceptions)
+    n, k = fib.shape
+    counts = np.bincount((arc_of(ctx.bs, fib) + n * np.arange(k)).ravel(), minlength=n * k)
+    return float(np.max(np.abs(counts - 1))), {"family": "sqrt(N) arc indicators"}
 
 
 def _rel_linking_unitary(ctx: _Context):
-    u = linking_unitary(ctx.bs, ctx.module_basis, ctx.arcs, ctx.grid)
-    r1 = pointwise_unitarity_deviation(u)
-    del u  # (n, n, K): freed before the reconstruction evaluates the families on a fibre
-    r2 = linking_reconstruction_deviation(ctx.bs, ctx.module_basis, ctx.arcs, ctx.grid)
+    r1 = pointwise_unitarity_deviation(linking_unitary(ctx.bs, ctx.module_basis, ctx.grid))
+    r2 = linking_reconstruction_deviation(ctx.bs, ctx.module_basis, ctx.grid)
     return max(r1, r2), {"unitarity_defect": r1, "reconstruction_defect": r2}
 
 

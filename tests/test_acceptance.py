@@ -231,7 +231,7 @@ def test_criterion_9_module_onbs():
     arcs = arcs_basis(bs)
     dev_canonical = module_gram_deviation(bs, mod, grid)
     dev_arcs = module_gram_deviation(bs, arcs, grid)
-    u = linking_unitary(bs, mod, arcs, grid)
+    u = linking_unitary(bs, mod, grid)
     dev_link = pointwise_unitarity_deviation(u)
     ok = dev_canonical < 1e-8 and dev_arcs < 1e-6 and dev_link < 1e-6
     _line(9, "module ONBs", ok,

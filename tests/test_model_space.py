@@ -16,7 +16,7 @@ from blaschkeops.model_space import (
     validate_basis,
 )
 from blaschkeops.operators import orthonormality_defect, pair_power_gram
-from blaschkeops.transfer import arcs_basis, grid_fibre, module_gram_deviation, outer_symbol
+from blaschkeops.transfer import arcs_basis, grid_fibre, module_gram_deviation, nudged_fibre, outer_symbol
 
 from conftest import B1_ON_THE_GRID, blaschke_zeros, ones_basis, seeded_zeros
 from oracles import canonical_basis_mpmath, fibre_means
@@ -239,9 +239,9 @@ def test_module_family_is_the_basis_times_j_minus_half(grid1024):
 
 
 def test_linking_same_family_is_identity(mixed, grid1024):
-    b, bs = mixed
-    mod = induced_module_basis(bs, canonical_basis(b), grid1024)
-    u = linking_unitary(bs, mod, mod, grid1024)
+    # the arcs basis linked to itself
+    _, bs = mixed
+    u = linking_unitary(bs, arcs_basis(bs), grid1024)
     for i in range(2):
         for j in range(2):
             target = 1.0 if i == j else 0.0
@@ -250,15 +250,17 @@ def test_linking_same_family_is_identity(mixed, grid1024):
 
 def test_linking_scalar_rotation_gives_constants(mixed, grid1024):
     # rotating the model basis by a scalar unitary rotates the induced module
-    # basis; the linking matrix is that unitary transposed, entrywise constant
+    # basis; the matrix u_A u_B^* linking the two, each linked to the arcs, is
+    # that unitary transposed, entrywise constant, and the branch mean of
+    # conj(A_i) B_j on the fibre where both are linked
     b, bs = mixed
     basis = canonical_basis(b)
     c, s = np.cos(0.4), np.sin(0.4)
     scalar_u = np.array([[c, s + 0j], [-s, c]])
     mod_a = induced_module_basis(bs, basis, grid1024)
     mod_b = induced_module_basis(bs, rotate_basis(basis, scalar_u), grid1024)
-    u = linking_unitary(bs, mod_a, mod_b, grid1024)
-    fib = grid_fibre(bs, grid1024)
+    u = np.einsum("ijK,kjK->ikK", linking_unitary(bs, mod_a, grid1024), np.conj(linking_unitary(bs, mod_b, grid1024)))
+    fib, _ = nudged_fibre(bs, grid1024, arcs_basis(bs).exceptions)
     for i in range(2):
         for j in range(2):
             direct = fibre_means(np.conj(mod_a.values(fib)[i : i + 1]), mod_b.values(fib)[j])[0]
@@ -270,16 +272,15 @@ def test_linking_canonical_to_arcs(z2, grid1024):
     # b(1) on the grid: u is formed on nudged_fibre, where the arcs pass their Gram check
     for bs in (z2[1], *(build_branches(make_blaschke(z)) for z in B1_ON_THE_GRID)):
         mod = induced_module_basis(bs, canonical_basis(bs.owner), grid1024)
-        arcs = arcs_basis(bs)
-        u = linking_unitary(bs, mod, arcs, grid1024)
+        u = linking_unitary(bs, mod, grid1024)
         assert pointwise_unitarity_deviation(u) < 1e-6, bs.owner.zeros
-        assert linking_reconstruction_deviation(bs, mod, arcs, grid1024) < 1e-6, bs.owner.zeros
+        assert linking_reconstruction_deviation(bs, mod, grid1024) < 1e-6, bs.owner.zeros
 
 
 def test_linking_rejects_non_basis(mixed, grid1024):
     b, bs = mixed
     with pytest.raises(GramCheckError):
-        linking_unitary(bs, ones_basis(b), arcs_basis(bs), grid1024)
+        linking_unitary(bs, ones_basis(b), grid1024)
 
 
 @given(blaschke_zeros(max_degree=3, max_radius=0.7))
@@ -288,7 +289,7 @@ def test_linking_unitarity_generic(zeros):
     bs = build_branches(b)
     g = CircleGrid(256)
     mod = induced_module_basis(bs, canonical_basis(b), g)
-    u = linking_unitary(bs, mod, arcs_basis(bs), g)
+    u = linking_unitary(bs, mod, g)
     assert pointwise_unitarity_deviation(u) < 1e-6
 
 

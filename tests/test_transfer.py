@@ -14,11 +14,11 @@ from blaschkeops.circlefun import (
 )
 from blaschkeops.transfer import (
     ModuleFamily,
+    arc_of,
     arcs_basis,
     compose_with_b,
     expansion_blocks,
     fibre,
-    fibre_gram,
     fibre_power_means,
     from_series,
     grid_fibre,
@@ -293,6 +293,40 @@ def test_arcs_rows_are_one_hot(zeros, grid1024):
     assert np.array_equal(vals.sum(axis=0), np.full(z.size, np.sqrt(n)))
 
 
+@st.composite
+def _products_of_three_kinds(draw):
+    """Degree 1-12: real coefficients (real zeros and conjugate pairs), z^N, or general zeros of radius <= 0.9.
+
+    The first two kinds put b(1) = +-1 on a node of every grid.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(["real", "power", "general"]))
+    radius, angle = st.floats(min_value=0.0, max_value=0.9), st.floats(min_value=0.0, max_value=2 * np.pi)
+    if kind == "power":
+        return [0] * n
+    if kind == "general":
+        return [r * np.exp(1j * t) for r, t in (draw(st.tuples(radius, angle)) for _ in range(n))]
+    zeros = []
+    while len(zeros) < n:
+        if len(zeros) + 2 <= n and draw(st.booleans()):
+            z = draw(radius) * np.exp(1j * draw(angle))
+            zeros += [z, np.conj(z)]
+        else:
+            zeros.append(draw(st.floats(min_value=-0.9, max_value=0.9)))
+    return zeros
+
+
+@given(_products_of_three_kinds())
+def test_fibre_rows_lie_in_their_arcs(zeros):
+    # the precondition of the arcs closed forms (arcs_onb's count, linking_unitary's u): on the fibres
+    # the linking checks read, nudged off the arcs' exception images, branch row j lies in arc j
+    bs = build_branches(make_blaschke(zeros))
+    grid, arcs = CircleGrid(512), arcs_basis(bs)
+    rows = np.arange(bs.branch_count)[:, None]
+    for fib, _ in (nudged_fibre(bs, grid, arcs.exceptions), midstep_fibre(bs, grid, arcs.exceptions)):
+        assert np.array_equal(arc_of(bs, fib), np.broadcast_to(rows, fib.shape)), zeros
+
+
 def test_arcs_gram_identity(mixed, grid1024):
     # on the products with b(1) on the grid, the raw grid fibre put two branches in one arc at the
     # node b(1) (deviation 1.0); the Gram reads nudged_fibre, which moves that node
@@ -309,7 +343,7 @@ def test_module_gram_is_memoised_read_only_per_family(grid1024):
     assert module_gram(bs, arcs, grid1024) is gram
     assert not gram.flags.writeable
     vals = arcs.values(nudged_fibre(bs, grid1024, arcs.exceptions)[0])
-    assert np.array_equal(gram, fibre_gram(bs, vals, vals))
+    assert np.array_equal(gram, np.sum(np.conj(vals)[:, None] * vals[None], axis=2) / bs.branch_count)
     other = module_gram(bs, ones, grid1024)
     assert other is not gram and module_gram(bs, ones, grid1024) is other
     assert np.all(other == 1.0)  # <1, 1> = 1 for every pair

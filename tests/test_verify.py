@@ -6,8 +6,13 @@ import pytest
 from blaschkeops import build_branches, evaluate, j0, make_blaschke
 from blaschkeops.circlefun import CircleGrid, exponential
 from blaschkeops.config import RunConfig
-from blaschkeops.errors import MATH_ERRORS
-from blaschkeops.model_space import canonical_basis, induced_module_basis, linking_reconstruction_deviation
+from blaschkeops.errors import MATH_ERRORS, GramCheckError
+from blaschkeops.model_space import (
+    canonical_basis,
+    induced_module_basis,
+    linking_reconstruction_deviation,
+    linking_unitary,
+)
 from blaschkeops.operators import (
     adjoint,
     compose,
@@ -25,10 +30,12 @@ from blaschkeops.operators import (
 )
 from blaschkeops.transfer import (
     ModuleFamily,
+    arc_of,
     arcs_basis,
     expansion_blocks,
     grid_fibre,
     midstep_fibre,
+    module_gram_deviation,
     nudged_fibre,
     outer_symbol,
 )
@@ -36,6 +43,10 @@ from blaschkeops.verify import (
     NORM_WINDOWS,
     RELATIONS,
     _completeness_defect,
+    _Context,
+    _rel_arcs_onb,
+    _rel_linking_unitary,
+    _rel_module_onb,
     _shift_columns,
     convergence_csv,
     convergence_study,
@@ -45,7 +56,7 @@ from blaschkeops.verify import (
     verify_solution1,
 )
 
-from conftest import ones_basis, seeded_zeros
+from conftest import B1_ON_THE_GRID, ones_basis, seeded_zeros
 from oracles import expansion_sum, fibre_means
 
 FAST = RunConfig(grid_size=2048, mode_window=32)
@@ -412,11 +423,80 @@ def test_completeness_defect_bounds_the_mode_expansions():
     assert defect < 1e-12
 
 
+#: the zoo of scripts/run_verify.py, the products whose b(1) is a grid node, and 16 seeded zeros
+ARCS_PRODUCTS = {
+    "z^2": [0, 0],
+    "z^3": [0, 0, 0],
+    "single 0.5": [0.5],
+    "zero at origin": [0, 0.5],
+    "two mixed": [0.5, -0.3j],
+    "three mixed": [0.5, -0.3j, 0.2 + 0.4j],
+    "z^9": B1_ON_THE_GRID[0],
+    "z^12": B1_ON_THE_GRID[1],
+    "real cubic": B1_ON_THE_GRID[2],
+    "16 zeros": seeded_zeros(16, 0.6),
+}
+
+
+@pytest.mark.parametrize("zeros", ARCS_PRODUCTS.values(), ids=ARCS_PRODUCTS.keys())
+def test_arcs_closed_forms_match_the_generic_route(zeros):
+    # arcs_onb counts the fibre points per arc, and linking_unitary reads conj(A) sqrt(N) / N off the arc
+    # labels; the generic route evaluates the arcs E on the same nudged_fibre: the module Gram of E, and
+    # the branch average of conj(A_i) E_j
+    ctx = _Context(make_blaschke(zeros), RunConfig())
+    bs, grid, mod, arcs = ctx.bs, ctx.grid, ctx.module_basis, arcs_basis(ctx.bs)
+    eps = np.finfo(float).eps
+    assert abs(_rel_arcs_onb(ctx)[0] - module_gram_deviation(bs, arcs, grid)) <= 4 * eps
+    fib, _ = nudged_fibre(bs, grid, arcs.exceptions)
+    e_fib, conj_a = arcs.values(fib), np.conj(mod.values(fib))
+    generic = np.stack([np.stack(fibre_means(conj_a, e_j), axis=0) for e_j in e_fib], axis=1)
+    assert np.max(np.abs(linking_unitary(bs, mod, grid) - generic)) <= 4 * eps
+
+
+@pytest.mark.parametrize("zeros, node", [(B1_ON_THE_GRID[0], 0), (B1_ON_THE_GRID[2], 2048)], ids=["z^9", "real cubic"])
+def test_arcs_closed_forms_fail_on_the_raw_grid_fibre(monkeypatch, zeros, node):
+    # the negative control: b(1) is grid node `node`, whose raw fibre is the arc endpoints, and there a
+    # branch row leaves its arc.  With nudged_fibre replaced by the raw fibre the arcs count reads 1.0,
+    # as the generic module Gram of the arcs does, and the linking matrix's arc-label check raises
+    from blaschkeops import model_space, transfer, verify
+
+    for module in (transfer, model_space, verify):
+        monkeypatch.setattr(module, "nudged_fibre", lambda bs, grid, exceptions: (grid_fibre(bs, grid), []))
+    ctx = _Context(make_blaschke(zeros), RunConfig())
+    bs, grid = ctx.bs, ctx.grid
+    off = np.any(arc_of(bs, grid_fibre(bs, grid)) != np.arange(bs.branch_count)[:, None], axis=0)
+    assert np.nonzero(off)[0].tolist() == [node]
+    assert _rel_arcs_onb(ctx)[0] == 1.0
+    assert abs(module_gram_deviation(bs, arcs_basis(bs), grid) - 1.0) <= 4 * np.finfo(float).eps
+    with pytest.raises(GramCheckError, match="leave their arcs"):
+        linking_unitary(bs, ctx.module_basis, grid)
+
+
+def test_arcs_checks_hold_no_arcs_values():
+    import tracemalloc
+
+    # at 16 zeros on grid 4096 one (n, N, K) complex array is 16 MiB.  linking_unitary holds u, its
+    # pointwise Gram and that Gram's deviation temporaries, under four such arrays, and no arcs values;
+    # arcs_onb reads only the arc labels of the grid fibre.  module_onb runs first, as in verify_all, so
+    # the grid fibre and the module Gram are memoised outside the measurement, and no arcs Gram exists
+    mib = 1 << 20
+    ctx = _Context(make_blaschke(seeded_zeros(16, 0.6)), RunConfig())
+    _rel_module_onb(ctx)
+    for rel, bound in ((_rel_linking_unitary, 64 * mib), (_rel_arcs_onb, 4 * mib)):
+        tracemalloc.start()
+        try:
+            rel(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (rel.__name__, peak / mib)
+
+
 def _kernel_checks(b, grid):
-    """The two checks that read transfer.expansion_blocks, on the module basis of b and the arcs."""
+    """The two checks that read transfer.expansion_blocks, on the module basis of b (linked to the arcs)."""
     bs = build_branches(b)
     mod = induced_module_basis(bs, canonical_basis(b), grid)
-    return _completeness_defect(bs, mod, grid), linking_reconstruction_deviation(bs, mod, arcs_basis(bs), grid)
+    return _completeness_defect(bs, mod, grid), linking_reconstruction_deviation(bs, mod, grid)
 
 
 @pytest.mark.parametrize("points", [100, 4095])
@@ -473,7 +553,7 @@ def test_verify_all_solves_each_fibre_once(monkeypatch, case):
     # a run solves two whole fibres, once each: theta_inv is asked for the N + 1 arc endpoints,
     # the N K points of grid_fibre, the N K of the midstep fibre the kernel checks read, N more
     # per midstep node the arcs nudge, and 2 N per grid node they nudge: nudged_fibre solves a
-    # moved column again on each read, once for the arcs module Gram and once for the linking
+    # moved column again on each read, once for arcs_onb's arc count and once for the linking
     # matrix.  The arc endpoints all map to b(1): on {0, 0} that is grid node 0, which
     # nudged_fibre moves but no midstep node is near (16,391 points, 4 of them the moved column
     # twice); on the third product it is midstep node 0.  Only a nudged column differs from the
