@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BranchSystem, evaluate, j0
+from .blaschke import BranchSystem, evaluate
 from .circlefun import (
     CircleGrid,
     FourierSeries,
@@ -276,11 +276,19 @@ def gamma_b_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> Truncated
     return bs.memo(("gamma", grid.size, window), build)
 
 
-def master_isometry_matrix(bs: BranchSystem, window: int, grid: CircleGrid) -> TruncatedOperator:
+def master_isometry_matrix(
+    bs: BranchSystem, window: int, grid: CircleGrid, columns: int | None = None
+) -> TruncatedOperator:
     """C_b = pi(J^{1/2}) Gamma_b as a product of truncated matrices: a derived
-    operator, tails inf.  master_isometry_matrix_direct is the sampled C_b."""
+    operator, tails inf.  master_isometry_matrix_direct is the sampled C_b.
+
+    Rows -window..window, columns -columns..columns (columns=None: columns =
+    window, at most window): the product with those columns of Gamma_b only.
+    """
+    c = _column_count(window, columns)
     j_half = fourier_coeffs(outer_symbol(bs, grid, 0.5).boundary, window)
-    return compose(mult_operator(j_half, window), gamma_b_matrix(bs, window, grid))
+    gamma = gamma_b_matrix(bs, window, grid)
+    return compose(mult_operator(j_half, window), block(gamma, gamma.row_modes, (-c, c)))
 
 
 def master_isometry_matrix_direct(
@@ -415,7 +423,8 @@ def interior_residual(
 
 
 PANEL_POINTS = 16  # Gauss-Legendre nodes per panel of pair_power_gram
-OVERSAMPLE = 6.0  # its quadrature points per period of the fastest oscillation
+OVERSAMPLE = 6.0  # its quadrature points per period of each stretch's fastest oscillation
+UNIFORM_BREAKS = 64  # uniform break angles of its panels; zeros within 2pi/64 of the circle grade them further
 NODE_BLOCK = 2048  # quadrature nodes per power table, which bounds its memory
 PAIR_ROWS = 256  # member pairs (i, j) per matrix product (at least one i's n pairs), which bounds its memory
 
@@ -424,22 +433,37 @@ def moment_nodes(bs: BranchSystem, exceptions, window: int) -> tuple[np.ndarray,
     """The nodes t and weights w of pair_power_gram's rule: sum w g(t) ~ int g dt/2pi.
 
     Piecewise Gauss-Legendre on [0, 2pi], with PANEL_POINTS nodes per panel.
-    The panels break at the `exceptions` angles, and each stretch between
-    breaks gets OVERSAMPLE points per period of e^{2i window theta}, at its
-    fastest slope.
+    The stretches break at UNIFORM_BREAKS uniform angles, at the `exceptions`
+    angles, and geometrically toward each zero a with 1 - |a| < h = 2pi/64, at
+    arg a +- (1 - |a|) 2^k while that offset is below h: there theta' = N j0
+    peaks at about 2 / (1 - |a|).  Each stretch gets equal panels, enough for
+    OVERSAMPLE points per period of e^{2i window theta} at the larger of
+    theta' at its two ends (closed form, no preimage solved), so the circle
+    away from a peak is not sampled for the peak's slope.  The grading makes
+    theta' monotone or nearly flat on each stretch but the one around arg a,
+    where it peaks at about twice its value at the ends; OVERSAMPLE leaves room
+    for that (at 4 the moments of {0.999} still sit at their rounding floor).
     """
     two_pi = 2.0 * np.pi
-    breaks = sorted({0.0, two_pi} | {float(np.mod(e, two_pi)) for e in exceptions})
+    h = two_pi / UNIFORM_BREAKS
+    angles = [np.linspace(0.0, two_pi, UNIFORM_BREAKS + 1), np.asarray(exceptions, dtype=float)]
+    for a in bs.owner.zeros:
+        offset = 1.0 - abs(a)
+        while offset < h:
+            angles.append(np.angle(a) + np.array([-offset, offset]))
+            offset *= 2.0
+    breaks = np.unique(np.concatenate([np.mod(np.concatenate(angles), two_pi), [0.0, two_pi]]))
+    lo, hi = breaks[:-1], breaks[1:]
+    slope = bs.theta_prime(breaks)
+    # OVERSAMPLE points per period of the fastest oscillation 2*window*theta' on each stretch
+    periods = (hi - lo) * 2 * window * np.maximum(slope[:-1], slope[1:]) / two_pi
+    n_panels = np.maximum(1, np.ceil(periods * OVERSAMPLE / PANEL_POINTS).astype(int))
     nodes_x, weights_x = np.polynomial.legendre.leggauss(PANEL_POINTS)
-    max_slope = bs.branch_count * float(np.max(j0(bs.owner, np.linspace(0, two_pi, 1024))))
     ts, ws = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi - lo < 1e-14:
+    for start, stop, n in zip(lo, hi, n_panels):
+        if stop - start < 1e-14:
             continue
-        # resolve the fastest oscillation 2*window*theta' with OVERSAMPLE points per period
-        periods = (hi - lo) * 2 * window * max_slope / two_pi
-        n_panels = max(4, int(np.ceil(periods * OVERSAMPLE / PANEL_POINTS)))
-        edges = np.linspace(lo, hi, n_panels + 1)
+        edges = np.linspace(start, stop, n + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         ts.append((mid[:, None] + half[:, None] * nodes_x[None, :]).reshape(-1))
@@ -453,7 +477,8 @@ def pair_power_gram(bs: BranchSystem, family: ModuleFamily, window: int) -> np.n
     mu[i, j, k + 2*window] = int conj(f_i) f_j e^{ik theta(t)} dt/2pi for
     |k| <= 2*window.  Since b = e^{i theta} on the circle, the Gram entry
     (f_j b^n, f_i b^m) is mu[i, j, n - m + 2*window]: the matrix is Toeplitz in
-    n - m.  The panels break at the union of the family's exception angles, so
+    n - m.  The nodes are moment_nodes': panels sized by each stretch's own
+    slope theta', broken at the union of the family's exception angles, so
     the quadrature stays spectrally accurate for indicator-type members where
     grid quadrature and truncated matrix products lose O(1/M).  The verifier
     certifies every Gram relation of the form (f b^n, g b^m) from these moments.

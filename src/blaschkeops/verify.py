@@ -189,7 +189,9 @@ def _completeness_defect(bs, family: ModuleFamily, grid: CircleGrid) -> float:
 # on the circle: (f b^n, g b^m) = int conj(g) f e^{i(n-m) theta} dt/2pi.
 # cuntz_orthogonality, the isometry part of master_isometry, implements_transfer
 # and isometry_criterion are certified from pair_power_gram moments over every
-# |n|, |m| <= window, so they exclude no column.  cuntz_completeness reads the
+# |n|, |m| <= window, so they exclude no column.  The moments' nodes follow the
+# lift: each stretch of operators.moment_nodes is sized by its own slope theta'
+# and graded toward zeros near the circle.  cuntz_completeness reads the
 # kernel defect, which bounds every f; the column checks use truncated matrices.
 
 
@@ -271,8 +273,10 @@ def _rel_master_isometry(ctx: _Context):
     # C_b e_n = J^{1/2} b^n: C_b* C_b = I from the moments; the two truncated
     # constructions of C_b are compared on the certified interior columns
     iso = orthonormality_defect(pair_power_gram(ctx.bs, _times_j_half(_ONE, ctx.bs, ctx.grid), ctx.window))
-    direct = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid, ctx.interior)  # interior columns only
-    cross, excl = _certify(ctx, [(master_isometry_matrix(ctx.bs, ctx.window, ctx.grid), direct, [direct])])
+    # both constructions on the interior columns only
+    direct = master_isometry_matrix_direct(ctx.bs, ctx.window, ctx.grid, ctx.interior)
+    product = master_isometry_matrix(ctx.bs, ctx.window, ctx.grid, ctx.interior)
+    cross, excl = _certify(ctx, [(product, direct, [direct])])
     return max(iso, cross), {
         "isometry_defect": iso,
         "construction_agreement": cross,

@@ -525,6 +525,26 @@ def test_narrowed_builders_are_the_central_columns_of_the_full_builds(zeros, win
         assert np.array_equal(thin.column_tail, wide.column_tail[centre])
 
 
+@pytest.mark.parametrize("window", [64, 128])
+@pytest.mark.parametrize("zeros", [[0.5, -0.3j], SIX_ZEROS, [0.999]], ids=["two-mixed", "six-zeros", "near-circle"])
+def test_narrowed_master_isometry_product_is_the_central_columns_of_the_square_product(zeros, window):
+    # pi(J^{1/2}) times the interior columns of Gamma_b: the square product's
+    # central columns, up to BLAS blocking the two products differently
+    bs = build_branches(make_blaschke(zeros))
+    grid = CircleGrid(4096)
+    square = master_isometry_matrix(bs, window, grid)
+    assert square.col_modes == (-window, window)
+    for c in (0, 1, window // 2):
+        thin = master_isometry_matrix(bs, window, grid, c)
+        assert (thin.row_modes, thin.col_modes) == ((-window, window), (-c, c))
+        assert np.max(np.abs(thin.matrix - square.matrix[:, window - c : window + c + 1])) < 1e-15
+        assert np.all(thin.column_tail == np.inf)
+    same = master_isometry_matrix(bs, window, grid, window)
+    assert np.array_equal(same.matrix, square.matrix)
+    with pytest.raises(ValueError, match="columns must be >= 0"):
+        master_isometry_matrix(bs, window, grid, -1)
+
+
 def test_weighted_composition_columns_default_to_the_window_and_refuse_a_negative_count(mixed):
     b, bs = mixed
     g = CircleGrid(256)
@@ -923,6 +943,69 @@ def test_pair_power_gram_matches_the_direct_sum(window):
             mu = pair_power_gram(bs, family, window)
             assert mu.shape == direct.shape
             assert np.max(np.abs(mu - direct)) < 1e-13
+
+
+NEAR_CIRCLE = [0.99, 0.99j, -0.99, 0.5]
+MOMENT_CASES = {
+    "0.999": ([0.999], 64),
+    "near-circle four": (NEAR_CIRCLE, 64),
+    "0.95, -0.5i": ([0.95, -0.5j], 64),
+    "z^3": ([0, 0, 0], 64),
+    "six zeros": (SIX_ZEROS, 128),
+}
+
+
+@pytest.mark.parametrize("case", MOMENT_CASES)
+def test_pair_power_gram_matches_the_closed_form_moments(case):
+    # int b^k dt/2pi = b(0)^k (its conjugate for k < 0) by the mean value
+    # property, and int |J| e^{ik theta} dt/2pi = delta_k0 since |J| = j0 = theta'/N
+    zeros, window = MOMENT_CASES[case]
+    b = make_blaschke(zeros)
+    bs = build_branches(b)
+    ks = np.arange(-2 * window, 2 * window + 1)
+    b0 = complex(evaluate(b, 0.0))
+    closed = np.where(ks >= 0, b0 ** np.abs(ks), np.conj(b0) ** np.abs(ks))
+    assert np.max(np.abs(pair_power_gram(bs, _ONE, window)[0, 0] - closed)) < 1e-13
+    # on {0.999} the lift itself rounds by about 1e-13 rad beside the zero (against
+    # mpmath), and e^{ik theta} carries that k-fold to every node there, whatever
+    # the rule: the dense rule of 1,535,232 nodes read 1.51e-12
+    bound = 3e-12 if case == "0.999" else 1e-13
+    assert orthonormality_defect(pair_power_gram(bs, _j_half(bs, CircleGrid(4096)), window)) < bound
+
+
+@pytest.mark.parametrize(
+    "zeros, window, most",
+    [([0.999], 64, 3999), (SIX_ZEROS, 128, 10999), (seeded_zeros(64, 0.5), 64, 51072)],
+    ids=["0.999", "six-zeros-w128", "64-seeded"],
+)
+def test_moment_nodes_follow_each_stretchs_own_slope(zeros, window, most):
+    # one slope per stretch, read at its two ends: the dense rule sized every
+    # stretch for N max j0 and took 1,535,232, 17,808 and 51,072 nodes
+    bs = build_branches(make_blaschke(zeros))
+    t, w = moment_nodes(bs, (), window)
+    assert t.size <= most
+    assert t.size % 16 == 0 and np.all((0 <= t) & (t <= 2 * np.pi))
+    assert abs(np.sum(w) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "zeros, slope",
+    [([0.5, -0.3j, 0.2 + 0.4j], 1.120), ([0.95, -0.5j], 9.95), (NEAR_CIRCLE, 48.75)],
+    ids=["three", "0.95,-0.5i", "near-circle-four"],
+)
+def test_moment_nodes_keep_a_moved_zero_detectable(zeros, slope):
+    # the canonical basis of b_delta, its first zero moved by delta, read on b's
+    # nodes and lift: the orthonormality defect grows with delta's slope (measured
+    # on the dense rule and on this one alike), so coarser nodes hide no defect
+    bs = build_branches(make_blaschke(zeros))
+
+    def defect(delta):
+        moved = make_blaschke([zeros[0] + delta] + list(zeros[1:]))
+        return orthonormality_defect(pair_power_gram(bs, canonical_basis(moved), 64))
+
+    assert defect(0.0) < 1e-12
+    for delta in (1e-6, 1e-5):
+        assert defect(delta) >= 0.5 * slope * delta
 
 
 def test_truncated_builders_agree_with_the_moments(mixed):
