@@ -24,11 +24,12 @@ from .blaschke import BlaschkeProduct, BranchSystem, evaluate, moebius_factor
 from .circlefun import CircleGrid, FourierSeries, fourier_window
 from .errors import GramCheckError
 from .transfer import (
+    EXPANSION_BLOCK,
     MODULE_GRAM_TOL,
     ModuleFamily,
-    arc_of,
     arcs_basis,
-    expansion_blocks,
+    columns_off_arcs,
+    expansion_sweep,
     gram_deviation,
     module_gram_deviation,
     nudged_fibre,
@@ -132,9 +133,8 @@ def induced_module_basis(bs: BranchSystem, basis: ModelBasis, grid: CircleGrid) 
 # -- linking unitaries between module bases ---------------------------------
 
 
-def _check_arc_labels(bs: BranchSystem, fib: np.ndarray) -> None:
-    """Raise GramCheckError unless every row j of `fib` lies in arc j, where the arcs basis is sqrt(N) I."""
-    off = np.count_nonzero(np.any(arc_of(bs, fib) != np.arange(bs.branch_count)[:, None], axis=0))
+def _check_arc_labels(off: int) -> None:
+    """Raise GramCheckError unless no fibre column has a row j outside arc j (transfer.columns_off_arcs)."""
     if off:
         raise GramCheckError(f"fibre rows leave their arcs (transfer.arc_of) at {off} nodes")
 
@@ -151,27 +151,25 @@ def linking_unitary(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) ->
     if dev > MODULE_GRAM_TOL:
         raise GramCheckError(f"family A fails the module Gram check ({dev:.3e})")
     fib, _ = nudged_fibre(bs, grid, (*family.exceptions, *arcs_basis(bs).exceptions))
-    _check_arc_labels(bs, fib)
+    _check_arc_labels(columns_off_arcs(bs, fib))
     return np.conj(family.values(fib)) * np.sqrt(bs.branch_count) / bs.branch_count
 
 
 def pointwise_unitarity_deviation(u: np.ndarray) -> float:
-    """sup over the grid of ||U(z)* U(z) - I||_max for a pointwise matrix of shape (n, n, K)."""
-    return gram_deviation(np.einsum("ijK,ikK->jkK", np.conj(u), u))
+    """sup over the grid of ||U(z)* U(z) - I||_max for u of shape (n, n, K), in node blocks of at most EXPANSION_BLOCK values."""
+    step = max(1, EXPANSION_BLOCK // (u.shape[0] * u.shape[1]))
+    blocks = (u[:, :, lo : lo + step] for lo in range(0, u.shape[2], step))
+    return max(gram_deviation(np.einsum("ijK,ikK->jkK", np.conj(ub), ub)) for ub in blocks)
 
 
 def linking_reconstruction_deviation(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> float:
-    """sup-error of E_j = sum_i A_i * (u_ij o b), u = linking_unitary, at the points z of transfer.expansion_blocks.
+    """sup-error of E_j = sum_i A_i * (u_ij o b), u = linking_unitary, at the points z of transfer.expansion_sweep.
 
     The module expansion of E_j, a_i = A_i and w_i = conj(A_i), on fibres whose row l lies in arc l (else
-    GramCheckError): there E_j(zeta) = sqrt(N) [zeta = zeta_j], so the error is sqrt(N) |k(z, zeta) - [zeta = z]|.
-    The coefficients are taken at b(z), with no interpolation, half a step off the image grid on which
+    GramCheckError): there E_j(zeta) = sqrt(N) [zeta = zeta_j], so the error is sqrt(N) times the sweep's bare
+    sup.  The coefficients are taken at b(z), with no interpolation, half a step off the image grid on which
     linking_unitary samples u, so this exercises the linking matrix off that grid.
     """
-    worst = 0.0
-    exceptions = (*family.exceptions, *arcs_basis(bs).exceptions)
-    for at, fib, kernel in expansion_blocks(bs, grid, exceptions, family, family.conjugate()):
-        _check_arc_labels(bs, fib)
-        kernel[at] -= 1.0  # zeta = z
-        worst = max(worst, float(np.max(np.abs(kernel))))
-    return float(np.sqrt(bs.branch_count)) * worst
+    bare, _, off = expansion_sweep(bs, family, grid)
+    _check_arc_labels(off)
+    return float(np.sqrt(bs.branch_count)) * bare

@@ -15,7 +15,7 @@ family, and L and beta map families to families.  Everything is evaluated
 pointwise through the inverse branches, so identities hold to root-finding
 accuracy with no interpolation error.  Every grid sample of L reads
 nudged_fibre, the memoised grid fibre with nodes at exception images re-solved;
-the module expansion is checked on midstep_fibre, half a step off the grid.
+expansion_sweep checks the module expansion once per family, on midstep_fibre.
 """
 
 from __future__ import annotations
@@ -187,38 +187,54 @@ def nudged_fibre(bs: BranchSystem, grid: CircleGrid, exceptions) -> tuple[np.nda
 def midstep_fibre(bs: BranchSystem, grid: CircleGrid, exceptions) -> tuple[np.ndarray, list[int]]:
     """The fibre of the image nodes half a step off the grid, grid.angles + pi/K, through _nudged.
 
-    Memoised on the branch system beside grid_fibre.  The module expansion is checked on it,
-    where module_gram and linking_unitary take no sample.
+    Memoised on the branch system beside grid_fibre.  expansion_sweep, its one reader, checks the
+    module expansion on it, where module_gram and linking_unitary take no sample.
     """
     mid = grid.angles + np.pi / grid.size
     return _nudged(bs, mid, exceptions, bs.memo(("midstep fibre", grid.size), lambda: fibre(bs, mid)))
 
 
-#: family values on the fibre (members x branches x points) per block of expansion_blocks
+#: family values on the fibre (members x branches x points) per block of expansion_sweep
 EXPANSION_BLOCK = 1 << 19
 
 
-def expansion_kernel(a_z: np.ndarray, w_fib: np.ndarray) -> np.ndarray:
-    """k(z, zeta) = (1/N) sum_i a_i(z) w_i(zeta) over the fibre of b(z), shape (N, K); a_z is (n, K)."""
-    return np.einsum("nK,nNK->NK", a_z, w_fib) / w_fib.shape[1]
+def _kernel_excess(a: np.ndarray, w: np.ndarray, at) -> np.ndarray:
+    """|k(z, zeta) - [zeta = z]| with k = (1/N) sum_i a_i(z) w_i(zeta): a is (n, K), w (n, N, K), z at rows `at`."""
+    kernel = np.einsum("nK,nNK->NK", a, w) / w.shape[1]
+    kernel[at] -= 1.0  # zeta = z
+    return np.abs(kernel)
 
 
-def expansion_blocks(bs: BranchSystem, grid: CircleGrid, exceptions, a_family: ModuleFamily, w_family: ModuleFamily):
-    """Yield (at, fibre columns, expansion kernel) over blocks of the columns of midstep_fibre.
+def expansion_sweep(bs: BranchSystem, family: ModuleFamily, grid: CircleGrid) -> tuple[float, float, int]:
+    """The module expansion of `family` on midstep_fibre, nudged off its and the arcs' exception images.
 
-    Node j's point z is branch j mod N of its own column, the fibre of b(z), so the block's
-    points are fibre[at]: b(z) lies half a step off the image grid, and the K points are
-    equidistributed in the image, K/N to an arc (on the circle their density follows j0).
-    a_i = a_family at z and w_i = w_family on the fibre.  A block holds at most EXPANSION_BLOCK
-    values of w_family (all K nodes up to n N K = 2^19: degree 8 on grid 8192).
+    One pass per (family, grid), memoised.  Node j's point z is branch j mod N of its own column, the
+    fibre of b(z), half a step off the image grid where module_gram samples, K/N points to an arc.
+    With k(z, zeta) = (1/N) sum_i a_i(z) w_i(zeta) it returns the bare sup max |k - [zeta = z]| of
+    a_i = m_i, w_i = conj(m_i); the completeness defect sup_z sum_zeta |k - [zeta = z]| of
+    a_i = m_i J^{1/2}(z), w_i = conj(m_i) J^{-1/2}(zeta), the kernel of sum_i S_i S_i* for
+    S_i = pi(m_i) C_b; and the fibre's columns_off_arcs.  A block holds at most EXPANSION_BLOCK
+    family values on the fibre (all K nodes up to n N K = 2^19: degree 8 on grid 8192).
     """
-    fib, _ = midstep_fibre(bs, grid, exceptions)
-    step = max(1, EXPANSION_BLOCK // (w_family.size * bs.branch_count))
-    for lo in range(0, grid.size, step):
-        fb = fib[:, lo : lo + step]
-        cols = np.arange(fb.shape[1])
-        at = ((lo + cols) % bs.branch_count, cols)
-        yield at, fb, expansion_kernel(a_family.values(fb[at]), w_family.values(fb))
+    def build():
+        fib, _ = midstep_fibre(bs, grid, (*family.exceptions, *arcs_basis(bs).exceptions))
+        n, step = bs.branch_count, max(1, EXPANSION_BLOCK // (family.size * bs.branch_count))
+        half, inv_half = outer_symbol(bs, grid, 0.5).eval, outer_symbol(bs, grid, -0.5).eval
+        bare = defect = 0.0
+        for lo in range(0, grid.size, step):
+            fb = fib[:, lo : lo + step]
+            cols = np.arange(fb.shape[1])
+            at = ((lo + cols) % n, cols)
+            z = fb[at]
+            a, w = family.values(z), family.values(fb)
+            np.conjugate(w, out=w)
+            bare = max(bare, float(np.max(_kernel_excess(a, w, at))))
+            a *= half(z)
+            w *= inv_half(fb)
+            defect = max(defect, float(np.max(np.sum(_kernel_excess(a, w, at), axis=0))))
+        return bare, defect, columns_off_arcs(bs, fib)
+
+    return bs.memo(("expansion", family, grid.size), build)
 
 
 def coefficient_family(bs: BranchSystem, family: ModuleFamily, f: FourierSeries) -> ModuleFamily:
@@ -251,6 +267,11 @@ def arc_of(bs: BranchSystem, z) -> np.ndarray:
     """Index 0..N-1 of the half-open arc [t_j, t_{j+1}) that holds each z: the one arc-membership rule."""
     t = np.mod(np.angle(z), TWO_PI)
     return np.clip(np.searchsorted(bs.arc_endpoints, t, side="right") - 1, 0, bs.branch_count - 1)
+
+
+def columns_off_arcs(bs: BranchSystem, fib: np.ndarray) -> int:
+    """The number of columns of a fibre, shape (N, K), with some branch row j outside arc j (arc_of)."""
+    return int(np.count_nonzero(np.any(arc_of(bs, fib) != np.arange(bs.branch_count)[:, None], axis=0)))
 
 
 def arcs_basis(bs: BranchSystem) -> ModuleFamily:

@@ -4,8 +4,8 @@ Each relation is checked numerically at a stated tolerance and reported with
 its residual and the truncation parameters that certify it (window, interior
 block, tail threshold, excluded columns).  The tolerances live here; three
 rules in the math modules raise on their own, and so fail what reads them:
-model_space.validate_basis (VALIDATION_TOL; the covariance pair), linking_unitary
-(MODULE_GRAM_TOL; fibre rows in their arcs) and operators.excluded_mask (no certified column).
+model_space.validate_basis (VALIDATION_TOL; the covariance pair), the linking pair
+(MODULE_GRAM_TOL; grid and midstep fibre rows in their arcs) and operators.excluded_mask (no certified column).
 
 Every relation also has at least one negative control exercised by the test
 suite (non-unitary rotation, b(0) != 0 isometry claim, non-orthonormal module
@@ -62,7 +62,7 @@ from .transfer import (
     ModuleFamily,
     arc_of,
     arcs_basis,
-    expansion_blocks,
+    expansion_sweep,
     fibre_power_means,
     from_series,
     gram_deviation,
@@ -104,7 +104,7 @@ def reports_to_json(reports: list) -> str:
 class _Context:
     """One run's settings and the objects tied to its bases, each built once on first use.
 
-    The module Gram and completeness memos are keyed by the family object, so the
+    The module Gram and expansion sweep memos are keyed by the family object, so the
     bases are held here, one object per run; the arcs checks read only arc labels.
     Every other shared input (fibre, J^p, Gamma_b, the direct C_b) is memoised by its builder.
     """
@@ -163,26 +163,6 @@ def _times_j_half(family: ModuleFamily, bs, grid: CircleGrid) -> ModuleFamily:
     return family.times(outer_symbol(bs, grid, 0.5).eval, "J^1/2")
 
 
-def _completeness_defect(bs, family: ModuleFamily, grid: CircleGrid) -> float:
-    """sup_z sum_zeta |k(z, zeta) - [zeta = z]| for S_i = pi(m_i) C_b, memoised per (family, grid).
-
-    k is the expansion kernel of a_i = m_i J^{1/2} at z and w_i = conj(m_i) J^{-1/2} on the fibre
-    of b(z): (sum_i S_i S_i* f)(z) = sum_zeta k f(zeta), so the defect bounds it for every |f| <= 1.
-    The sup runs over the blocks of transfer.expansion_blocks, each z at a known row of its fibre and
-    b(z) half a step off the image grid, where module_onb does not check the Gram.
-    """
-    def build():
-        a_family = _times_j_half(family, bs, grid)
-        w_family = family.conjugate().times(outer_symbol(bs, grid, -0.5).eval, "J^-1/2")
-        worst = 0.0
-        for at, _, kernel in expansion_blocks(bs, grid, family.exceptions, a_family, w_family):
-            kernel[at] -= 1.0  # zeta = z
-            worst = max(worst, float(np.max(np.sum(np.abs(kernel), axis=0))))
-        return worst
-
-    return bs.memo(("completeness", family, grid.size), build)
-
-
 # -- relation checks ----------------------------------------------------------
 #
 # Four relations compare Grams that are Toeplitz in n - m, since b = e^{i theta}
@@ -192,7 +172,7 @@ def _completeness_defect(bs, family: ModuleFamily, grid: CircleGrid) -> float:
 # |n|, |m| <= window, so they exclude no column.  The moments' nodes follow the
 # lift: each stretch of operators.moment_nodes is sized by its own slope theta'
 # and graded toward zeros near the circle.  cuntz_completeness reads the
-# kernel defect, which bounds every f; the column checks use truncated matrices.
+# expansion sweep's kernel defect, which bounds every f; the column checks use truncated matrices.
 
 
 def _rel_cuntz_orthogonality(ctx: _Context):
@@ -215,7 +195,7 @@ def _certify(ctx: _Context, checks) -> tuple[float, list[int]]:
 
 
 def _rel_cuntz_completeness(ctx: _Context):
-    return _completeness_defect(ctx.bs, ctx.module_basis, ctx.grid), {"excluded_columns": []}
+    return expansion_sweep(ctx.bs, ctx.module_basis, ctx.grid)[1], {"excluded_columns": []}
 
 
 def _shift_columns(op: TruncatedOperator) -> TruncatedOperator:
@@ -474,9 +454,9 @@ def verify_solution1(bs, family: ModuleFamily, config: RunConfig | None = None) 
     fails the module Gram check, the orthogonality and completeness failures
     mirror the Gram failure while the structural identity
     S_i* S_j = pi(<m_i, m_j>) still holds: that identity is the theorem.
-    The Gram is module_gram on the config's grid, so a verify_all run reads
-    the one that module_onb formed.  The moments are taken over the config's
-    interior block, the block every relation of the run certifies.
+    The Gram (module_gram) and completeness defect (transfer.expansion_sweep) are memoised
+    per family and grid: a verify_all run reads those of module_onb and cuntz_completeness.
+    The moments are taken over the config's interior block, the block every relation certifies.
     """
     config = config or RunConfig()
     grid = CircleGrid(config.grid_size)
@@ -496,7 +476,7 @@ def verify_solution1(bs, family: ModuleFamily, config: RunConfig | None = None) 
         float(np.max(np.abs(mu[i, :, ::-1] - fourier_window(gram[i], 2 * inner)))) for i in range(family.size)
     )
 
-    completeness = _completeness_defect(bs, family, grid)  # the kernel cuntz_completeness reads
+    completeness = expansion_sweep(bs, family, grid)[1]  # the defect cuntz_completeness reads
     residual = max(gram_dev, orth, consistency, completeness)
     params = {
         "family": list(family.labels),

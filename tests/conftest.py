@@ -76,6 +76,17 @@ def ones_basis(b):
     return ModelBasis(labels=("1",) * n, rule=lambda z: np.ones((n,) + z.shape), owner=b, kind="user")
 
 
+def recorded(family, seen):
+    """`family` with a copy of every point set it is evaluated on appended to the list `seen`."""
+    from blaschkeops.transfer import ModuleFamily
+
+    def rule(z):
+        seen.append(z.copy())
+        return family.values(z)
+
+    return ModuleFamily(family.labels, rule, family.exceptions)
+
+
 def seeded_zeros(n, radius):
     """n zeros r e^{it}, r = radius sqrt(U), t uniform, from default_rng(1)."""
     rng = np.random.default_rng(1)

@@ -16,7 +16,14 @@ from blaschkeops.model_space import (
     validate_basis,
 )
 from blaschkeops.operators import orthonormality_defect, pair_power_gram
-from blaschkeops.transfer import arcs_basis, grid_fibre, module_gram_deviation, nudged_fibre, outer_symbol
+from blaschkeops.transfer import (
+    arcs_basis,
+    gram_deviation,
+    grid_fibre,
+    module_gram_deviation,
+    nudged_fibre,
+    outer_symbol,
+)
 
 from conftest import B1_ON_THE_GRID, blaschke_zeros, ones_basis, seeded_zeros
 from oracles import canonical_basis_mpmath, fibre_means
@@ -275,6 +282,21 @@ def test_linking_canonical_to_arcs(z2, grid1024):
         u = linking_unitary(bs, mod, grid1024)
         assert pointwise_unitarity_deviation(u) < 1e-6, bs.owner.zeros
         assert linking_reconstruction_deviation(bs, mod, grid1024) < 1e-6, bs.owner.zeros
+
+
+@pytest.mark.parametrize("zeros", [[0.5, -0.3j, 0.2 + 0.4j], seeded_zeros(16, 0.6)], ids=["3 zeros", "16 zeros"])
+def test_unitarity_deviation_is_one_sup_over_node_blocks(monkeypatch, zeros):
+    # blocks of 1, 100 and 1,024 nodes give the float of the whole-grid einsum: each node's
+    # U*U sums the same n products in the same order, and the sup is a max
+    from blaschkeops import model_space
+
+    bs, grid = build_branches(make_blaschke(zeros)), CircleGrid(4096)
+    u = linking_unitary(bs, induced_module_basis(bs, canonical_basis(bs.owner), grid), grid)
+    whole = gram_deviation(np.einsum("ijK,ikK->jkK", np.conj(u), u))
+    assert 0.0 < whole < 1e-12
+    for nodes in (1, 100, 1024):
+        monkeypatch.setattr(model_space, "EXPANSION_BLOCK", u.shape[0] * u.shape[1] * nodes)
+        assert pointwise_unitarity_deviation(u) == whole, nodes
 
 
 def test_linking_rejects_non_basis(mixed, grid1024):

@@ -8,16 +8,56 @@ traced run of the CLI benchmark's commands, must record every span the
 benchmark requires.  `from blaschkeops import *` reads
 `__all__`, so every name listed there must resolve, once.
 `scripts/parity_digest.py --against` is the byte-parity check between two
-versions, so its comparison is tested on fixed digests.
+versions, so its comparison is tested on fixed digests.  Some concepts have
+one home in the library, a file no other module may reach around, and each
+such rule is checked, with a negative control, on the library's source text.
 """
 
 import importlib
 import json
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = Path(__file__).resolve().parent.parent / "src" / "blaschkeops"
+
+#: (pattern, the one library file that may match it, what other files use instead, a line that breaks the rule)
+ONE_HOME = [
+    ("_grid_cache", "blaschke.py", "reach the memo through BranchSystem.memo", "bs._grid_cache.clear()"),
+    (r"grid_fibre\(", "transfer.py", "sample L on the grid through transfer.nudged_fibre", "grid_fibre(bs, grid)"),
+    (r"searchsorted\([^)]*arc_endpoints", "transfer.py", "find a point's arc through transfer.arc_of", "np.searchsorted(bs.arc_endpoints, t)"),
+    ("leggauss", "operators.py", "take quadrature nodes from operators.moment_nodes", "np.polynomial.legendre.leggauss(16)"),
+    (r"midstep_fibre\(", "transfer.py", "read the module expansion through transfer.expansion_sweep", "midstep_fibre(bs, grid, ())"),
+]
+
+
+def one_home_violations(src: Path) -> list[str]:
+    """'file: what to use instead' for each library file outside a rule's home that matches its pattern."""
+    return [
+        f"{path.name}: {instead}"
+        for pattern, home, instead, _ in ONE_HOME
+        for path in sorted(src.glob("*.py"))
+        if path.name != home and re.search(pattern, path.read_text())
+    ]
+
+
+def test_each_concept_has_one_home():
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert one_home_violations(SRC) == []
+
+
+@pytest.mark.parametrize("rule", ONE_HOME, ids=[re.sub(r"\W+", " ", rule[0]).strip() for rule in ONE_HOME])
+def test_each_one_home_rule_trips_on_a_violation(tmp_path, rule):
+    # a copy of the library with the rule's violating line added to cli.py, the home of no rule
+    _, _, instead, line = rule
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        (tmp_path / path.name).write_text(text + line + "\n" if path.name == "cli.py" else text)
+    assert one_home_violations(tmp_path) == [f"cli.py: {instead}"]
 
 
 def test_traced_names_resolve_in_the_library(monkeypatch):

@@ -17,7 +17,7 @@ from blaschkeops.transfer import (
     arc_of,
     arcs_basis,
     compose_with_b,
-    expansion_blocks,
+    expansion_sweep,
     fibre,
     fibre_power_means,
     from_series,
@@ -30,7 +30,7 @@ from blaschkeops.transfer import (
     transfer_family,
 )
 
-from conftest import B1_ON_THE_GRID, blaschke_zeros, ones_basis
+from conftest import B1_ON_THE_GRID, blaschke_zeros, ones_basis, recorded
 from oracles import expansion_sum, fibre_means, transfer_brute
 
 
@@ -378,37 +378,46 @@ def test_module_expand_module_linearity(z2, grid1024):
         pytest.param("z2", True, [0, 1, 1], id="arcs-squaring-polynomial"),  # 1 + z
     ],
 )
-def test_expansion_deviation(request, grid1024, product, basis_is_arcs, modes):
-    # f = sum_i m_i beta(<m_i, f>) pointwise, through the kernel blocks both kernel checks read:
-    # exact for the arcs basis, and off by |2 L(f) o b - f| for the family [1, 1], which is no
-    # module basis.  The blocks walk the columns of the midstep fibre, node j's point z being
-    # row j mod N of its own column, so b(z) lies half a step off the image grid; with no
-    # exception angle that fibre is the memoised fibre of grid.angles + pi/K
+def test_expansion_deviation(monkeypatch, request, grid1024, product, basis_is_arcs, modes):
+    # f = sum_i m_i beta(<m_i, f>) pointwise, read through expansion_sweep, the one pass both kernel
+    # checks read: exact for the arcs basis, and off by |2 L(f) o b - f| for the family [1, 1], which
+    # is no module basis.  The sweep walks the columns of the midstep fibre in blocks, here of 100
+    # nodes, node j's point z being row j mod N of its own column, so b(z) lies half a step off the
+    # image grid; with no exception angle that fibre is the memoised fibre of grid.angles + pi/K
+    from blaschkeops import transfer
+
     _, bs = request.getfixturevalue(product)
     n, cols, mid = bs.branch_count, np.arange(grid1024.size), grid1024.angles + np.pi / grid1024.size
-    fam = arcs_basis(bs) if basis_is_arcs else ones_basis(bs.owner)
-    fib, moved = midstep_fibre(bs, grid1024, fam.exceptions)
-    assert fib.shape == (n, grid1024.size)
-    if not fam.exceptions:
-        assert moved == [] and np.array_equal(fib, fibre(bs, mid))
+    arcs = arcs_basis(bs)
+    fam = arcs if basis_is_arcs else ones_basis(bs.owner)
+    plain, moved = midstep_fibre(bs, grid1024, ())
+    assert plain.shape == (n, grid1024.size) and moved == [] and np.array_equal(plain, fibre(bs, mid))
+    fib, moved = midstep_fibre(bs, grid1024, arcs.exceptions)  # the sweep nudges off the arcs' images too
     z = fib[cols % n, cols]
     assert np.max(np.abs(evaluate(bs.owner, fib) - evaluate(bs.owner, z))) < 1e-12
     kept = np.setdiff1d(cols, moved)
     assert np.max(np.abs(evaluate(bs.owner, z[kept]) - np.exp(1j * mid[kept]))) < 1e-12
+    # per block the sweep evaluates the family at the points, then on their fibre columns
+    monkeypatch.setattr(transfer, "EXPANSION_BLOCK", fam.size * n * 100)
+    seen = []
+    bare, _, off = expansion_sweep(bs, recorded(fam, seen), grid1024)
+    assert len(seen) == 2 * 11 and off == 0
+    assert np.array_equal(np.concatenate(seen[1::2], axis=1), fib)
+    assert np.array_equal(np.concatenate(seen[0::2]), z)
+    # column l of the bare kernel expands the point mass at row l.  The reference sums in the other
+    # order: the branch means first, then expansion_sum
+    a_z, w_fib, eps = fam.values(z), np.conj(fam.values(fib)), np.finfo(float).eps
+    masses = [(np.arange(n)[:, None] == row) * np.ones_like(fib) for row in range(n)]
+    ref = max(np.max(np.abs(expansion_sum(a_z, fibre_means(w_fib, e)) - e[cols % n, cols])) for e in masses)
+    assert bare == pytest.approx(ref, rel=0, abs=64 * eps)
+    # so it bounds the expansion of f: |sum_zeta (k - [zeta = z]) f(zeta)| <= N * bare * max |f|
     f = from_series(FourierSeries(np.array(modes, dtype=complex)))
-    blocks = list(expansion_blocks(bs, grid1024, fam.exceptions, fam, fam.conjugate()))
-    assert np.array_equal(np.concatenate([fb for _, fb, _ in blocks], axis=1), fib)
-    assert np.array_equal(np.concatenate([at[0] for at, _, _ in blocks]), cols % n)
-    assert np.array_equal(np.concatenate([fb[at] for at, fb, _ in blocks]), z)
-    dev = max(float(np.max(np.abs(np.sum(k * _at(f, fb), axis=0) - _at(f, fb[at])))) for at, fb, k in blocks)
-    # the reference sums in the other order: the branch means first, then expansion_sum
-    coeffs = fibre_means(np.conj(fam.values(fib)), _at(f, fib))
-    ref = np.max(np.abs(expansion_sum(fam.values(z), coeffs) - _at(f, z)))
-    assert dev == pytest.approx(ref, rel=0, abs=64 * np.finfo(float).eps)
+    dev = np.max(np.abs(expansion_sum(a_z, fibre_means(w_fib, _at(f, fib))) - _at(f, z)))
+    assert dev <= n * bare * np.max(np.abs(_at(f, fib))) + 64 * eps
     if basis_is_arcs:
-        assert dev < 1e-10
+        assert bare < 1e-10 and dev < 1e-10
     else:
-        assert dev > 0.5
+        assert bare > 0.5 and dev > 0.5
 
 
 def test_nudge_recorded_for_indicator_input(z2):

@@ -32,7 +32,7 @@ from blaschkeops.transfer import (
     ModuleFamily,
     arc_of,
     arcs_basis,
-    expansion_blocks,
+    expansion_sweep,
     grid_fibre,
     midstep_fibre,
     module_gram_deviation,
@@ -42,7 +42,6 @@ from blaschkeops.transfer import (
 from blaschkeops.verify import (
     NORM_WINDOWS,
     RELATIONS,
-    _completeness_defect,
     _Context,
     _rel_arcs_onb,
     _rel_linking_unitary,
@@ -56,7 +55,7 @@ from blaschkeops.verify import (
     verify_solution1,
 )
 
-from conftest import B1_ON_THE_GRID, ones_basis, seeded_zeros
+from conftest import B1_ON_THE_GRID, ones_basis, recorded, seeded_zeros
 from oracles import expansion_sum, fibre_means
 
 FAST = RunConfig(grid_size=2048, mode_window=32)
@@ -411,14 +410,14 @@ def test_completeness_defect_bounds_the_mode_expansions():
     b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
     bs, grid = build_branches(b), CircleGrid(RunConfig().grid_size)
     mod = induced_module_basis(bs, canonical_basis(b), grid)
-    (fib, _), cols = midstep_fibre(bs, grid, ()), np.arange(grid.size)
+    (fib, _), cols = midstep_fibre(bs, grid, arcs_basis(bs).exceptions), np.arange(grid.size)
     z = fib[cols % bs.branch_count, cols]
     a_z = mod.values(z) * outer_symbol(bs, grid, 0.5).eval(z)
     w_fib = np.conj(mod.values(fib)) * outer_symbol(bs, grid, -0.5).eval(fib)
     worst = max(
         float(np.max(np.abs(expansion_sum(a_z, fibre_means(w_fib, fib**k)) - z**k))) for k in range(-16, 17)
     )
-    defect = _completeness_defect(bs, mod, grid)
+    defect = expansion_sweep(bs, mod, grid)[1]
     assert 0.0 < worst <= defect + 4 * np.finfo(float).eps
     assert defect < 1e-12
 
@@ -475,14 +474,15 @@ def test_arcs_closed_forms_fail_on_the_raw_grid_fibre(monkeypatch, zeros, node):
 def test_arcs_checks_hold_no_arcs_values():
     import tracemalloc
 
-    # at 16 zeros on grid 4096 one (n, N, K) complex array is 16 MiB.  linking_unitary holds u, its
-    # pointwise Gram and that Gram's deviation temporaries, under four such arrays, and no arcs values;
-    # arcs_onb reads only the arc labels of the grid fibre.  module_onb runs first, as in verify_all, so
-    # the grid fibre and the module Gram are memoised outside the measurement, and no arcs Gram exists
+    # at 16 zeros on grid 4096 one (n, N, K) complex array is 16 MiB.  linking_unitary holds u and, per
+    # block of half the grid (EXPANSION_BLOCK values of u), its pointwise Gram and that Gram's deviation
+    # temporaries, under two and a half such arrays, and no arcs values; arcs_onb reads only the arc
+    # labels of the grid fibre.  module_onb runs first, as in verify_all, so the grid fibre and the
+    # module Gram are memoised outside the measurement, and no arcs Gram exists
     mib = 1 << 20
     ctx = _Context(make_blaschke(seeded_zeros(16, 0.6)), RunConfig())
     _rel_module_onb(ctx)
-    for rel, bound in ((_rel_linking_unitary, 64 * mib), (_rel_arcs_onb, 4 * mib)):
+    for rel, bound in ((_rel_linking_unitary, 40 * mib), (_rel_arcs_onb, 4 * mib)):
         tracemalloc.start()
         try:
             rel(ctx)
@@ -493,10 +493,10 @@ def test_arcs_checks_hold_no_arcs_values():
 
 
 def _kernel_checks(b, grid):
-    """The two checks that read transfer.expansion_blocks, on the module basis of b (linked to the arcs)."""
+    """The two checks that read transfer.expansion_sweep, on the module basis of b (linked to the arcs)."""
     bs = build_branches(b)
     mod = induced_module_basis(bs, canonical_basis(b), grid)
-    return _completeness_defect(bs, mod, grid), linking_reconstruction_deviation(bs, mod, grid)
+    return expansion_sweep(bs, mod, grid)[1], linking_reconstruction_deviation(bs, mod, grid)
 
 
 @pytest.mark.parametrize("points", [100, 4095])
@@ -513,6 +513,57 @@ def test_completeness_defect_is_one_sup_over_point_blocks(monkeypatch, points):
     blocked, blocked_linking = _kernel_checks(b, grid)
     assert abs(blocked - whole) <= 3 * np.finfo(float).eps
     assert abs(blocked_linking - whole_linking) <= 4 * np.finfo(float).eps
+
+
+def test_verify_all_reads_the_midstep_fibre_once(monkeypatch):
+    # cuntz_completeness, linking_unitary and solution 1 read one memoised expansion sweep of the
+    # run's module basis: one verify_all reads the midstep fibre once, and a following
+    # verify_solution1 on the run's branch system and module basis reads it no more
+    from blaschkeops import transfer, verify
+
+    reads, contexts = [], []
+    midstep = transfer.midstep_fibre
+
+    def counted(*args):
+        reads.append(args)
+        return midstep(*args)
+
+    class Recorded(_Context):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(transfer, "midstep_fibre", counted)
+    monkeypatch.setattr(verify, "_Context", Recorded)
+    reports = verify_all(make_blaschke([0.5, -0.3j, 0.2 + 0.4j]))
+    assert all(rep.passed for rep in reports) and len(reads) == 1
+    (ctx,) = contexts
+    rep = verify_solution1(ctx.bs, ctx.module_basis, ctx.config)
+    assert len(reads) == 1
+    assert rep.params["completeness_residual"] == next(r.residual for r in reports if r.relation == "cuntz_completeness")
+
+
+def test_linking_reconstruction_reads_the_midstep_arc_labels(monkeypatch):
+    # the negative control of the sweep's arc labels: with the midstep fibre's rows rolled by one,
+    # branch row j lies in arc j + 1, so the arcs member E_j is no longer sqrt(N) at row j alone and
+    # the linking reconstruction raises.  The completeness defect of the same sweep reads no label:
+    # each node's point is still a point of its own column, the fibre of b(z)
+    from blaschkeops import transfer
+
+    midstep = transfer.midstep_fibre
+
+    def rolled(*args):
+        fib, moved = midstep(*args)
+        return np.roll(fib, 1, axis=0), moved
+
+    monkeypatch.setattr(transfer, "midstep_fibre", rolled)
+    b = make_blaschke([0.5, -0.3j, 0.2 + 0.4j])
+    bs, grid = build_branches(b), CircleGrid(RunConfig().grid_size)
+    mod = induced_module_basis(bs, canonical_basis(b), grid)
+    with pytest.raises(GramCheckError, match="leave their arcs"):
+        linking_reconstruction_deviation(bs, mod, grid)
+    _, defect, off = expansion_sweep(bs, mod, grid)
+    assert off == grid.size and defect < RunConfig().tol_operator
 
 
 def test_kernel_checks_allocate_no_whole_fibre_array(monkeypatch):
@@ -551,14 +602,15 @@ def _b1_on_the_first_midstep(k):
 @pytest.mark.parametrize("case", ["three zeros", "squaring", "b(1) on a midstep"])
 def test_verify_all_solves_each_fibre_once(monkeypatch, case):
     # a run solves two whole fibres, once each: theta_inv is asked for the N + 1 arc endpoints,
-    # the N K points of grid_fibre, the N K of the midstep fibre the kernel checks read, N more
+    # the N K points of grid_fibre, the N K of the midstep fibre the expansion sweep reads, N more
     # per midstep node the arcs nudge, and 2 N per grid node they nudge: nudged_fibre solves a
     # moved column again on each read, once for arcs_onb's arc count and once for the linking
     # matrix.  The arc endpoints all map to b(1): on {0, 0} that is grid node 0, which
     # nudged_fibre moves but no midstep node is near (16,391 points, 4 of them the moved column
-    # twice); on the third product it is midstep node 0.  Only a nudged column differs from the
+    # twice); on the third product it is midstep node 0, whose moved column the completeness
+    # defect and the linking reconstruction both read.  Only a nudged column differs from the
     # memoised fibre, and node j's kernel point is branch j mod N of its column, so each arc holds
-    # K/N of them
+    # K/N of the points the sweep evaluates a family at
     from blaschkeops.blaschke import BranchSystem
 
     config = RunConfig()
@@ -588,9 +640,9 @@ def test_verify_all_solves_each_fibre_once(monkeypatch, case):
     memo, _ = midstep_fibre(bs, grid, ())
     assert midstep_fibre(bs, grid, ())[0] is memo and not memo.flags.writeable
     assert np.nonzero(np.any(fib != memo, axis=0))[0].tolist() == mid_moved
-    blocks = expansion_blocks(bs, grid, arcs.exceptions, arcs, arcs.conjugate())
-    z = np.concatenate([fb[at] for at, fb, _ in blocks])
-    per_arc = np.count_nonzero(arcs.values(z), axis=1)
+    seen = []  # per block, the points, then their fibre columns
+    expansion_sweep(bs, recorded(arcs, seen), grid)
+    per_arc = np.count_nonzero(arcs.values(np.concatenate(seen[0::2])), axis=1)
     assert np.all(np.abs(per_arc - n_grid / n) <= 1), per_arc
 
 
